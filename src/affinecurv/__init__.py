@@ -13,10 +13,12 @@ from .classifier import (
     PROJECTIVE,
     AdamsResult,
     BundlePartition,
+    Classification,
     InconsistencyError,
     OssermanVerdict,
     adams_admissible,
     bundle_partition,
+    classify,
     classify_structure,
     is_projective_affine_osserman,
     match_taxonomy,
@@ -75,11 +77,14 @@ from .spectral import (
     JordanProfile,
     MuVector,
     Spectrum,
+    SpectrumBatch,
     jordan_profile,
     mu_vector,
     projective_match,
+    projective_match_batch,
     projectively_equal,
     spectrum,
+    spectrum_batch,
     with_zero,
 )
 from .tensor_core import (
@@ -88,11 +93,14 @@ from .tensor_core import (
     check_affine_symmetries,
     evaluate,
     jacobi,
+    jacobi_batch,
     load_model,
     model_from_json_dict,
     model_to_json_dict,
     perp_basis,
+    perp_basis_batch,
     reduced_jacobi,
+    reduced_jacobi_batch,
     save_model,
 )
 

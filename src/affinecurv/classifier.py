@@ -3,23 +3,33 @@
 A model is affine Osserman when every Jacobi operator is nilpotent, and
 projective affine Osserman when it is not affine Osserman but any two
 Jacobi spectra agree up to a positive scale.  The verdict here is
-numerical: reduced Jacobi spectra are computed at a deterministic sample
-of directions (the standard basis, the normalized all-ones vector, then
-seeded Gaussian points on the sphere), all pairs are compared
-projectively, and the multiplicity vector is matched against the known
+numerical.  Reduced Jacobi spectra are computed at a deterministic sample
+of directions: the standard basis, the normalized all-ones vector, then
+seeded Gaussian points on the sphere.  Equality up to a positive scale is
+transitive, so each spectrum is compared with one reference, the spectrum
+at e1.  The multiplicity vector is then matched against the known
 taxonomy of eigenvalue structures for the residue class of m.
+
+The whole sample goes through one batched pipeline: one matmul builds
+every Jacobi operator, Householder reflectors give the complements, one
+eigensolve and one vectorized clustering give the spectra, and one pass
+matches them against the reference.  The model is first divided by the
+power of two nearest its largest entry, so that the verdict does not
+depend on the model's scale; reported eigenvalues, tolerances and
+residuals are multiplied back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .constructors import CASE_LABELS, StructureSpec, case_constraints
-from .spectral import Spectrum, mu_vector, with_zero
-from .tensor_core import check_affine_symmetries, reduced_jacobi
+from .spectral import Spectrum, mu_vector
+from .tensor_core import check_affine_symmetries, reduced_jacobi_batch
 
 __all__ = [
     "PROJECTIVE",
@@ -27,10 +37,12 @@ __all__ = [
     "NEITHER",
     "InconsistencyError",
     "OssermanVerdict",
+    "Classification",
     "BundlePartition",
     "AdamsResult",
     "sample_sphere",
     "is_projective_affine_osserman",
+    "classify",
     "classify_structure",
     "match_taxonomy",
     "bundle_partition",
@@ -47,24 +59,28 @@ class InconsistencyError(RuntimeError):
 
 
 def sample_sphere(m, n, seed):
-    """m + 1 + n unit vectors: the standard basis, the normalized all-ones
-    vector, then n seeded Gaussian directions.  Deterministic per seed."""
+    """(m + 1 + n, m) array of unit vectors: the standard basis, the
+    normalized all-ones vector, then n seeded Gaussian directions.
+    Deterministic per seed."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     rng = np.random.default_rng(seed)
-    out = [np.eye(m)[i] for i in range(m)]
-    out.append(np.ones(m) / np.sqrt(m))
-    while len(out) < m + 1 + n:
-        v = rng.standard_normal(m)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            continue
-        out.append(v / nrm)
-    return out
+    drawn = np.empty((0, m))
+    while len(drawn) < n:
+        block = rng.standard_normal((n - len(drawn), m))
+        nrm = np.linalg.norm(block, axis=1)
+        keep = nrm >= 1e-12
+        drawn = np.vstack([drawn, block[keep] / nrm[keep, None]])
+    return np.vstack([np.eye(m), np.full((1, m), 1.0 / np.sqrt(m)), drawn])
 
 
 @dataclass(frozen=True)
 class OssermanVerdict:
+    """Sampled verdict.  `spectrum` is the full Jacobi spectrum at e1, the
+    reference every other sample is matched against; `scales[s]` and
+    `residuals[s]` are sample s's positive scale and matching error
+    against it, and `worst_residual` is the largest of those errors."""
+
     status: str
     spectrum: Spectrum | None
     mu: spectral.MuVector | None
@@ -91,28 +107,25 @@ class OssermanVerdict:
         }
 
 
-def _full_spectra(A, samples, tol):
-    spectra = []
-    for X in samples:
-        S = spectral.spectrum(reduced_jacobi(A, X), cluster_tol=tol)
-        spectra.append(with_zero(S))
-    return spectra
+def _model_scale(A):
+    """Power of two nearest the largest |entry| (1 for the zero model).
+    Dividing by it is exact in binary."""
+    top = max(float(A.entries.max()), -float(A.entries.min()))
+    if not math.isfinite(top):
+        raise ValueError("model entries must be finite")
+    return 1.0 if top == 0.0 else math.ldexp(1.0, round(math.log2(top)))
 
 
-def is_projective_affine_osserman(A, n_samples=64, seed=0, tol=1e-8,
-                                  extra_directions=()):
-    """Deterministic sampled verdict; see the module docstring.
-
-    All samples are computed first and aggregated afterwards, so the
-    result does not depend on evaluation order.  Input must pass the
-    curvature symmetry check.
-
-    extra_directions are normalized and appended to the probe set.
-    Callers who know where the spectrum can degenerate (a measure-zero
-    locus that random probes almost surely miss) force those directions
-    in this way.
-    """
-    report = check_affine_symmetries(A)
+def _sampled_verdict(A, n_samples, seed, tol, extra_directions=()):
+    """The batched pipeline: (verdict, reduced spectrum at e1)."""
+    if A.dim < 2:
+        raise ValueError(
+            "m = %d has no reduced Jacobi operator (the quotient by a "
+            "direction is %d-dimensional); classification needs m >= 2"
+            % (A.dim, max(A.dim - 1, 0))
+        )
+    c = _model_scale(A)
+    report = check_affine_symmetries(A, tol=1e-10 * c)
     if not report.passed:
         raise ValueError(
             "input fails the curvature symmetries (antisymmetry defect %g, "
@@ -120,68 +133,86 @@ def is_projective_affine_osserman(A, n_samples=64, seed=0, tol=1e-8,
         )
     if n_samples < 1:
         raise ValueError("need at least one random sample")
-    samples = sample_sphere(A.dim, n_samples, seed)
-    for v in extra_directions:
-        arr = np.asarray(v, dtype=float)
-        if arr.shape != (A.dim,):
+    X = sample_sphere(A.dim, n_samples, seed)
+    if len(extra_directions):
+        extra = np.asarray(extra_directions, dtype=float)
+        if extra.ndim != 2 or extra.shape[1] != A.dim:
             raise ValueError("extra direction has the wrong dimension")
-        nrm = np.linalg.norm(arr)
-        if nrm == 0.0:
+        nrm = np.linalg.norm(extra, axis=1)
+        if np.any(nrm == 0.0):
             raise ValueError("extra direction must be nonzero")
-        samples.append(arr / nrm)
-    spectra = _full_spectra(A, samples, tol)
-    zero_flags = [spectral.is_zero_spectrum(S) for S in spectra]
+        X = np.vstack([X, extra / nrm[:, None]])
 
-    if all(zero_flags):
-        return OssermanVerdict(
-            AFFINE, spectra[0], mu_vector(spectra[0]), 0.0, (), (),
-            n_samples, seed, tol,
-        )
-    if any(zero_flags):
+    # Dividing the operators by c equals building them from A / c, bit
+    # for bit, without an O(m^4) copy of the model.
+    reduced = spectral.spectrum_batch(reduced_jacobi_batch(A, X) / c, cluster_tol=tol)
+    full = reduced.with_zero()
+    ref = full[0]
+    reported = ref.scaled(c)
+    zero = full.zero_flags()
+
+    def verdict(status, mu=None, worst=float("inf"), scales=(), residuals=(), negative=False):
+        return OssermanVerdict(status, reported, mu, worst, scales, residuals,
+                               n_samples, seed, tol, negative)
+
+    if zero.all():
+        result = verdict(AFFINE, mu_vector(ref), 0.0)
+    elif zero.any():
         # Some directions nilpotent, others not: no global scale can exist.
-        return OssermanVerdict(
-            NEITHER, spectra[0], None, float("inf"), (), (),
-            n_samples, seed, tol,
-        )
+        result = verdict(NEITHER)
+    else:
+        scales, residuals, negative = spectral.projective_match_batch(full, ref, tol)
+        if np.isinf(residuals).any():
+            result = verdict(NEITHER, negative=bool(negative.any()))
+        else:
+            residuals = residuals * c
+            result = verdict(
+                PROJECTIVE, mu_vector(ref), float(residuals.max()),
+                tuple(float(s) for s in scales), tuple(float(r) for r in residuals),
+            )
+    return result, reduced[0].scaled(c)
 
-    worst = 0.0
-    negative = False
-    ok = True
-    for i in range(len(spectra)):
-        for j in range(i + 1, len(spectra)):
-            match = spectral.projective_match(spectra[i], spectra[j], tol)
-            if match is None:
-                ok = False
-                s_pos = max(abs(v) for v, _ in spectra[i].nonzero_items()) / max(
-                    abs(v) for v, _ in spectra[j].nonzero_items()
-                )
-                if spectral._match_with_scale(spectra[i], spectra[j], -s_pos, tol) is not None:
-                    negative = True
-            else:
-                worst = max(worst, match[1])
-    if not ok:
-        return OssermanVerdict(
-            NEITHER, spectra[0], None, float("inf"), (), (),
-            n_samples, seed, tol, negative_scale_match=negative,
-        )
 
-    mus = {mu_vector(S).entries for S in spectra}
-    if len(mus) != 1:
-        return OssermanVerdict(
-            NEITHER, spectra[0], None, float("inf"), (), (),
-            n_samples, seed, tol,
-        )
+def is_projective_affine_osserman(A, n_samples=64, seed=0, tol=1e-8,
+                                  extra_directions=()):
+    """Deterministic sampled verdict; see the module docstring.
 
-    scales = []
-    residuals = []
-    for S in spectra:
-        s, r = spectral.projective_match(S, spectra[0], tol)
-        scales.append(s)
-        residuals.append(r)
-    return OssermanVerdict(
-        PROJECTIVE, spectra[0], mu_vector(spectra[0]), worst,
-        tuple(scales), tuple(residuals), n_samples, seed, tol,
-    )
+    Input must pass the curvature symmetry check, relative to the model's
+    scale, and have m >= 2.
+
+    extra_directions are normalized and appended to the probe set.
+    Callers who know where the spectrum can degenerate (a measure-zero
+    locus that random probes almost surely miss) force those directions
+    in this way.
+    """
+    return _sampled_verdict(A, n_samples, seed, tol, extra_directions)[0]
+
+
+@dataclass(frozen=True)
+class Classification:
+    """Verdict plus what is read off the reduced Jacobi spectrum at e1.
+
+    structure, partition and adams are None unless the verdict is
+    projective; structure is a StructureSpec or "unlisted".
+    """
+
+    verdict: OssermanVerdict
+    reduced_spectrum: Spectrum
+    structure: StructureSpec | str | None = None
+    partition: BundlePartition | None = None
+    adams: AdamsResult | None = None
+
+
+def classify(A, n_samples=64, seed=0, tol=1e-8):
+    """Sampled verdict and, for a projective model, its eigenvalue
+    structure, eigenbundle partition and sphere-bound gate, all from one
+    run of the pipeline."""
+    verdict, S = _sampled_verdict(A, n_samples, seed, tol)
+    if verdict.status != PROJECTIVE:
+        return Classification(verdict, S)
+    structure = match_taxonomy(S, A.dim, tol)
+    partition = bundle_partition(S, A.dim)
+    return Classification(verdict, S, structure, partition, adams_admissible(A.dim, partition))
 
 
 # -- taxonomy matching ----------------------------------------------------
@@ -251,16 +282,16 @@ def match_taxonomy(S, m, tol=1e-8):
 
 
 def classify_structure(A, n_samples=64, seed=0, tol=1e-8):
-    """Verdict plus eigenvalue structure fitted at the first sample (e1).
+    """Eigenvalue structure fitted at the first sample (e1).
 
     Requires a projective verdict; anything else raises ValueError.
     """
-    verdict = is_projective_affine_osserman(A, n_samples=n_samples, seed=seed, tol=tol)
-    if verdict.status != PROJECTIVE:
-        raise ValueError("model is %s; only projective models carry a structure" % verdict.status)
-    X0 = np.eye(A.dim)[0]
-    S = spectral.spectrum(reduced_jacobi(A, X0), cluster_tol=tol)
-    return match_taxonomy(S, A.dim, tol)
+    result = classify(A, n_samples=n_samples, seed=seed, tol=tol)
+    if result.verdict.status != PROJECTIVE:
+        raise ValueError(
+            "model is %s; only projective models carry a structure" % result.verdict.status
+        )
+    return result.structure
 
 
 # -- eigenbundle partitions and the sphere bound --------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -29,9 +30,7 @@ from .classifier import (
     PROJECTIVE,
     BundlePartition,
     adams_admissible,
-    bundle_partition,
-    is_projective_affine_osserman,
-    match_taxonomy,
+    classify,
 )
 from .constructors import CASE_LABELS, StructureSpec, realize
 from .polynomial_geometry import (
@@ -66,6 +65,12 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse only reads "-5" or "-.5" as a value; widen that to any
+        # token that starts like a number, such as "-1+2i" or "-0.5,0,0".
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on bad flags; route that through the
     # validation exit code instead.
     def error(self, message):
@@ -159,27 +164,23 @@ def _cmd_realize(args):
 
 def _cmd_classify(args):
     A = load_model(args.model)
-    tol = _tol(args, 1e-8)
-    verdict = is_projective_affine_osserman(
-        A, n_samples=args.samples, seed=args.seed, tol=tol
-    )
+    result = classify(A, n_samples=args.samples, seed=args.seed, tol=_tol(args, 1e-8))
+    verdict = result.verdict
     report = {"command": "classify", "verdict": verdict.to_json_dict()}
     if verdict.status == PROJECTIVE:
-        X0 = np.eye(A.dim)[0]
-        S = spectrum(reduced_jacobi(A, X0), cluster_tol=tol)
-        structure = match_taxonomy(S, A.dim, tol)
+        structure = result.structure
         if isinstance(structure, StructureSpec):
             report["structure"] = structure.to_json_dict()
         else:
             report["structure"] = structure
-        partition = bundle_partition(S, A.dim)
+        partition = result.partition
         report["bundles"] = {"dims": list(partition.dims), "kinds": list(partition.kinds)}
-        report["adams"] = adams_admissible(A.dim, partition).to_json_dict()
+        report["adams"] = result.adams.to_json_dict()
     _emit(report, args)
     lines = ["status: %s" % verdict.status]
     if verdict.status == PROJECTIVE:
         lines.append("structure: %s" % report["structure"])
-        lines.append("worst projective residual: %.3g" % verdict.worst_residual)
+        lines.append("worst residual against the e1 spectrum: %.3g" % verdict.worst_residual)
     _pretty(args, lines)
     if verdict.status == PROJECTIVE:
         return EXIT_OK

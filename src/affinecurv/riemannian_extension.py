@@ -357,13 +357,15 @@ def check_extension_theorems(
     Builds the requested metric over the base connection, takes its exact
     Levi-Civita curvature, classifies the base at the matching base point,
     and tests the applicable clause on sampled unit spacelike and timelike
-    vectors.  Returns an ExtensionReport whose `passed` field is the
-    conjunction of the evaluated clauses.
+    vectors (n_vectors >= 1 of each).  Returns an ExtensionReport whose
+    `passed` field is the conjunction of the evaluated clauses.
     """
     if which not in ("deformed", "modified"):
         raise ValueError("which must be 'deformed' or 'modified'")
     if which == "modified" and Phi is not None:
         raise ValueError("the modified metric takes no Phi block")
+    if n_vectors < 1:
+        raise ValueError("need at least one vector of each causal character")
     m = C.dim
     if point is None:
         point = default_point(m)

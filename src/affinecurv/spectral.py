@@ -17,13 +17,16 @@ import numpy as np
 __all__ = [
     "EigensolverError",
     "Spectrum",
+    "SpectrumBatch",
     "JordanProfile",
     "MuVector",
     "spectrum",
+    "spectrum_batch",
     "jordan_profile",
     "mu_vector",
     "projectively_equal",
     "projective_match",
+    "projective_match_batch",
     "with_zero",
     "is_zero_spectrum",
 ]
@@ -57,6 +60,10 @@ class Spectrum:
     def nonzero_items(self):
         return [(v, m) for v, m in self.items if abs(v) > self.cluster_tol]
 
+    def scaled(self, c):
+        """The spectrum of c times the matrix, for c > 0."""
+        return Spectrum(tuple((v * c, m) for v, m in self.items), self.cluster_tol * c)
+
     def to_json_dict(self):
         return {
             "eigenvalues": [
@@ -74,79 +81,151 @@ class Spectrum:
         return cls(items, float(data["tol"]))
 
 
-def _sorted_items(items):
-    return tuple(sorted(items, key=lambda t: (t[0].real, t[0].imag)))
+@dataclass(frozen=True, eq=False)
+class SpectrumBatch:
+    """Clustered spectra of n matrices, packed in arrays.
 
-
-def spectrum(M, cluster_tol=None):
-    """Clustered spectrum of a real square matrix.
-
-    The effective tolerance is relative to the spectral radius (absolute
-    when the radius is below one): distinct reported values are pairwise
-    farther apart than it.
+    Row s of `values` and `mults` holds the clusters of spectrum s sorted
+    by (re, im), followed by unused slots of multiplicity 0; `tol[s]` is
+    its effective cluster tolerance.  Indexing a row gives its Spectrum.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square, got shape %r" % (M.shape,))
-    n = M.shape[0]
-    if n == 0:
+
+    values: np.ndarray
+    mults: np.ndarray
+    tol: np.ndarray
+
+    def __len__(self):
+        return self.values.shape[0]
+
+    def __getitem__(self, s):
+        count = int(np.count_nonzero(self.mults[s]))
+        items = tuple(
+            (complex(v), int(m)) for v, m in zip(self.values[s, :count], self.mults[s, :count])
+        )
+        return Spectrum(items, float(self.tol[s]))
+
+    @classmethod
+    def of(cls, spectra):
+        """Pack Spectrum objects into one batch."""
+        k = max(len(S.items) for S in spectra)
+        values = np.zeros((len(spectra), k), dtype=complex)
+        mults = np.zeros((len(spectra), k), dtype=int)
+        for s, S in enumerate(spectra):
+            for slot, (v, m) in enumerate(S.items):
+                values[s, slot] = v
+                mults[s, slot] = m
+        return cls(values, mults, np.array([S.cluster_tol for S in spectra], dtype=float))
+
+    @classmethod
+    def _sorted(cls, values, mults, tol):
+        order = np.lexsort((values.imag, values.real, mults == 0), axis=-1)
+        values = np.take_along_axis(values, order, axis=1)
+        mults = np.take_along_axis(mults, order, axis=1)
+        return cls(np.where(mults > 0, values, 0j), mults, tol)
+
+    def zero_flags(self):
+        """Per row: every eigenvalue sits within the cluster tolerance of 0."""
+        far = (self.mults > 0) & (np.abs(self.values) > self.tol[:, None])
+        return ~far.any(axis=1)
+
+    def with_zero(self):
+        """Every row with one extra zero eigenvalue (the quotient direction).
+
+        The first cluster within tolerance of zero is re-averaged with the
+        exact zero; a row without one gains a fresh (0, 1) item.
+        """
+        n = len(self)
+        values = np.concatenate([self.values, np.zeros((n, 1), dtype=complex)], axis=1)
+        mults = np.concatenate([self.mults, np.zeros((n, 1), dtype=int)], axis=1)
+        zero = (mults > 0) & (np.abs(values) <= self.tol[:, None])
+        has = zero.any(axis=1)
+        rows = np.nonzero(has)[0]
+        cols = zero.argmax(axis=1)[rows]
+        m = mults[rows, cols]
+        values[rows, cols] = (values[rows, cols] * m) / (m + 1)
+        mults[rows, cols] += 1
+        mults[~has, -1] = 1
+        return SpectrumBatch._sorted(values, mults, self.tol)
+
+
+def _cluster(vals, base):
+    """SpectrumBatch of the eigenvalue rows vals (n, k).
+
+    The effective tolerance of a row is base times its spectral radius
+    (absolute when the radius is below one).  Clusters are the single-
+    linkage components of the "within tolerance" graph, so distinct
+    reported values are pairwise farther apart than it.  Conjugate pairs
+    are then symmetrized exactly, since a real matrix is the only input.
+    """
+    n, k = vals.shape
+    eff = base * np.maximum(1.0, np.max(np.abs(vals), axis=1))
+    near = np.abs(vals[:, :, None] - vals[:, None, :]) <= eff[:, None, None]
+    # Components by squaring the reachability matrix until it stops
+    # growing: about log2(k) products, one when the clusters are cliques.
+    while True:
+        step = near.astype(float)
+        reach = np.matmul(step, step) > 0.0
+        if np.array_equal(reach, near):
+            break
+        near = reach
+    # Each eigenvalue's root is the lowest index in its component.
+    member = near.argmax(axis=2)[:, :, None] == np.arange(k)
+    mults = member.sum(axis=1)
+    centroid = np.matmul(vals[:, None, :], member.astype(float))[:, 0, :] / np.maximum(mults, 1)
+    centroid = np.where(np.abs(centroid.imag) <= eff[:, None], centroid.real + 0j, centroid)
+
+    # Conjugation closure: pair each cluster above the axis with the
+    # nearest conjugate below it, of equal multiplicity.
+    upper = (mults > 0) & (centroid.imag > 0.0)
+    lower = (mults > 0) & (centroid.imag < 0.0)
+    dist = np.abs(np.conj(centroid)[:, :, None] - centroid[:, None, :])
+    allowed = upper[:, :, None] & lower[:, None, :] & (mults[:, :, None] == mults[:, None, :])
+    dist = np.where(allowed, dist, np.inf)
+    s_idx, a_idx = np.nonzero(upper)
+    b_idx = dist.argmin(axis=2)[s_idx, a_idx]
+    paired = np.zeros_like(lower)
+    paired[s_idx, b_idx] = True
+    if (
+        np.any(dist[s_idx, a_idx, b_idx] > 2 * eff[s_idx])
+        or not np.array_equal(paired, lower)
+        or not np.array_equal(upper.sum(axis=1), lower.sum(axis=1))
+    ):
+        raise EigensolverError("spectrum of a real matrix is not conjugation-closed")
+    sym = (centroid[s_idx, a_idx] + np.conj(centroid[s_idx, b_idx])) / 2.0
+    centroid[s_idx, a_idx] = sym
+    centroid[s_idx, b_idx] = np.conj(sym)
+    return SpectrumBatch._sorted(centroid, mults, eff)
+
+
+def spectrum_batch(Ms, cluster_tol=None):
+    """Clustered spectra of a stack of real square matrices (n, k, k).
+
+    One eigensolve for the whole stack, then one vectorized clustering;
+    see _cluster for the tolerance.
+    """
+    Ms = np.asarray(Ms, dtype=float)
+    if Ms.ndim != 3 or Ms.shape[1] != Ms.shape[2]:
+        raise ValueError("matrices must be an (n, k, k) stack, got shape %r" % (Ms.shape,))
+    if Ms.shape[1] == 0:
         raise ValueError("empty matrix has no spectrum")
     try:
-        vals = np.linalg.eigvals(M)
+        vals = np.linalg.eigvals(Ms)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError("eigenvalue iteration failed: %s" % exc) from exc
+    vals = vals.astype(complex)
     if not np.all(np.isfinite(vals.view(float))):
         raise EigensolverError("non-finite eigenvalues")
     base = DEFAULT_CLUSTER_TOL if cluster_tol is None else float(cluster_tol)
-    radius = float(np.max(np.abs(vals)))
-    eff = base * max(1.0, radius)
+    return _cluster(vals, base)
 
-    # Single-linkage merge; the target spectra have exactly repeated
-    # eigenvalues plus solver jitter, so chaining is not a concern.
-    parent = list(range(n))
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= eff:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(vals[i])
-    items = []
-    for members in groups.values():
-        centroid = complex(np.mean(members))
-        if abs(centroid.imag) <= eff:
-            centroid = complex(centroid.real, 0.0)
-        items.append((centroid, len(members)))
-
-    # Conjugation closure: symmetrize each (im > 0, im < 0) pair exactly.
-    reals = [(v, m) for v, m in items if v.imag == 0.0]
-    upper = sorted(((v, m) for v, m in items if v.imag > 0.0), key=lambda t: (t[0].real, t[0].imag))
-    lower = list((v, m) for v, m in items if v.imag < 0.0)
-    closed = list(reals)
-    for v, m in upper:
-        best = None
-        for idx, (w, mw) in enumerate(lower):
-            d = abs(np.conj(v) - w)
-            if best is None or d < best[0]:
-                best = (d, idx, w, mw)
-        if best is None or best[0] > 2 * eff or best[3] != m:
-            raise EigensolverError("spectrum of a real matrix is not conjugation-closed")
-        lower.pop(best[1])
-        sym = (v + np.conj(best[2])) / 2.0
-        closed.append((complex(sym), m))
-        closed.append((complex(np.conj(sym)), m))
-    if lower:
-        raise EigensolverError("spectrum of a real matrix is not conjugation-closed")
-    return Spectrum(_sorted_items(closed), eff)
+def spectrum(M, cluster_tol=None):
+    """Clustered spectrum of a real square matrix: the one-matrix case of
+    spectrum_batch."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square, got shape %r" % (M.shape,))
+    return spectrum_batch(M[None], cluster_tol)[0]
 
 
 def is_zero_spectrum(S):
@@ -155,18 +234,9 @@ def is_zero_spectrum(S):
 
 
 def with_zero(S):
-    """Adjoin one extra zero eigenvalue (the quotient direction).
-
-    If a cluster already sits at zero the centroid is re-averaged with the
-    exact zero, otherwise a fresh (0, 1) item is inserted.
-    """
-    items = list(S.items)
-    for idx, (v, m) in enumerate(items):
-        if abs(v) <= S.cluster_tol:
-            items[idx] = ((v * m) / (m + 1), m + 1)
-            return Spectrum(_sorted_items(items), S.cluster_tol)
-    items.append((0j, 1))
-    return Spectrum(_sorted_items(items), S.cluster_tol)
+    """Adjoin one extra zero eigenvalue (the quotient direction); see
+    SpectrumBatch.with_zero."""
+    return SpectrumBatch.of([S]).with_zero()[0]
 
 
 @dataclass(frozen=True)
@@ -286,52 +356,78 @@ def mu_vector(S):
     return MuVector(tuple(entries), tuple(kinds))
 
 
-def _match_with_scale(S1, S2, s, tol):
-    """Max matching error of S1 against s*S2, or None if no full match."""
-    if len(S1.items) != len(S2.items):
-        return None
-    scale = max(1.0, S1.radius())
-    eff = tol * scale
-    used = [False] * len(S2.items)
-    worst = 0.0
-    for v1, m1 in S1.items:
-        best = None
-        for idx, (v2, m2) in enumerate(S2.items):
-            if used[idx] or m1 != m2:
-                continue
-            d = abs(v1 - s * v2)
-            if d <= eff and (best is None or d < best[0]):
-                best = (d, idx)
-        if best is None:
-            return None
-        used[best[1]] = True
-        worst = max(worst, best[0])
-    return worst
+def _kinds(values, tol):
+    """0 zero, 1 real, 2 above the axis, 3 below: a positive scale keeps
+    each eigenvalue's kind, so matched clusters must agree on it."""
+    return np.where(
+        np.abs(values) <= tol, 0,
+        np.where(values.imag == 0.0, 1, np.where(values.imag > 0.0, 2, 3)),
+    )
 
 
-def _has_zero(S):
-    return any(abs(v) <= S.cluster_tol for v, _ in S.items)
+def _residuals(batch, ref, scales, tol):
+    """Max matching error of each row against scales[s] * ref (a one-row
+    batch), inf where the multisets do not pair up one to one.
+
+    Each cluster is paired with the nearest reference cluster of equal
+    multiplicity and kind within tol times the row's radius (at least
+    tol); the pairing must be a bijection.
+    """
+    valid = batch.mults > 0
+    eff = tol * np.maximum(1.0, np.max(np.abs(batch.values), axis=1))
+    target = scales[:, None] * ref.values[0]
+    dist = np.abs(batch.values[:, :, None] - target[:, None, :])
+    allowed = (
+        (batch.mults[:, :, None] == ref.mults[0])
+        & (_kinds(batch.values, batch.tol[:, None])[:, :, None]
+           == _kinds(ref.values[0], ref.tol[0]))
+        & (dist <= eff[:, None, None])
+    )
+    dist = np.where(allowed, dist, np.inf)
+    s_idx, a_idx = np.nonzero(valid)
+    paired = np.zeros((len(batch), ref.mults.shape[1]), dtype=bool)
+    paired[s_idx, dist.argmin(axis=2)[s_idx, a_idx]] = True
+    full = (valid.sum(axis=1) == ref.mults.shape[1]) & paired.all(axis=1)
+    worst = np.max(np.where(valid, dist.min(axis=2), 0.0), axis=1)
+    return np.where(full, worst, np.inf)
+
+
+def projective_match_batch(batch, ref, tol=1e-8):
+    """Match every row of a batch of full Jacobi spectra against the
+    Spectrum ref.
+
+    Returns (scales, residuals, negative).  The candidate scale of a row
+    is the ratio of its largest eigenvalue modulus to ref's; it is
+    verified against the whole multiset, with multiplicities.  residuals
+    is inf where no positive scale matches, and negative marks those rows
+    that match -scale * ref instead.
+    """
+    ref = SpectrumBatch.of([ref])
+    for b in (batch, ref):
+        near_zero = (b.mults > 0) & (np.abs(b.values) <= b.tol[:, None])
+        if not near_zero.any(axis=1).all():
+            raise ValueError("projective comparison expects full Jacobi spectra (0 present)")
+        if b.zero_flags().any():
+            raise ValueError("spectrum is {0}: nilpotent Jacobi operator, no projective scale")
+    # Unused slots hold 0, so the largest modulus is the radius.
+    scales = np.max(np.abs(batch.values), axis=1) / np.max(np.abs(ref.values))
+    residuals = _residuals(batch, ref, scales, tol)
+    negative = np.zeros(len(batch), dtype=bool)
+    failed = np.isinf(residuals)
+    if failed.any():
+        rows = SpectrumBatch(batch.values[failed], batch.mults[failed], batch.tol[failed])
+        negative[failed] = np.isfinite(_residuals(rows, ref, -scales[failed], tol))
+    return scales, residuals, negative
 
 
 def projective_match(S1, S2, tol=1e-8):
-    """(scale, residual) with S1 = scale * S2, or None.
-
-    The candidate scale is the ratio of the largest-modulus nonzero
-    eigenvalues; it is then verified against the whole multiset, with
-    multiplicities.  Scales are positive by construction.
+    """(scale, residual) with S1 = scale * S2, or None: the one-spectrum
+    case of projective_match_batch.  Scales are positive by construction.
     """
-    for S in (S1, S2):
-        if not _has_zero(S):
-            raise ValueError("projective comparison expects full Jacobi spectra (0 present)")
-        if is_zero_spectrum(S):
-            raise ValueError("spectrum is {0}: nilpotent Jacobi operator, no projective scale")
-    s = max(abs(v) for v, _ in S1.nonzero_items()) / max(
-        abs(v) for v, _ in S2.nonzero_items()
-    )
-    residual = _match_with_scale(S1, S2, s, tol)
-    if residual is None:
+    scales, residuals, _ = projective_match_batch(SpectrumBatch.of([S1]), S2, tol)
+    if np.isinf(residuals[0]):
         return None
-    return s, residual
+    return float(scales[0]), float(residuals[0])
 
 
 def projectively_equal(S1, S2, tol=1e-8):

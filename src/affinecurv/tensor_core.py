@@ -27,8 +27,11 @@ __all__ = [
     "evaluate",
     "check_affine_symmetries",
     "jacobi",
+    "jacobi_batch",
     "reduced_jacobi",
+    "reduced_jacobi_batch",
     "perp_basis",
+    "perp_basis_batch",
     "model_to_json_dict",
     "model_from_json_dict",
     "save_model",
@@ -94,6 +97,28 @@ def check_affine_symmetries(A, tol=1e-10):
     return SymmetryReport(anti, bianchi, tol, anti <= tol and bianchi <= tol)
 
 
+def _check_directions(A, X):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != A.dim:
+        raise ValueError("directions have shape %r, expected (n, %d)" % (X.shape, A.dim))
+    return X
+
+
+def jacobi_batch(A, X):
+    """Jacobi operators of the n directions in the rows of X, shape (n, m, m).
+
+    One matmul of the (n, m^2) outer products X (x) X against the entries
+    viewed as m stacked (m^2, m) blocks, A[i, (j, k), l]; the view is not
+    copied, so no O(m^4) temporary is made.
+    """
+    X = _check_directions(A, X)
+    n, m = X.shape
+    XX = (X[:, :, None] * X[:, None, :]).reshape(n, m * m)
+    # R[i, s, l] = sum_jk A[i, j, k, l] X_s^j X_s^k = J_s[l, i]
+    R = np.matmul(XX, A.entries.reshape(m, m * m, m))
+    return R.transpose(1, 2, 0)
+
+
 def jacobi(A, X):
     """Matrix of Y -> A(Y, X)X; column i is the image of e_i.
 
@@ -101,32 +126,56 @@ def jacobi(A, X):
     zero, in which case the result is the zero matrix.
     """
     X = _check_vector(A, X)
-    return np.einsum("ijkl,j,k->li", A.entries, X, X)
+    return jacobi_batch(A, X[None])[0]
+
+
+def perp_basis_batch(X):
+    """Orthonormal bases of the hyperplanes orthogonal to the rows of X,
+    shape (n, m, m - 1), one basis per row as columns.
+
+    Each basis is the columns j != p of the Householder reflector
+    H = I - 2 v v^T / v^T v with v = X/|X| + sign(x_p) e_p, where p is the
+    axis of the largest |x_i| (lowest index on ties).  H maps X/|X| to
+    -sign(x_p) e_p, so the kept columns span the complement; the choice
+    of p keeps v away from cancellation (Golub & Van Loan, section 5.1).
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("directions must be an (n, m) array")
+    n, m = X.shape
+    nrm = np.linalg.norm(X, axis=1)
+    if np.any(nrm == 0.0):
+        raise ValueError("cannot build a complement of the zero vector")
+    rows = np.arange(n)
+    drop = np.argmax(np.abs(X), axis=1)
+    v = X / nrm[:, None]
+    v[rows, drop] += np.sign(v[rows, drop])
+    H = np.eye(m) - (2.0 / np.sum(v * v, axis=1))[:, None, None] * (v[:, :, None] * v[:, None, :])
+    keep = np.ones((n, m), dtype=bool)
+    keep[rows, drop] = False
+    # H is symmetric, so its kept rows are the kept columns.
+    return H[keep].reshape(n, m - 1, m).transpose(0, 2, 1)
 
 
 def perp_basis(X):
     """Orthonormal basis of the hyperplane orthogonal to X, as columns.
 
-    Deterministic: Gram-Schmidt is seeded with the standard basis minus
-    the axis carrying the largest |X^i| component (lowest index on ties),
-    so repeated calls agree bit for bit.
+    The single-direction case of perp_basis_batch: the standard basis
+    vectors other than e_p, for p the axis of the largest |X^i|, reflected
+    into the complement.  Deterministic bit for bit.
     """
     X = np.asarray(X, dtype=float)
-    m = X.shape[0]
-    nrm = np.linalg.norm(X)
-    if nrm == 0.0:
-        raise ValueError("cannot build a complement of the zero vector")
-    drop = int(np.argmax(np.abs(X)))
-    basis = [X / nrm]
-    for j in range(m):
-        if j == drop:
-            continue
-        v = np.zeros(m)
-        v[j] = 1.0
-        for u in basis:
-            v = v - (u @ v) * u
-        basis.append(v / np.linalg.norm(v))
-    return np.column_stack(basis[1:])
+    if X.ndim != 1:
+        raise ValueError("X must be a vector")
+    return perp_basis_batch(X[None])[0]
+
+
+def reduced_jacobi_batch(A, X):
+    """Reduced Jacobi operators Q^T J_X Q of the rows of X, shape
+    (n, m - 1, m - 1), with Q from perp_basis_batch."""
+    X = _check_directions(A, X)
+    Q = perp_basis_batch(X)
+    return np.matmul(np.matmul(Q.transpose(0, 2, 1), jacobi_batch(A, X)), Q)
 
 
 def reduced_jacobi(A, X):
@@ -138,8 +187,7 @@ def reduced_jacobi(A, X):
     X = _check_vector(A, X)
     if np.linalg.norm(X) == 0.0:
         raise ValueError("reduced Jacobi operator needs a nonzero direction")
-    Q = perp_basis(X)
-    return Q.T @ jacobi(A, X) @ Q
+    return reduced_jacobi_batch(A, X[None])[0]
 
 
 # -- JSON model files -----------------------------------------------------

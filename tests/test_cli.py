@@ -91,6 +91,15 @@ def test_classify_missing_file(capsys, tmp_path):
     assert err
 
 
+def test_classify_rejects_dimension_one(capsys, tmp_path):
+    path = tmp_path / "m1.json"
+    path.write_text('{"dim": 1, "entries": []}')
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 3
+    assert out == ""
+    assert "m = 1 has no reduced Jacobi operator" in err
+
+
 def test_realize_rejects_bad_values(capsys):
     code, _, err = run_cli(
         capsys, "realize", "--case", "1", "--m", "4", "--lambda", "2"
@@ -261,6 +270,13 @@ def test_extend_projective_base_needs_coarse_tol(capsys):
     }
 
 
+def test_extend_rejects_zero_vectors(capsys):
+    code, out, err = run_cli(capsys, "extend", "--builtin", "planewave", "--vectors", "0")
+    assert code == 3
+    assert out == ""
+    assert "at least one vector" in err
+
+
 def test_symm_passes_on_model(capsys, projective_model):
     code, out, _ = run_cli(capsys, "symm", str(projective_model))
     assert code == 0
@@ -291,6 +307,52 @@ def test_pretty_writes_to_stderr(capsys):
     _, out, err = run_cli(capsys, "adams", "--m", "3", "--partition", "2", "--pretty")
     assert "admissible" in err
     read_json(out)  # stdout stays pure JSON
+
+
+def test_negative_values_parse_as_values(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "realize", "--case", "2-c", "--m", "6", "--lambda", "4", "--nu", "-1+2i",
+    )
+    assert code == 0
+    assert read_json(out)["spec"]["nu"] == [[-1.0, 2.0]]
+
+    code, out, _ = run_cli(
+        capsys, "geometry", "--builtin", "homogeneous", "--m", "3",
+        "--geodesic", "0,0,0", "-0.5,0,0", "--t-max", "0.1",
+    )
+    assert code == 0
+    assert read_json(out)["geodesic"]["v_final"][0] < 0.0
+
+    code, out, _ = run_cli(
+        capsys, "geometry", "--builtin", "homogeneous", "--m", "3", "--eps", "1",
+        "--at", "-0.5,0,0.25", "--jordan-at", "-0.7071067811865476,0,0.7071067811865476",
+    )
+    assert code == 0
+    data = read_json(out)
+    assert data["at"] == [-0.5, 0.0, 0.25]
+    assert data["jordan"]["profiles"][0]["blocks"] == [2]
+
+    code, out, _ = run_cli(
+        capsys, "extend", "--builtin", "flat", "--m", "2", "--kind", "modified",
+        "--vectors", "1", "--point", "-0.5,0,0.25,0",
+    )
+    assert code == 0
+    assert read_json(out)["report"]["point"] == [-0.5, 0.0, 0.25, 0.0]
+
+
+def test_leading_space_state_still_parses(capsys):
+    code, out, _ = run_cli(
+        capsys, "geometry", "--builtin", "homogeneous", "--m", "3",
+        "--geodesic", "0,0,0", " -0.5,0,0", "--t-max", "0.1",
+    )
+    assert code == 0
+    assert read_json(out)["geodesic"]["v_final"][0] < 0.0
+
+
+def test_unknown_option_is_still_an_option(capsys):
+    code, _, err = run_cli(capsys, "adams", "--m", "6", "--partition", "5", "-x")
+    assert code == 3
+    assert "unrecognized" in err
 
 
 def test_no_command_is_usage_error(capsys):

@@ -227,6 +227,13 @@ def test_phi_must_be_symmetric():
         deformed_extension(flat_connection(2), Phi=[[0, 1], [0, 0]])
 
 
+def test_zero_vectors_is_no_evidence():
+    with pytest.raises(ValueError):
+        check_extension_theorems(plane_wave_connection(), n_vectors=0)
+    with pytest.raises(ValueError):
+        check_extension_theorems(flat_connection(2), which="modified", n_vectors=0)
+
+
 def test_wrong_point_length():
     with pytest.raises(ValueError):
         check_extension_theorems(flat_connection(2), point=(0, 0))
