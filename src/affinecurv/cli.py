@@ -231,7 +231,10 @@ def _cmd_geometry(args):
     tol = _tol(args, 1e-8)
     report = {"command": "geometry", "dim": m, "at": at}
 
-    R = curvature(C, with_nabla=args.nabla_r)
+    # one symbolic curvature serves every option that needs it
+    if (args.curvature or args.nabla_r or args.ricci or args.model_out
+            or args.jordan_at is not None):
+        R = curvature(C, with_nabla=args.nabla_r)
     if args.curvature:
         entries = {}
         for i in range(m):
@@ -254,7 +257,7 @@ def _cmd_geometry(args):
                                 entries["%d,%d,%d,%d,%d" % (i, j, k, n, l)] = polynomial_to_string(p)
         report["nabla_r"] = entries
     if args.ricci:
-        sym, alt = ricci_split(C)
+        sym, alt = ricci_split(R)
         report["ricci"] = {
             "sym": {
                 "%d,%d" % (j, k): polynomial_to_string(sym[j][k])
@@ -265,14 +268,14 @@ def _cmd_geometry(args):
                 for j in range(m) for k in range(m) if not alt[j][k].is_zero
             },
         }
-    if args.model_out:
+    if args.model_out or args.jordan_at is not None:
         A = R.evaluate_at(at)
+    if args.model_out:
         save_model(A, args.model_out)
         report["model_out"] = args.model_out
     if args.jordan_at is not None:
         if len(args.jordan_at) != m:
             raise UsageError("--jordan-at needs %d components" % m)
-        A = R.evaluate_at(at)
         J = reduced_jacobi(A, np.asarray(args.jordan_at))
         S = spectrum(J, cluster_tol=tol)
         profiles = []

@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import classifier
-from .polynomials import Polynomial, parse_polynomial, polynomial_to_string
+from .polynomials import CompiledTable, Polynomial, parse_polynomial, polynomial_to_string
 from .tensor_core import CurvatureTensor
 
 __all__ = [
@@ -53,7 +54,7 @@ class PolyConnection:
     the covariant derivative of d_j along d_i, a Polynomial in as many
     variables as the dimension."""
 
-    __slots__ = ("dim", "gamma")
+    __slots__ = ("dim", "gamma", "_evaluator")
 
     def __init__(self, dim, gamma):
         dim = int(dim)
@@ -86,6 +87,7 @@ class PolyConnection:
                         )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gamma", tuple(table))
+        object.__setattr__(self, "_evaluator", CompiledTable(self.gamma, (dim,) * 3, dim))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyConnection is immutable")
@@ -95,13 +97,14 @@ class PolyConnection:
 
     def gamma_at(self, point):
         """Numeric symbol array gamma[i, j, k] at a point."""
+        return self._evaluator(point)
+
+    def symbol_rows(self):
+        """rows[i][j]: the pairs (k, G_ij^k) with a nonzero symbol, k ascending."""
         m = self.dim
-        out = np.empty((m, m, m))
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    out[i, j, k] = float(self.gamma[i][j][k](point))
-        return out
+        g = self.gamma
+        return [[[(k, g[i][j][k]) for k in range(m) if g[i][j][k]] for j in range(m)]
+                for i in range(m)]
 
 
 def _empty_table(dim):
@@ -133,15 +136,12 @@ class PolyCurvature:
     def entry(self, i, j, k, l):
         return self.riemann[i][j][k][l]
 
+    @cached_property
+    def _evaluator(self):
+        return CompiledTable(self.riemann, (self.dim,) * 4, self.dim)
+
     def evaluate_at(self, point):
-        m = self.dim
-        arr = np.empty((m, m, m, m))
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    for l in range(m):
-                        arr[i, j, k, l] = float(self.riemann[i][j][k][l](point))
-        return CurvatureTensor(arr)
+        return CurvatureTensor(self._evaluator(point))
 
     def evaluate_exact(self, point):
         """Nested Fraction table at an exact rational point."""
@@ -167,21 +167,22 @@ def curvature(C, with_nabla=False):
     """
     m = C.dim
     g = C.gamma
-    R = [[[[None] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
+    rows = C.symbol_rows()
+    zero = Polynomial.zero(m)
+    R = [[[[zero] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
     for i in range(m):
-        for j in range(m):
+        for j in range(i + 1, m):
             for k in range(m):
-                for l in range(m):
-                    if i == j:
-                        R[i][j][k][l] = Polynomial.zero(m)
-                        continue
-                    if i > j:
-                        R[i][j][k][l] = -R[j][i][k][l]
-                        continue
-                    term = g[j][k][l].diff(i) - g[i][k][l].diff(j)
-                    for n in range(m):
-                        term = term + g[i][n][l] * g[j][k][n] - g[j][n][l] * g[i][k][n]
-                    R[i][j][k][l] = term
+                acc = [g[j][k][l].diff(i) - g[i][k][l].diff(j) for l in range(m)]
+                # sum_n G_in^l G_jk^n - G_jn^l G_ik^n over nonzero pairs only
+                for n, b in rows[j][k]:
+                    for l, a in rows[i][n]:
+                        acc[l] = acc[l] + a * b
+                for n, b in rows[i][k]:
+                    for l, a in rows[j][n]:
+                        acc[l] = acc[l] - a * b
+                R[i][j][k] = acc
+                R[j][i][k] = [-p for p in acc]
     for i in range(m):
         for j in range(m):
             for k in range(m):
@@ -199,30 +200,35 @@ def curvature(C, with_nabla=False):
 
 
 def _covariant_derivative(C, R):
+    """nabla[i][j][k][n][l] = d_n R_ijk^l + G_np^l R_ijk^p - G_ni^p R_pjk^l
+    - G_nj^p R_ipk^l - G_nk^p R_ijp^l, summed over the nonzero pairs.  It is
+    antisymmetric in (i, j) because R is, so only i < j is computed."""
     m = C.dim
-    g = C.gamma
-    NR = []
+    rows = C.symbol_rows()
+    nonzero = [[[[(l, p) for l, p in enumerate(R[i][j][k]) if p] for k in range(m)]
+                for j in range(m)] for i in range(m)]
+    zeros = (Polynomial.zero(m),) * m
+    NR = [[[[zeros] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
     for i in range(m):
-        plane_i = []
-        for j in range(m):
-            plane_j = []
+        for j in range(i + 1, m):
             for k in range(m):
-                plane_k = []
                 for n in range(m):
-                    comps = []
-                    for l in range(m):
-                        term = R[i][j][k][l].diff(n)
-                        for p in range(m):
-                            term = term + g[n][p][l] * R[i][j][k][p]
-                            term = term - g[n][i][p] * R[p][j][k][l]
-                            term = term - g[n][j][p] * R[i][p][k][l]
-                            term = term - g[n][k][p] * R[i][j][p][l]
-                        comps.append(term)
-                    plane_k.append(tuple(comps))
-                plane_j.append(tuple(plane_k))
-            plane_i.append(tuple(plane_j))
-        NR.append(tuple(plane_i))
-    return tuple(NR)
+                    acc = [R[i][j][k][l].diff(n) for l in range(m)]
+                    for p, r in nonzero[i][j][k]:
+                        for l, a in rows[n][p]:
+                            acc[l] = acc[l] + a * r
+                    for p, a in rows[n][i]:
+                        for l, r in nonzero[p][j][k]:
+                            acc[l] = acc[l] - a * r
+                    for p, a in rows[n][j]:
+                        for l, r in nonzero[i][p][k]:
+                            acc[l] = acc[l] - a * r
+                    for p, a in rows[n][k]:
+                        for l, r in nonzero[i][j][p]:
+                            acc[l] = acc[l] - a * r
+                    NR[i][j][k][n] = tuple(acc)
+                    NR[j][i][k][n] = tuple(-q for q in acc)
+    return tuple(tuple(tuple(tuple(col) for col in row) for row in plane) for plane in NR)
 
 
 def nabla_R(C):
@@ -236,11 +242,18 @@ def curvature_at(C, point):
     return curvature(C).evaluate_at(point)
 
 
-def ricci_split(C):
+def _as_curvature(source):
+    return source if isinstance(source, PolyCurvature) else curvature(source)
+
+
+def ricci_split(source):
     """(symmetric, antisymmetric) parts of the Ricci tensor
-    rho_jk = sum_l R_ljk^l, each an m x m polynomial table."""
-    R = curvature(C).riemann
-    m = C.dim
+    rho_jk = sum_l R_ljk^l, each an m x m polynomial table.
+
+    `source` is a connection or its already computed PolyCurvature."""
+    curv = _as_curvature(source)
+    R = curv.riemann
+    m = curv.dim
     rho = [[Polynomial.zero(m) for _ in range(m)] for _ in range(m)]
     for j in range(m):
         for k in range(m):
@@ -277,9 +290,10 @@ class SurfaceVerdict:
         }
 
 
-def surface_projective_osserman(C, point, n_samples=64, seed=0, tol=1e-8):
+def surface_projective_osserman(source, point, n_samples=64, seed=0, tol=1e-8):
     """Surface criterion: a 2-dimensional connection is projective affine
     Osserman exactly when the symmetric Ricci part is definite.
+    `source` is the connection or its already computed PolyCurvature.
 
     Definiteness is decided exactly (rational determinant), then
     cross-checked against the sampled-spectrum verdict at the same point.
@@ -287,9 +301,10 @@ def surface_projective_osserman(C, point, n_samples=64, seed=0, tol=1e-8):
     added to the probe set: the spectrum collapses only on that line,
     which random directions almost surely miss.
     """
-    if C.dim != 2:
+    if source.dim != 2:
         raise ValueError("the Ricci criterion is for surfaces (dim 2)")
-    sym, _ = ricci_split(C)
+    curv = _as_curvature(source)
+    sym, _ = ricci_split(curv)
     pt = [Fraction(v) for v in point]
     vals = [[sym[j][k](pt) for k in range(2)] for j in range(2)]
     det = vals[0][0] * vals[1][1] - vals[0][1] * vals[1][0]
@@ -303,7 +318,7 @@ def surface_projective_osserman(C, point, n_samples=64, seed=0, tol=1e-8):
             # det == 0 with a == 0 forces b == 0, so e1 is null
             extra = ((1.0, 0.0),)
     verdict = classifier.is_projective_affine_osserman(
-        curvature_at(C, [float(v) for v in pt]), n_samples=n_samples, seed=seed,
+        curv.evaluate_at([float(v) for v in pt]), n_samples=n_samples, seed=seed,
         tol=tol, extra_directions=extra,
     )
     agrees = definite == (verdict.status == classifier.PROJECTIVE)
@@ -384,15 +399,25 @@ class GeodesicResult:
 
 
 _BLOWUP_SPEED = 1e8
+# A step is retried at half size when the speed at one of its stages
+# exceeds this multiple of the speed at its start.
+_STEP_GROWTH = 2.0
 
 
 def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     """Classical fourth-order Runge-Kutta for x'' + G(x)(x', x') = 0.
 
-    Near a blow-up the step is halved until it stalls; the geodesic is
-    reported as blowing up when the speed passes 1e8 or no finite step
-    can be taken, and the recorded time is then accurate to the scale of
-    the last accepted step.
+    A step is taken again at half its size while its result is not finite
+    or the speed at one of its four stages exceeds twice the speed at its
+    start; the next step may then double again, up to `step`.  Near a
+    blow-up the step therefore shrinks ahead of the pole instead of
+    jumping past it.  The geodesic is reported as blowing up when the
+    speed passes 1e8 or the step falls below step * 2^-45, at the end of
+    the last accepted step.  For the pole of v' = -2 v^2 that time is
+    within one step of the pole (in practice within 1 % of a step).  Where
+    the speed grows by less than that factor within every step, as on
+    bounded runs at a resolving step size, every step is one plain RK4
+    step of the given size.
     """
     m = C.dim
     x = np.asarray(x0, dtype=float).copy()
@@ -402,48 +427,37 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     if t_max <= 0 or step <= 0:
         raise ValueError("t_max and step must be positive")
 
-    compiled = [[[list(C.gamma[i][j][k].terms()) for k in range(m)] for j in range(m)] for i in range(m)]
-
-    def gamma_at(pos):
-        out = np.zeros((m, m, m))
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    total = 0.0
-                    for exps, coeff in compiled[i][j][k]:
-                        term = float(coeff)
-                        for p, e in zip(pos, exps):
-                            if e:
-                                term *= p**e
-                        total += term
-                    out[i, j, k] = total
-        return out
+    gamma_at = C.gamma_at
 
     def accel(pos, vel):
-        G = gamma_at(pos)
-        return -np.einsum("ijk,i,j->k", G, vel, vel)
+        return -np.einsum("ijk,i,j->k", gamma_at(pos), vel, vel)
 
     def rk4(pos, vel, h):
+        """One step, and whether no stage sped up past the growth limit
+        (false as well for a non-finite stage)."""
         k1x, k1v = vel, accel(pos, vel)
         k2x, k2v = vel + 0.5 * h * k1v, accel(pos + 0.5 * h * k1x, vel + 0.5 * h * k1v)
         k3x, k3v = vel + 0.5 * h * k2v, accel(pos + 0.5 * h * k2x, vel + 0.5 * h * k2v)
         k4x, k4v = vel + h * k3v, accel(pos + h * k3x, vel + h * k3v)
         new_pos = pos + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         new_vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        return new_pos, new_vel
+        limit = _STEP_GROWTH**2 * (vel @ vel)
+        ok = all(w @ w <= limit for w in (k2x, k3x, k4x, new_vel))
+        return new_pos, new_vel, ok and bool(np.all(np.isfinite(new_pos)))
 
     times = [0.0]
     positions = [x.copy()]
     velocities = [v.copy()]
     t = 0.0
+    h = step
     blew_up = False
     blow_time = None
     min_step = step * 2.0**-45
     while t < t_max - 1e-15:
-        h = min(step, t_max - t)
+        h = min(step, 2.0 * h, t_max - t)
         while True:
-            nx, nv = rk4(x, v, h)
-            if np.all(np.isfinite(nx)) and np.all(np.isfinite(nv)):
+            nx, nv, ok = rk4(x, v, h)
+            if ok:
                 break
             h *= 0.5
             if h < min_step:

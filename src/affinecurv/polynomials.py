@@ -12,9 +12,14 @@ is in play, by ``y1..ym`` for the fiber directions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add, sub
+
+import numpy as np
 
 __all__ = [
+    "CompiledTable",
     "Polynomial",
     "PolynomialParseError",
     "parse_polynomial",
@@ -63,6 +68,16 @@ class Polynomial:
                     del clean[exps]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """Wrap a term dict already in canonical form: exponent tuples of
+        length nvars, nonzero Fraction coefficients.  Arithmetic results
+        come from here, so they skip the validation of __init__."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly._terms = terms
+        return poly
 
     # -- constructors -----------------------------------------------------
 
@@ -115,6 +130,9 @@ class Polynomial:
         return hash((self.nvars, frozenset(self._terms.items())))
 
     # -- arithmetic -------------------------------------------------------
+    #
+    # Every result keeps the canonical form that __eq__ and __hash__ rely
+    # on: no zero coefficient is stored.
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -125,25 +143,37 @@ class Polynomial:
             return Polynomial.constant(other, self.nvars)
         return None
 
+    def _combine(self, other, op):
+        """op(self, other) for a coerced other; op is operator.add or sub."""
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other if op is add else -other
+        terms = dict(self._terms)
+        for exps, coeff in other._terms.items():
+            total = op(terms.get(exps, 0), coeff)
+            if total:
+                terms[exps] = total
+            else:
+                del terms[exps]
+        return Polynomial._trusted(self.nvars, terms)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.nvars, terms)
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -152,12 +182,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not self._terms or not other._terms:
+            return Polynomial._trusted(self.nvars, {})
         terms = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, terms)
+                exps = tuple(map(add, e1, e2))
+                prev = terms.get(exps)
+                terms[exps] = c1 * c2 if prev is None else prev + c1 * c2
+        return Polynomial._trusted(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -181,14 +214,14 @@ class Polynomial:
             new = list(exps)
             new[index] = e - 1
             terms[tuple(new)] = coeff * e
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def embed(self, nvars):
         """Reinterpret in a larger variable ring (indices are preserved)."""
         if nvars < self.nvars:
             raise ValueError("cannot shrink from %d to %d variables" % (self.nvars, nvars))
-        pad = nvars - self.nvars
-        return Polynomial(nvars, {e + (0,) * pad: c for e, c in self._terms.items()})
+        pad = (0,) * (nvars - self.nvars)
+        return Polynomial._trusted(nvars, {e + pad: c for e, c in self._terms.items()})
 
     def __call__(self, values):
         """Evaluate at a point.  Fraction inputs give an exact Fraction."""
@@ -208,6 +241,56 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%d, %r)" % (self.nvars, dict(self._terms))
+
+
+# -- float evaluation of tables -------------------------------------------
+
+
+class CompiledTable:
+    """Float evaluator of a nested table of polynomials in one ring.
+
+    Over the nonzero terms of all entries it holds the flat output index of
+    each term, the exponent matrix (terms x nvars) and the coefficient
+    vector.  A call computes every term as coeff * x1^e1 * x2^e2 * ...,
+    left to right with powers as repeated products, and sums each entry's
+    terms in the order `Polynomial.__call__` does.  At points whose
+    coordinates are short dyadic fractions every step is exact.
+    """
+
+    __slots__ = ("nvars", "shape", "size", "index", "exponents", "coeffs", "degree")
+
+    def __init__(self, table, shape, nvars):
+        index, exponents, coeffs = [], [], []
+        for flat, idx in enumerate(np.ndindex(*shape)):
+            poly = table
+            for i in idx:
+                poly = poly[i]
+            for exps, coeff in poly.terms():
+                index.append(flat)
+                exponents.append(exps)
+                coeffs.append(float(coeff))
+        self.nvars = nvars
+        self.shape = tuple(shape)
+        self.size = math.prod(self.shape)
+        self.index = np.array(index, dtype=np.intp)
+        self.exponents = np.array(exponents, dtype=np.int64).reshape(len(index), nvars)
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.degree = int(self.exponents.max(initial=0))
+
+    def __call__(self, point):
+        x = np.asarray(point, dtype=float)
+        if x.shape != (self.nvars,):
+            raise ValueError("point has %d components, expected %d" % (x.size, self.nvars))
+        powers = np.ones((self.degree + 1, self.nvars))  # powers[e, v] = x_v^e
+        powers[1:] = x
+        np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+        factors = np.empty((len(self.coeffs), self.nvars + 1))
+        factors[:, 0] = self.coeffs
+        factors[:, 1:] = powers[self.exponents, np.arange(self.nvars)]
+        values = np.multiply.reduce(factors, axis=1)
+        out = np.bincount(self.index, weights=values, minlength=self.size)
+        # bincount gives ints when there are no terms at all
+        return out.astype(float, copy=False).reshape(self.shape)
 
 
 # -- text form ------------------------------------------------------------

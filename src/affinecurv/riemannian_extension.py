@@ -35,7 +35,7 @@ import numpy as np
 
 from . import classifier, spectral
 from .polynomial_geometry import PolyConnection, curvature, curvature_at
-from .polynomials import Polynomial
+from .polynomials import CompiledTable, Polynomial
 
 __all__ = [
     "PolyMetric",
@@ -51,7 +51,7 @@ class PolyMetric:
     """Block cotangent metric; `components` is the dense 2m x 2m table of
     polynomials in the 2m variables, `top_block` the m x m matrix B."""
 
-    __slots__ = ("m", "dim", "components", "top_block")
+    __slots__ = ("m", "dim", "components", "top_block", "_evaluator")
 
     def __init__(self, m, top_block):
         m = int(m)
@@ -83,6 +83,7 @@ class PolyMetric:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "components", tuple(tuple(row) for row in comp))
         object.__setattr__(self, "top_block", tuple(B))
+        object.__setattr__(self, "_evaluator", CompiledTable(self.components, (n, n), n))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMetric is immutable")
@@ -102,12 +103,7 @@ class PolyMetric:
 
     def gram_at(self, point):
         """Numeric Gram matrix at a point of R^{2m}."""
-        n = self.dim
-        out = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = float(self.components[a][b](point))
-        return out
+        return self._evaluator(point)
 
     def gram_exact(self, point):
         point = [Fraction(v) for v in point]
@@ -138,7 +134,8 @@ def deformed_extension(C, Phi=None):
         for j in range(m):
             total = Polynomial.zero(n)
             for k in range(m):
-                total = total - 2 * Polynomial.variable(m + k, n) * lifted[i][j][k]
+                if lifted[i][j][k]:
+                    total = total - 2 * Polynomial.variable(m + k, n) * lifted[i][j][k]
             B[i][j] = total
     if Phi is not None:
         for i in range(m):
@@ -182,24 +179,32 @@ def levi_civita_block(metric):
     half = Fraction(1, 2)
     dg = [[[g[a][b].diff(c) for c in range(n)] for b in range(n)] for a in range(n)]
     table = [[[None] * n for _ in range(n)] for _ in range(n)]
+    ginv_rows = [[(d, ginv[c][d]) for d in range(n) if ginv[c][d]] for c in range(n)]
     for a in range(n):
         for b in range(a, n):
             for c in range(n):
                 total = Polynomial.zero(n)
-                for d in range(n):
-                    if ginv[c][d].is_zero:
-                        continue
-                    total = total + ginv[c][d] * (dg[b][d][a] + dg[a][d][b] - dg[a][b][d])
-                total = half * total
+                for d, inv in ginv_rows[c]:
+                    bracket = dg[b][d][a] + dg[a][d][b] - dg[a][b][d]
+                    if bracket:
+                        total = total + inv * bracket
+                if total:
+                    total = half * total
                 table[a][b][c] = total
                 table[b][a][c] = total
     conn = PolyConnection(n, table)
+    # d_a g_bc = G_ab^d g_dc + G_ac^d g_bd, over the nonzero products only
+    rows = conn.symbol_rows()
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 defect = dg[b][c][a]
-                for d in range(n):
-                    defect = defect - conn.gamma[a][b][d] * g[d][c] - conn.gamma[a][c][d] * g[b][d]
+                for d, gam in rows[a][b]:
+                    if g[d][c]:
+                        defect = defect - gam * g[d][c]
+                for d, gam in rows[a][c]:
+                    if g[b][d]:
+                        defect = defect - gam * g[b][d]
                 if not defect.is_zero:
                     raise RuntimeError("metric compatibility fails at (%d,%d,%d)" % (a, b, c))
     return conn

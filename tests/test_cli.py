@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from affinecurv import cli, polynomial_geometry
 from affinecurv.cli import main
+from affinecurv.polynomial_geometry import curvature
 from affinecurv.tensor_core import CurvatureTensor, save_model
 
 
@@ -229,6 +231,29 @@ def test_geometry_at_length(capsys):
 
 
 # -- extend / symm --------------------------------------------------------
+
+
+def test_curvature_is_built_once_for_the_geometry_report(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(C, with_nabla=False):
+        calls.append(with_nabla)
+        return curvature(C, with_nabla=with_nabla)
+
+    # the library's own callers (ricci_split) count as well
+    monkeypatch.setattr(cli, "curvature", counted)
+    monkeypatch.setattr(polynomial_geometry, "curvature", counted)
+    code = main([
+        "geometry", "--builtin", "homogeneous", "--m", "3", "--eps", "1",
+        "--curvature", "--nabla-r", "--ricci", "--model-out", str(tmp_path / "m.json"),
+        "--jordan-at", "1,0.5,0.25", "--at", "0.5,0.25,0",
+    ])
+    assert code == 0 and calls == [True]
+    calls.clear()
+    code = main(["geometry", "--builtin", "homogeneous", "--m", "3",
+                 "--geodesic", "0,0,0", "0,0,0.1", "--t-max", "0.1"])
+    assert code == 0 and calls == []
+    capsys.readouterr()
 
 
 def test_extend_planewave(capsys):

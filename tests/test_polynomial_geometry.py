@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinecurv.classifier import NEITHER, PROJECTIVE, is_projective_affine_osserman
 from affinecurv.constructors import constant_curvature
 from affinecurv.polynomial_geometry import (
     PolyConnection,
+    PolyCurvature,
     connection_from_json_dict,
     connection_from_symbols,
     connection_to_json_dict,
@@ -25,6 +28,11 @@ from affinecurv.polynomial_geometry import (
     surface_projective_osserman,
 )
 from affinecurv.polynomials import Polynomial, parse_polynomial
+from affinecurv.riemannian_extension import (
+    deformed_extension,
+    levi_civita_block,
+    modified_extension,
+)
 from affinecurv.tensor_core import jacobi
 
 
@@ -375,3 +383,197 @@ def test_classifier_on_plane_wave_point():
     A = curvature_at(plane_wave_connection(), [0.2, 1.5, -0.3])
     verdict = is_projective_affine_osserman(A, n_samples=8)
     assert verdict.status == "affine_osserman"
+
+
+# -- sparse curvature against a dense reference ----------------------------
+
+
+def dense_curvature(C):
+    """R and nabla R from the defining sums over every index, with no
+    skipped products and no use of antisymmetry."""
+    m = C.dim
+    g = C.gamma
+    R = {}
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                for l in range(m):
+                    term = g[j][k][l].diff(i) - g[i][k][l].diff(j)
+                    for n in range(m):
+                        term = term + g[i][n][l] * g[j][k][n] - g[j][n][l] * g[i][k][n]
+                    R[i, j, k, l] = term
+    NR = {}
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                for n in range(m):
+                    for l in range(m):
+                        term = R[i, j, k, l].diff(n)
+                        for p in range(m):
+                            term = term + g[n][p][l] * R[i, j, k, p]
+                            term = term - g[n][i][p] * R[p, j, k, l]
+                            term = term - g[n][j][p] * R[i, p, k, l]
+                            term = term - g[n][k][p] * R[i, j, p, l]
+                        NR[i, j, k, n, l] = term
+    return R, NR
+
+
+@st.composite
+def sparse_connections(draw):
+    m = draw(st.integers(min_value=2, max_value=4))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    keys = draw(st.lists(
+        st.tuples(*(st.integers(min_value=0, max_value=m - 1),) * 3),
+        min_size=1, max_size=5, unique=True))
+    symbols = {}
+    for i, j, k in keys:
+        poly = Polynomial.zero(m)
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            exps = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(m))
+            poly = poly + Polynomial(m, {exps: draw(coeff)})
+        symbols[(min(i, j), max(i, j), k)] = poly
+    return connection_from_symbols(m, symbols)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_connections())
+def test_sparse_curvature_matches_dense_reference(C):
+    m = C.dim
+    R, NR = dense_curvature(C)
+    P = curvature(C, with_nabla=True)
+    for (i, j, k, l), want in R.items():
+        assert P.riemann[i][j][k][l] == want
+    for (i, j, k, n, l), want in NR.items():
+        assert P.nabla[i][j][k][n][l] == want
+    assert len(P.nabla) == m
+
+
+def _torsion_connection(m, symbols):
+    """A connection object that skips the torsion check of the constructor."""
+    zero = Polynomial.zero(m)
+    table = [[[zero] * m for _ in range(m)] for _ in range(m)]
+    for (i, j, k), p in symbols.items():
+        table[i][j][k] = p
+    C = object.__new__(PolyConnection)
+    object.__setattr__(C, "dim", m)
+    object.__setattr__(C, "gamma", tuple(tuple(tuple(c) for c in r) for r in table))
+    return C
+
+
+def test_cyclic_identity_check_still_raises():
+    # G_12^1 = x3 without its (2, 1) partner: the torsion varies along x3,
+    # which breaks the first Bianchi identity
+    C = _torsion_connection(3, {(0, 1, 0): var(2, 3)})
+    with pytest.raises(RuntimeError, match="cyclic identity"):
+        curvature(C)
+
+
+# -- one compiled evaluator ------------------------------------------------
+
+
+def _builtin_connections():
+    return [
+        flat_connection(3),
+        curvature_homogeneous_connection(3, eps=1),
+        curvature_homogeneous_connection(4, eps=Fraction(1, 2)),
+        plane_wave_connection(),
+    ]
+
+
+def _extension_metrics():
+    return [
+        deformed_extension(curvature_homogeneous_connection(3, eps=1)),
+        modified_extension(plane_wave_connection()),
+    ]
+
+
+def _tables():
+    """(float evaluator, Polynomial table, shape) for gamma_at, evaluate_at
+    and gram_at on the built-in connections, both extension metrics and
+    the Levi-Civita connections of those metrics."""
+    conns = _builtin_connections() + [levi_civita_block(g) for g in _extension_metrics()]
+    out = []
+    for C in conns:
+        out.append((C.gamma_at, C.gamma, (C.dim,) * 3))
+        P = curvature(C)
+        out.append((lambda x, P=P: P.evaluate_at(x).entries, P.riemann, (C.dim,) * 4))
+    for g in _extension_metrics():
+        out.append((g.gram_at, g.components, (g.dim, g.dim)))
+    return out
+
+
+def _reference(table, shape, point):
+    ref = np.empty(shape)
+    for idx in np.ndindex(*shape):
+        poly = table
+        for i in idx:
+            poly = poly[i]
+        ref[idx] = float(poly(point))
+    return ref
+
+
+def test_compiled_evaluator_is_exact_at_dyadic_points():
+    rng = np.random.default_rng(3)
+    for evaluate, table, shape in _tables():
+        nvars = shape[0]
+        point = [Fraction(int(v), 16) for v in rng.integers(-40, 41, nvars)]
+        got = evaluate([float(v) for v in point])
+        assert got.shape == shape
+        assert np.array_equal(got, _reference(table, shape, point))
+
+
+def test_compiled_evaluator_matches_polynomial_call_at_float_points():
+    rng = np.random.default_rng(4)
+    for evaluate, table, shape in _tables():
+        for _ in range(3):
+            point = list(rng.uniform(-2.0, 2.0, shape[0]))
+            ref = _reference(table, shape, point)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            np.testing.assert_allclose(evaluate(point), ref, rtol=1e-14, atol=1e-14 * scale)
+
+
+def test_compiled_evaluator_checks_the_point():
+    C = curvature_homogeneous_connection(3)
+    with pytest.raises(ValueError):
+        C.gamma_at([0.0, 0.0])
+    G = flat_connection(2).gamma_at([1.0, 2.0])
+    assert G.dtype == np.float64 and not G.any()
+
+
+# -- one curvature per connection ------------------------------------------
+
+
+def test_ricci_and_surface_accept_a_built_curvature():
+    C = connection_from_symbols(2, {(0, 0, 1): var(1, 2), (0, 1, 1): var(0, 2)})
+    P = curvature(C)
+    assert isinstance(P, PolyCurvature)
+    assert ricci_split(P) == ricci_split(C)
+    pt = [Fraction(1, 2), Fraction(-1, 4)]
+    assert (surface_projective_osserman(P, pt, n_samples=16)
+            == surface_projective_osserman(C, pt, n_samples=16))
+
+
+# -- geodesic blow-up ------------------------------------------------------
+
+
+@pytest.mark.parametrize("v, offset", [(0.45, 0.5), (0.5, 0.75), (0.55, 0.9)])
+def test_geodesic_blow_up_within_one_step(v, offset):
+    # v' = -2 v^2 from -v has its pole at t* = 1/(2v), here a fraction
+    # `offset` of a step past a grid point.  An integrator that accepts the
+    # RK4 step across the pole reports it 1.1 to 1.5 steps late.
+    C = curvature_homogeneous_connection(3, eps=1)
+    pole = 1.0 / (2.0 * v)
+    step = pole / (500 + offset)
+    res = geodesic_integrate(C, [0.0, 0.0, 0.0], [0.0, 0.0, -v], 2.0 * pole, step=step)
+    assert res.blew_up
+    assert abs(res.blow_up_time - pole) <= step
+
+
+def test_bounded_geodesic_takes_plain_steps():
+    # no stage doubles the speed, so every step is one RK4 step of `step`
+    C = curvature_homogeneous_connection(4, eps=1)
+    res = geodesic_integrate(C, [0.1, -0.2, 0.3, 0.1], [-0.1, 0.2, 0.1, 0.15], 1.0,
+                             step=0.002)
+    assert not res.blew_up
+    assert len(res.times) == 501
+    assert np.allclose(np.diff(res.times), 0.002, rtol=0, atol=1e-15)

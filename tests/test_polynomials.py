@@ -161,3 +161,53 @@ def test_evaluation_is_ring_map(p, a, b):
 @given(polys(), polys())
 def test_diff_leibniz(p, q):
     assert (p * q).diff(0) == p.diff(0) * q + p * q.diff(0)
+
+
+# -- canonical form -------------------------------------------------------
+#
+# __eq__ and __hash__ compare the stored term dicts, so every result must
+# store no zero coefficient.
+
+
+def assert_canonical(p):
+    for exps, coeff in p.terms():
+        assert len(exps) == p.nvars
+        assert isinstance(coeff, Fraction) and coeff != 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), st.integers(min_value=0, max_value=1),
+       st.integers(min_value=0, max_value=3), coeffs)
+def test_results_store_no_zero_coefficient(p, q, index, n, c):
+    for r in (p + q, p - q, q - p, -p, p * q, c * p, p + c, c - p,
+              p.diff(index), p.embed(4), p ** n, (p - q) * (p + q)):
+        assert_canonical(r)
+    assert p - p == Polynomial.zero(2)
+    assert hash(p - p) == hash(Polynomial.zero(2))
+    assert p * Polynomial.zero(2) == Polynomial.zero(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys())
+def test_equal_polynomials_hash_equal(p, q):
+    routes = [
+        ((p + q) - q, p),
+        ((p + q) * (p - q), p * p - q * q),
+        ((p * q).diff(0), p.diff(0) * q + p * q.diff(0)),
+        ((p - q).embed(3), p.embed(3) - q.embed(3)),
+        (p ** 2 - p * p + q, q),
+    ]
+    for a, b in routes:
+        assert a == b
+        assert hash(a) == hash(b)
+
+
+def test_public_constructor_still_validates():
+    p = Polynomial(2, {(1, 0): 2, (0, 1): 0, (0, 0): "1/2"})
+    assert dict(p.terms()) == {(1, 0): Fraction(2), (0, 0): Fraction(1, 2)}
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1, -1): 1})
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): 0.5})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from affinecurv.polynomial_geometry import (
+    PolyConnection,
     connection_from_symbols,
     curvature_homogeneous_connection,
     flat_connection,
@@ -237,3 +238,18 @@ def test_zero_vectors_is_no_evidence():
 def test_wrong_point_length():
     with pytest.raises(ValueError):
         check_extension_theorems(flat_connection(2), point=(0, 0))
+
+
+def test_metric_compatibility_check_still_raises(monkeypatch):
+    from affinecurv import riemannian_extension
+
+    def corrupted(n, table):
+        table = [[list(col) for col in row] for row in table]
+        bumped = table[0][1][2] + Fraction(1, 3)
+        table[0][1][2] = table[1][0][2] = bumped
+        return PolyConnection(n, table)
+
+    g = modified_extension(flat_connection(2))
+    monkeypatch.setattr(riemannian_extension, "PolyConnection", corrupted)
+    with pytest.raises(RuntimeError, match="metric compatibility"):
+        levi_civita_block(g)
