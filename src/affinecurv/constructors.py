@@ -15,6 +15,7 @@ case label plus eigenvalue data to the matching combination.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,27 +134,41 @@ def standard_quaternion_structure(m):
     )
 
 
+def _constant_curvature_slab(eye, i):
+    """Slab i of constant_curvature: [j, k, l] -> <e_j,e_k> d_il - d_ik <e_j,e_l>."""
+    return eye[:, :, None] * eye[i] - eye[i][:, None] * eye[:, None, :]
+
+
+def _complex_structure_slab(Jm, eye, i):
+    """Slab i of complex_structure_term; <J e_j, e_k> = Jm[k, j]."""
+    return (
+        Jm.T[:, :, None] * eye[i]
+        - Jm[:, i][:, None] * eye[:, None, :]
+        - 2.0 * (Jm[:, i][:, None, None] * eye)
+    ) / 3.0
+
+
+def _from_slabs(m, slab, notes=()):
+    """Tensor whose first-index slab entries[i] is slab(i), filled one m^3
+    slab at a time so that no other O(m^4) array is made."""
+    entries = np.empty((m,) * 4)
+    for i in range(m):
+        entries[i] = slab(i)
+    return CurvatureTensor._own(entries, notes)
+
+
 def constant_curvature(m):
     """A(X, Y)Z = <Y,Z>X - <X,Z>Y, the constant-sectional-curvature model."""
     if m < 2:
         raise ValueError("need m >= 2")
     eye = np.eye(m)
-    entries = np.einsum("jk,il->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
-    return CurvatureTensor(entries)
+    return _from_slabs(m, lambda i: _constant_curvature_slab(eye, i))
 
 
 def complex_structure_term(J):
     """A(X, Y)Z = (1/3)(<JY,Z>X - <JX,Z>Y - 2<JX,Y>Z) for a complex structure J."""
-    Jm = J.matrix
-    m = J.dim
-    eye = np.eye(m)
-    # <J e_j, e_k> = Jm[k, j]
-    entries = (
-        np.einsum("kj,il->ijkl", Jm, eye)
-        - np.einsum("ki,jl->ijkl", Jm, eye)
-        - 2.0 * np.einsum("ji,kl->ijkl", Jm, eye)
-    ) / 3.0
-    return CurvatureTensor(entries)
+    eye = np.eye(J.dim)
+    return _from_slabs(J.dim, lambda i: _complex_structure_slab(J.matrix, eye, i))
 
 
 def compose_endomorphism(Xi, A):
@@ -161,7 +176,7 @@ def compose_endomorphism(Xi, A):
     Xi = np.asarray(Xi, dtype=float)
     if Xi.shape != (A.dim, A.dim):
         raise ValueError("endomorphism shape %r does not match dim %d" % (Xi.shape, A.dim))
-    return CurvatureTensor(np.einsum("lp,ijkp->ijkl", Xi, A.entries))
+    return CurvatureTensor._own(A.entries @ Xi.T)
 
 
 def complex_model(J, axis_value, perp_value, perp_skew):
@@ -176,17 +191,18 @@ def complex_model(J, axis_value, perp_value, perp_skew):
     real eigenvalue of multiplicity m - 2 when perp_skew = 0).
     """
     Jm = J.matrix
-    a0t = constant_curvature(J.dim).entries
-    ajt = complex_structure_term(J).entries
-    j_aj = np.einsum("lp,ijkp->ijkl", Jm, ajt)
-    j_a0 = np.einsum("lp,ijkp->ijkl", Jm, a0t)
-    jj_aj = np.einsum("lp,ijkp->ijkl", Jm, j_aj)
-    entries = (
-        perp_value * a0t
-        + perp_skew * (j_a0 - jj_aj)
-        + (axis_value - perp_value) * j_aj
-    )
-    return CurvatureTensor(entries)
+    eye = np.eye(J.dim)
+
+    def slab(i):
+        a0 = _constant_curvature_slab(eye, i)
+        j_aj = _complex_structure_slab(Jm, eye, i) @ Jm.T
+        return (
+            perp_value * a0
+            + perp_skew * (a0 @ Jm.T - j_aj @ Jm.T)
+            + (axis_value - perp_value) * j_aj
+        )
+
+    return _from_slabs(J.dim, slab)
 
 
 def quaternion_model(Q, j1_value, j2_value, j3_value, perp_value, perp_skew, plane_skew):
@@ -206,29 +222,26 @@ def quaternion_model(Q, j1_value, j2_value, j3_value, perp_value, perp_skew, pla
     """
     m = Q.dim
     J1, J2, J3 = Q.j1.matrix, Q.j2.matrix, Q.j3.matrix
-    a0t = constant_curvature(m).entries
-
-    def term(Jm):
-        return np.einsum("lp,ijkp->ijkl", Jm, complex_structure_term(ComplexStructure(Jm)).entries)
-
-    t1, t2, t3 = term(J1), term(J2), term(J3)
-    j1_a0 = np.einsum("lp,ijkp->ijkl", J1, a0t)
-    j1j1_a1 = np.einsum("lp,ijkp->ijkl", J1, t1)
-    j1_t23 = np.einsum("lp,ijkp->ijkl", J1, t2 + t3)
+    eye = np.eye(m)
     a1 = perp_skew
     a2 = plane_skew - perp_skew
-    entries = (
-        perp_value * a0t
-        + (j1_value - perp_value) * t1
-        + (j2_value - perp_value) * t2
-        + (j3_value - perp_value) * t3
-        + a1 * (j1_a0 - j1j1_a1)
-        + a2 * j1_t23
-    )
+
+    def slab(i):
+        a0 = _constant_curvature_slab(eye, i)
+        t1, t2, t3 = (_complex_structure_slab(Jm, eye, i) @ Jm.T for Jm in (J1, J2, J3))
+        return (
+            perp_value * a0
+            + (j1_value - perp_value) * t1
+            + (j2_value - perp_value) * t2
+            + (j3_value - perp_value) * t3
+            + a1 * (a0 @ J1.T - t1 @ J1.T)
+            + a2 * ((t2 + t3) @ J1.T)
+        )
+
     notes = ()
     if m == 4:
         notes = ("empty-complement: the perp eigenvalue slot has multiplicity 0",)
-    return CurvatureTensor(entries, notes=notes)
+    return _from_slabs(m, slab, notes)
 
 
 # -- case table and realization -------------------------------------------
@@ -289,6 +302,9 @@ class StructureSpec:
             raise ValueError("unknown case label %r" % (self.case,))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         nus = tuple(complex(v) for v in self.nus)
+        for value in self.lambdas + nus:
+            if not cmath.isfinite(value):
+                raise ValueError("eigenvalue %r is not finite" % (value,))
         for nu in nus:
             if nu.imag <= 0:
                 raise ValueError("complex eigenvalue %r must have positive imaginary part" % (nu,))
@@ -370,8 +386,8 @@ def realize(spec, m):
     nus = spec.nus
 
     if case in ("1", "2-a", "3-a"):
-        base = constant_curvature(m)
-        return CurvatureTensor(lams[0] * base.entries)
+        eye = np.eye(m)
+        return _from_slabs(m, lambda i: lams[0] * _constant_curvature_slab(eye, i))
 
     if case in ("2-b", "3-b-i"):
         J = standard_complex_structure(m)

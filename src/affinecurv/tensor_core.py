@@ -16,6 +16,7 @@ works with, since J_X X = 0 always.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -49,8 +50,21 @@ class CurvatureTensor:
     __slots__ = ("dim", "entries", "notes")
 
     def __init__(self, entries, notes=()):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 4 or len(set(arr.shape)) != 1:
+        self._adopt(np.array(entries, dtype=float), notes)
+
+    @classmethod
+    def _own(cls, arr, notes=()):
+        """Take ownership of a fresh float array without copying it.
+
+        For constructors and the loader, which build the array themselves
+        and keep no other reference to it.
+        """
+        out = cls.__new__(cls)
+        out._adopt(arr, notes)
+        return out
+
+    def _adopt(self, arr, notes):
+        if arr.dtype != np.float64 or arr.ndim != 4 or len(set(arr.shape)) != 1:
             raise ValueError("entries must be an m x m x m x m array")
         arr.setflags(write=False)
         object.__setattr__(self, "dim", arr.shape[0])
@@ -91,9 +105,16 @@ def evaluate(A, X, Y, Z):
 def check_affine_symmetries(A, tol=1e-10):
     """Max-abs defect of antisymmetry and of the first curvature identity."""
     e = A.entries
-    anti = float(np.max(np.abs(e + e.transpose(1, 0, 2, 3)))) if A.dim else 0.0
-    cyc = e + e.transpose(1, 2, 0, 3) + e.transpose(2, 0, 1, 3)
-    bianchi = float(np.max(np.abs(cyc))) if A.dim else 0.0
+    # The same sums as e + e.transpose(1, 0, 2, 3) and
+    # e + e.transpose(1, 2, 0, 3) + e.transpose(2, 0, 1, 3), one
+    # first-index slab i at a time, so no O(m^4) temporary is made.
+    anti = np.zeros(A.dim)
+    bianchi = np.zeros(A.dim)
+    for i in range(A.dim):
+        anti[i] = np.max(np.abs(e[i] + e[:, i]))
+        bianchi[i] = np.max(np.abs(e[i] + e[:, i].transpose(1, 0, 2) + e[:, :, i]))
+    anti = float(np.max(anti, initial=0.0))
+    bianchi = float(np.max(bianchi, initial=0.0))
     return SymmetryReport(anti, bianchi, tol, anti <= tol and bianchi <= tol)
 
 
@@ -193,17 +214,34 @@ def reduced_jacobi(A, X):
 # -- JSON model files -----------------------------------------------------
 
 
+def _nonzero(A):
+    """Indices (n, 4) and values (n,) of the nonzero entries, in
+    lexicographic order of (i, j, k, l), which is numpy's C order."""
+    idx = np.nonzero(A.entries)
+    return np.stack(idx, axis=1), A.entries[idx]
+
+
 def model_to_json_dict(A):
     """{"dim": m, "entries": [[i, j, k, l, value], ...]} with 0-based
     indices, zeros omitted, entries sorted lexicographically."""
-    entries = []
-    nz = np.argwhere(A.entries != 0.0)
-    for i, j, k, l in sorted(map(tuple, nz)):
-        entries.append([int(i), int(j), int(k), int(l), float(A.entries[i, j, k, l])])
-    return {"dim": int(A.dim), "entries": entries}
+    idx, vals = _nonzero(A)
+    rows = [row + [value] for row, value in zip(idx.tolist(), vals.tolist())]
+    return {"dim": int(A.dim), "entries": rows}
+
+
+def _first_bad_row(bad, rows, problem):
+    """Raise for the first row flagged in the boolean vector `bad`."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        r = int(hits[0])
+        raise ValueError("entry row %d %r: %s" % (r, rows[r], problem))
 
 
 def model_from_json_dict(data):
+    """Inverse of model_to_json_dict.  Every row must be five items
+    [i, j, k, l, value] with integer indices in range(dim), a numeric
+    value and no (i, j, k, l) repeated; the first row that breaks a rule
+    is named in the ValueError."""
     try:
         dim = int(data["dim"])
         rows = data["entries"]
@@ -211,26 +249,55 @@ def model_from_json_dict(data):
         raise ValueError("model JSON needs 'dim' and 'entries'") from exc
     if dim <= 0:
         raise ValueError("dim must be positive")
-    arr = np.zeros((dim, dim, dim, dim))
-    seen = set()
-    for row in rows:
-        if len(row) != 5:
-            raise ValueError("entry row %r is not [i, j, k, l, value]" % (row,))
-        i, j, k, l = (int(v) for v in row[:4])
-        for idx in (i, j, k, l):
-            if not 0 <= idx < dim:
-                raise ValueError("index %d out of range for dim=%d" % (idx, dim))
-        if (i, j, k, l) in seen:
-            raise ValueError("duplicate entry at (%d, %d, %d, %d)" % (i, j, k, l))
-        seen.add((i, j, k, l))
-        arr[i, j, k, l] = float(row[4])
-    return CurvatureTensor(arr)
+    if not isinstance(rows, list):
+        raise ValueError("model JSON 'entries' must be a list of rows")
+    n = len(rows)
+    is_list = np.fromiter(map(type, rows), dtype=object, count=n) == list
+    _first_bad_row(~is_list, rows, "is not [i, j, k, l, value]")
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+    _first_bad_row(lengths != 5, rows, "is not [i, j, k, l, value]")
+    cells = np.fromiter(itertools.chain.from_iterable(rows), dtype=object, count=5 * n)
+    kinds = np.fromiter(map(type, cells), dtype=object, count=5 * n).reshape(n, 5)
+    cells = cells.reshape(n, 5)
+    # bool is a subclass of int but not an index; type() tells them apart.
+    _first_bad_row(np.any(kinds[:, :4] != int, axis=1), rows, "has a non-integer index")
+    _first_bad_row((kinds[:, 4] != int) & (kinds[:, 4] != float), rows,
+                   "has a non-numeric value")
+    _first_bad_row(np.any((cells[:, :4] < 0) | (cells[:, :4] >= dim), axis=1), rows,
+                   "has an index out of range for dim=%d" % dim)
+    keys = np.ravel_multi_index(cells[:, :4].astype(np.intp).T, (dim,) * 4)
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    repeated = np.zeros(n, dtype=bool)
+    repeated[repeats] = True
+    _first_bad_row(repeated, rows, "repeats an earlier (i, j, k, l)")
+    arr = np.zeros((dim,) * 4)
+    arr.reshape(-1)[keys] = cells[:, 4].astype(float)
+    return CurvatureTensor._own(arr)
+
+
+# One entry row as json.dump(..., indent=2) lays it out at depth 2.
+_ROW = "    [\n" + "      %s,\n" * 4 + "      %s\n    ]"
 
 
 def save_model(A, path):
+    """Write A as the text json.dump(model_to_json_dict(A), fh,
+    sort_keys=True, indent=2) writes, plus a newline, from one row
+    template.  Values are written with float.__repr__, as the json module
+    does; non-finite values, which JSON cannot hold, raise ValueError."""
+    idx, vals = _nonzero(A)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("model has non-finite entries, which JSON cannot hold")
+    if len(vals):
+        cells = np.empty((len(vals), 5), dtype=object)
+        cells[:, :4] = np.array([str(v) for v in range(A.dim)], dtype=object)[idx]
+        cells[:, 4] = list(map(float.__repr__, vals.tolist()))
+        rows = ",\n".join([_ROW] * len(vals)) % tuple(cells.ravel().tolist())
+        entries = "[\n%s\n  ]" % rows
+    else:
+        entries = "[]"
     with open(path, "w") as fh:
-        json.dump(model_to_json_dict(A), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "dim": %d,\n  "entries": %s\n}\n' % (A.dim, entries))
 
 
 def load_model(path):

@@ -110,6 +110,29 @@ def test_realize_rejects_bad_values(capsys):
     assert "dimension class" in err
 
 
+@pytest.mark.parametrize("values", [
+    ["--case", "1", "--m", "3", "--lambda=nan"],
+    ["--case", "1", "--m", "3", "--lambda=-inf"],
+    ["--case", "2-c", "--m", "6", "--lambda=4", "--nu=nan+2i"],
+])
+def test_realize_rejects_non_finite_eigenvalues(capsys, tmp_path, values):
+    path = tmp_path / "model.json"
+    code, out, err = run_cli(capsys, "realize", *values, "--out", str(path))
+    assert code == 3
+    assert out == ""
+    assert "not finite" in err
+    assert not path.exists()
+
+
+def test_classify_names_a_non_integer_index(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"dim": 2, "entries": [[0, 1, 1, 0.5, 1.0]]}')
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 3
+    assert out == ""
+    assert "entry row 0 [0, 1, 1, 0.5, 1.0]: has a non-integer index" in err
+
+
 def test_bad_complex_literal(capsys):
     code, _, err = run_cli(
         capsys, "realize", "--case", "2-c", "--m", "6",

@@ -1,9 +1,12 @@
 """Model constructors: structures, building blocks, case realization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from affinecurv import constructors
 from affinecurv.constructors import (
     CASE_LABELS,
     ComplexStructure,
@@ -12,6 +15,7 @@ from affinecurv.constructors import (
     case_constraints,
     complex_model,
     complex_structure_term,
+    compose_endomorphism,
     constant_curvature,
     quaternion_model,
     realize,
@@ -19,7 +23,13 @@ from affinecurv.constructors import (
     standard_quaternion_structure,
 )
 from affinecurv.spectral import spectrum, with_zero
-from affinecurv.tensor_core import check_affine_symmetries, evaluate, jacobi, reduced_jacobi
+from affinecurv.tensor_core import (
+    CurvatureTensor,
+    check_affine_symmetries,
+    evaluate,
+    jacobi,
+    reduced_jacobi,
+)
 
 
 def unit(v):
@@ -265,6 +275,17 @@ def test_structure_spec_json_round_trip():
     assert back == spec
 
 
+@pytest.mark.parametrize("lambdas,nus", [
+    ((float("nan"),), (2 + 1j,)),
+    ((float("inf"),), (2 + 1j,)),
+    ((1.0,), (complex(float("nan"), 1.0),)),
+    ((1.0,), (complex(2.0, float("inf")),)),
+])
+def test_structure_spec_rejects_non_finite_eigenvalues(lambdas, nus):
+    with pytest.raises(ValueError, match="not finite"):
+        StructureSpec("2-c", lambdas, nus)
+
+
 def test_structure_spec_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         StructureSpec("2-c", (1.0,), (2 - 1j,))
@@ -321,3 +342,117 @@ def test_quaternion_model_m4_note():
     Q = standard_quaternion_structure(4)
     A = quaternion_model(Q, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0)
     assert any("complement" in note for note in A.notes)
+
+
+# -- slab construction against the dense einsum formulas ------------------
+
+# The formulas the constructors used before they were built one
+# first-index slab at a time.  The slab code must give the same entries
+# bit for bit.
+
+
+def einsum_constant_curvature(m):
+    eye = np.eye(m)
+    return np.einsum("jk,il->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
+
+
+def einsum_complex_structure_term(Jm):
+    eye = np.eye(len(Jm))
+    return (
+        np.einsum("kj,il->ijkl", Jm, eye)
+        - np.einsum("ki,jl->ijkl", Jm, eye)
+        - 2.0 * np.einsum("ji,kl->ijkl", Jm, eye)
+    ) / 3.0
+
+
+def einsum_compose(Xi, e):
+    return np.einsum("lp,ijkp->ijkl", Xi, e)
+
+
+def einsum_complex_model(J, axis_value, perp_value, perp_skew):
+    Jm = J.matrix
+    a0t = einsum_constant_curvature(J.dim)
+    j_aj = einsum_compose(Jm, einsum_complex_structure_term(Jm))
+    j_a0 = einsum_compose(Jm, a0t)
+    jj_aj = einsum_compose(Jm, j_aj)
+    entries = perp_value * a0t + perp_skew * (j_a0 - jj_aj) + (axis_value - perp_value) * j_aj
+    return CurvatureTensor(entries)
+
+
+def einsum_quaternion_model(Q, j1_value, j2_value, j3_value, perp_value, perp_skew,
+                            plane_skew):
+    J1, J2, J3 = Q.j1.matrix, Q.j2.matrix, Q.j3.matrix
+    a0t = einsum_constant_curvature(Q.dim)
+    t1, t2, t3 = (einsum_compose(Jm, einsum_complex_structure_term(Jm)) for Jm in (J1, J2, J3))
+    entries = (
+        perp_value * a0t
+        + (j1_value - perp_value) * t1
+        + (j2_value - perp_value) * t2
+        + (j3_value - perp_value) * t3
+        + perp_skew * (einsum_compose(J1, a0t) - einsum_compose(J1, t1))
+        + (plane_skew - perp_skew) * einsum_compose(J1, t2 + t3)
+    )
+    return CurvatureTensor(entries)
+
+
+def einsum_realize(spec, m, monkeypatch):
+    """realize with the einsum models swapped in for the slab ones."""
+    if spec.case in ("1", "2-a", "3-a"):
+        return spec.lambdas[0] * einsum_constant_curvature(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(constructors, "complex_model", einsum_complex_model)
+        patch.setattr(constructors, "quaternion_model", einsum_quaternion_model)
+        return realize(spec, m).entries
+
+
+def awkward_spec(case, m, seed):
+    """Distinct eigenvalues with long float reprs (thirds and sevenths)."""
+    real_mults, pair_mults = case_constraints(case, m)
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.arange(1, 40), size=len(real_mults) + 2 * len(pair_mults),
+                        replace=False)
+    lams = tuple(float(v) / 3.0 - 6.5 for v in values[:len(real_mults)])
+    rest = values[len(real_mults):]
+    nus = tuple(complex(float(a) / 7.0 - 2.0, float(b) / 3.0)
+                for a, b in zip(rest[::2], rest[1::2]))
+    return StructureSpec(case, lams, nus)
+
+
+_TWO_DIMS = {"1": (5, 9), "2-a": (6, 10), "2-b": (6, 10), "2-c": (6, 10)}
+
+
+@pytest.mark.parametrize("case", CASE_LABELS)
+def test_slab_realize_matches_einsum_formulas(case, monkeypatch):
+    for m in _TWO_DIMS.get(case, (8, 12)):
+        spec = awkward_spec(case, m, seed=m)
+        assert np.array_equal(realize(spec, m).entries, einsum_realize(spec, m, monkeypatch))
+
+
+def test_slab_building_blocks_match_einsum_formulas():
+    Q = standard_quaternion_structure(8)
+    assert np.array_equal(constant_curvature(8).entries, einsum_constant_curvature(8))
+    for Jm in (Q.j1.matrix, Q.j2.matrix, Q.j3.matrix):
+        t = complex_structure_term(ComplexStructure(Jm))
+        assert np.array_equal(t.entries, einsum_complex_structure_term(Jm))
+        assert np.array_equal(compose_endomorphism(Jm, t).entries,
+                              einsum_compose(Jm, t.entries))
+    args = (0.3, -1.0 / 3.0, 2.0 / 7.0, 5.5, 1.25, -0.1)
+    assert np.array_equal(quaternion_model(Q, *args).entries,
+                          einsum_quaternion_model(Q, *args).entries)
+    assert quaternion_model(standard_quaternion_structure(4), *args).notes
+
+
+def test_realize_peak_memory_stays_near_the_tensor():
+    """Building slab by slab keeps the peak near the m^4 output; the dense
+    einsum construction peaked at about 9 times it."""
+    m = 24
+    spec = StructureSpec("3-g", (1.0, 2.0, 3.0), (0.5 + 1j,))
+    realize(spec, 8)
+    tracemalloc.start()
+    try:
+        A = realize(spec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.entries.nbytes == m ** 4 * 8
+    assert peak <= 2.5 * A.entries.nbytes

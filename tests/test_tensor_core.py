@@ -1,5 +1,7 @@
 """Curvature tensor container, Jacobi operators, and model files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,93 @@ def test_json_validation():
         )
     with pytest.raises(ValueError):
         model_from_json_dict({"entries": []})
+
+
+@pytest.mark.parametrize("bad_row,problem", [
+    ([0, 1, 1, 0.5, 1.0], "non-integer index"),
+    ([0, 1, 1, 1.0, 1.0], "non-integer index"),
+    ([0, True, 1, 0, 1.0], "non-integer index"),
+    ([0, "1", 1, 0, 1.0], "non-integer index"),
+    ([0, 1, 1, 0, "1.0"], "non-numeric value"),
+    ([0, 1, 1, 0, None], "non-numeric value"),
+    ([0, 1, 1, 0, False], "non-numeric value"),
+    ([0, 1, 1, 2, 1.0], "out of range"),
+    ([0, -1, 1, 0, 1.0], "out of range"),
+    ([0, 1, 1, 0], r"not \[i, j, k, l, value\]"),
+    ([0, 1, 1, 0, 1.0, 2.0], r"not \[i, j, k, l, value\]"),
+    ({"i": 0}, r"not \[i, j, k, l, value\]"),
+    (7, r"not \[i, j, k, l, value\]"),
+    ([1, 0, 0, 1, -1.0], "repeats an earlier"),
+])
+def test_json_validation_names_the_first_bad_row(bad_row, problem):
+    good = [[0, 1, 0, 1, 1.0], [1, 0, 0, 1, -1.0]]
+    data = {"dim": 2, "entries": good + [bad_row, [1, 1, 1, 1, 3]]}
+    with pytest.raises(ValueError, match=r"entry row 2 .*" + problem):
+        model_from_json_dict(data)
+
+
+def test_json_loader_accepts_integer_values_and_reports_the_earliest_repeat():
+    data = {"dim": 2, "entries": [[1, 1, 1, 1, 3], [0, 0, 0, 0, 2.5]]}
+    A = model_from_json_dict(data)
+    assert A.entries[1, 1, 1, 1] == 3.0 and A.entries[0, 0, 0, 0] == 2.5
+    assert np.count_nonzero(A.entries) == 2
+    rows = [[1, 1, 1, 1, 1.0], [0, 0, 0, 0, 1.0], [0, 0, 0, 0, 2.0], [1, 1, 1, 1, 2.0]]
+    with pytest.raises(ValueError, match=r"entry row 2 "):
+        model_from_json_dict({"dim": 2, "entries": rows})
+    with pytest.raises(ValueError, match="list of rows"):
+        model_from_json_dict({"dim": 2, "entries": {"0": [0, 0, 0, 0, 1.0]}})
+    assert not np.any(model_from_json_dict({"dim": 3, "entries": []}).entries)
+
+
+def _json_dump_text(A):
+    """What save_model wrote when it called the json module."""
+    return json.dumps(model_to_json_dict(A), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_save_model_writes_the_json_dump_layout(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    e = np.zeros((m,) * 4)
+    mask = rng.random(e.shape) < rng.choice([0.02, 0.3, 1.0])
+    scale = 10.0 ** rng.integers(-300, 300, size=e.shape)
+    e[mask] = (rng.standard_normal(e.shape) * scale)[mask]
+    e[mask & (rng.random(e.shape) < 0.2)] = -0.0
+    e.flat[0] = 1.0 / 3.0
+    A = CurvatureTensor(e)
+    path = tmp_path / "model.json"
+    save_model(A, path)
+    assert path.read_text() == _json_dump_text(A)
+    np.testing.assert_array_equal(load_model(path).entries, A.entries)
+
+
+def test_save_model_of_the_zero_model(tmp_path):
+    A = CurvatureTensor(np.zeros((3,) * 4))
+    path = tmp_path / "zero.json"
+    save_model(A, path)
+    assert path.read_text() == _json_dump_text(A) == '{\n  "dim": 3,\n  "entries": []\n}\n'
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_save_model_rejects_non_finite_entries(tmp_path, bad):
+    e = np.zeros((2,) * 4)
+    e[0, 1, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        save_model(CurvatureTensor(e), tmp_path / "bad.json")
+
+
+def test_symmetry_defects_equal_the_dense_formulas():
+    """The slab-by-slab defects are the max-abs of the same sums as the
+    dense m^4 expressions, so they agree bit for bit."""
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 5):
+        e = rng.standard_normal((m,) * 4) / 3.0
+        report = check_affine_symmetries(CurvatureTensor(e))
+        anti = np.max(np.abs(e + e.transpose(1, 0, 2, 3)))
+        cyc = e + e.transpose(1, 2, 0, 3) + e.transpose(2, 0, 1, 3)
+        assert report.antisymmetry_defect == anti
+        assert report.bianchi_defect == np.max(np.abs(cyc))
+    e[0, 1, 2, 3] = np.nan
+    assert np.isnan(check_affine_symmetries(CurvatureTensor(e)).bianchi_defect)
+    empty = check_affine_symmetries(CurvatureTensor(np.zeros((0,) * 4)))
+    assert empty.antisymmetry_defect == 0.0 and empty.passed
