@@ -21,13 +21,21 @@ timelike) Jacobi spectra are projectively constant.  The modified metric
 over such a nilpotent base has unit spacelike spectrum {0, 1, 1/4} with
 multiplicities (1, 1, 2m-2) and the negatives for timelike vectors.
 
-Nilpotency is certified in exact rational arithmetic: float coordinates
-convert to Fractions without loss, and the Jacobi operator of xi/|q|^(1/2)
-equals J_xi / q, which stays rational.
+Nilpotency is decided exactly, on Python ints.  Denominators are cleared
+once per call: the curvature at the point is R_int / D and the Gram matrix
+G_int / G_den, and a probe vector xi (a float, hence a dyadic rational) is
+x / den with x integral.  Then J_xi = J_int / (D den^2), where J_int is the
+contraction of R_int with x (x) x, and since positive rescaling does not
+change nilpotency, J_xi is nilpotent exactly when J_int^(2^k) = 0 for the
+first 2^k >= 2m; repeated squaring decides that with no gcd.  Otherwise the
+unit operator J_xi / |<xi, xi>| equals J_int G_den / (D |q_int|) with
+q_int = x G_int x, and its float entries are the correctly rounded
+quotients of those integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,54 +221,24 @@ def levi_civita_block(metric):
 # -- exact Jacobi machinery ----------------------------------------------
 
 
-def _jacobi_exact(R_exact, xi):
-    """Fraction matrix of Y -> R(Y, xi) xi from an exact curvature table."""
-    n = len(xi)
-    J = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if not xi[j]:
-                continue
-            for k in range(n):
-                if not xi[k]:
-                    continue
-                row = R_exact[i][j][k]
-                coeff = xi[j] * xi[k]
-                for l in range(n):
-                    if row[l]:
-                        J[l][i] += row[l] * coeff
-    return J
+def _clear_denominators(values):
+    """Integers x (object array) and one integer den > 0 with values = x / den.
+
+    Takes ints, floats and Fractions; a float's den is a power of two.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return np.array([a * (den // d) for a, d in ratios], dtype=object), den
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for k in range(n):
-            a = Ai[k]
-            if not a:
-                continue
-            Bk = B[k]
-            row = out[i]
-            for j in range(n):
-                if Bk[j]:
-                    row[j] += a * Bk[j]
-    return out
-
-
-def _is_nilpotent_exact(J):
-    """Check J^n = 0 by repeated squaring (n = matrix size)."""
-    n = len(J)
-    P = J
-    power = 1
-    while power < n:
-        P = _mat_mul(P, P)
-        power *= 2
-        if all(not v for row in P for v in row):
+def _is_nilpotent(J):
+    """Whether the n x n integer (object) matrix J has J^(2^k) = 0 for the
+    first 2^k >= n, by repeated squaring on Python ints."""
+    for _ in range((J.shape[0] - 1).bit_length()):
+        if not any(J.flat):
             return True
-    # power >= n, so for nilpotent J this power already vanishes.
-    return all(not v for row in P for v in row)
+        J = J @ J
+    return not any(J.flat)
 
 
 # -- theorem checks -------------------------------------------------------
@@ -381,7 +359,16 @@ def check_extension_theorems(
     metric = deformed_extension(C, Phi) if which == "deformed" else modified_extension(C)
     lc = levi_civita_block(metric)
     R = curvature(lc)
-    R_exact = R.evaluate_exact(point)
+    n = 2 * m
+    # Denominators are cleared once: R = R_int / D and G = G_int / G_den.
+    # R_int is laid out so that J_xi[l, i] = sum_jk R[i, j, k, l] xi_j xi_k
+    # is one matrix-vector product with xi (x) xi.
+    R_int, D = _clear_denominators(
+        [v for a in R.evaluate_exact(point) for b in a for c in b for v in c]
+    )
+    R_int = R_int.reshape(n, n, n, n).transpose(3, 0, 1, 2).reshape(n * n, n * n)
+    G_int, G_den = _clear_denominators([v for row in metric.gram_exact(point) for v in row])
+    G_int = G_int.reshape(n, n)
 
     float_point = [float(v) for v in point]
     base_point = float_point[:m]
@@ -391,38 +378,29 @@ def check_extension_theorems(
 
     gram = metric.gram_at(float_point)
     spacelike, timelike = _sample_causal(gram, n_vectors, seed)
-    gram_exact = metric.gram_exact(point)
 
     records = []
-    spectra = {"spacelike": [], "timelike": []}
+    spectra = {}
     for character, bucket in (("spacelike", spacelike), ("timelike", timelike)):
+        # J_xi / |<xi, xi>| = J_int G_den / (D |q_int|) (module docstring);
+        # int / int rounds as Fraction.__float__ does.
+        units = []
         for xi in bucket:
-            xi_exact = [Fraction(v) for v in xi]
-            q = Fraction(0)
-            for a in range(2 * m):
-                if not xi_exact[a]:
-                    continue
-                for b in range(2 * m):
-                    if xi_exact[b]:
-                        q += xi_exact[a] * gram_exact[a][b] * xi_exact[b]
-            J_exact = _jacobi_exact(R_exact, xi_exact)
-            inv_q = 1 / abs(q)
-            J_unit = [[v * inv_q for v in row] for row in J_exact]
-            if _is_nilpotent_exact(J_unit):
-                records.append(
-                    VectorRecord(tuple(map(float, xi)), character, "exact", 0.0, True, None)
-                )
-                spectra[character].append(None)
+            x, _ = _clear_denominators(xi)
+            J_int = (R_int @ np.outer(x, x).ravel()).reshape(n, n)
+            if _is_nilpotent(J_int):
+                units.append(None)
             else:
-                J_num = np.array([[float(v) for v in row] for row in J_unit])
-                S = spectral.spectrum(J_num, cluster_tol=tol)
-                records.append(
-                    VectorRecord(
-                        tuple(map(float, xi)), character, "numeric",
-                        float(S.radius()), False, S,
-                    )
-                )
-                spectra[character].append(S)
+                scale = D * abs(x @ G_int @ x)
+                units.append((J_int * G_den / scale).astype(float))
+        stack = [J for J in units if J is not None]
+        batch = iter(spectral.spectrum_batch(stack, cluster_tol=tol) if stack else ())
+        spectra[character] = [None if J is None else next(batch) for J in units]
+        for xi, S in zip(bucket, spectra[character]):
+            records.append(VectorRecord(
+                tuple(map(float, xi)), character, "exact" if S is None else "numeric",
+                0.0 if S is None else float(S.radius()), S is None, S,
+            ))
 
     clauses = {}
     if which == "deformed":
@@ -446,7 +424,6 @@ def check_extension_theorems(
         else:
             clauses["base_osserman"] = False
     else:
-        n = 2 * m
         space_targets = [(0.0, 1), (1.0, 1), (0.25, n - 2)]
         time_targets = [(0.0, 1), (-1.0, 1), (-0.25, n - 2)]
         ok_s = all(

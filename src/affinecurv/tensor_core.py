@@ -238,15 +238,18 @@ def _first_bad_row(bad, rows, problem):
 
 
 def model_from_json_dict(data):
-    """Inverse of model_to_json_dict.  Every row must be five items
-    [i, j, k, l, value] with integer indices in range(dim), a numeric
-    value and no (i, j, k, l) repeated; the first row that breaks a rule
-    is named in the ValueError."""
+    """Inverse of model_to_json_dict.  `dim` must be a positive JSON
+    integer.  Every row must be five items [i, j, k, l, value] with
+    integer indices in range(dim), a numeric value and no (i, j, k, l)
+    repeated; the first row that breaks a rule is named in the
+    ValueError."""
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         rows = data["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError("model JSON needs 'dim' and 'entries'") from exc
+    if type(dim) is not int:
+        raise ValueError("model JSON 'dim' must be an integer, got %r" % (dim,))
     if dim <= 0:
         raise ValueError("dim must be positive")
     if not isinstance(rows, list):

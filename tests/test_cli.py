@@ -133,6 +133,17 @@ def test_classify_names_a_non_integer_index(capsys, tmp_path):
     assert "entry row 0 [0, 1, 1, 0.5, 1.0]: has a non-integer index" in err
 
 
+@pytest.mark.parametrize("command", ["symm", "classify"])
+@pytest.mark.parametrize("dim", ["2.9", "true", '"3"'])
+def test_model_commands_reject_a_non_integer_dim(capsys, tmp_path, command, dim):
+    path = tmp_path / "model.json"
+    path.write_text('{"dim": %s, "entries": [[0, 1, 0, 1, 1.0], [1, 0, 0, 1, -1.0]]}' % dim)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 3
+    assert out == ""
+    assert "'dim' must be an integer" in err
+
+
 def test_bad_complex_literal(capsys):
     code, _, err = run_cli(
         capsys, "realize", "--case", "2-c", "--m", "6",

@@ -1,9 +1,13 @@
 """Cotangent extension metrics and their spectral checks."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinecurv.polynomial_geometry import (
     PolyConnection,
@@ -15,6 +19,8 @@ from affinecurv.polynomial_geometry import (
 from affinecurv.polynomials import Polynomial
 from affinecurv.riemannian_extension import (
     PolyMetric,
+    _clear_denominators,
+    _is_nilpotent,
     check_extension_theorems,
     default_point,
     deformed_extension,
@@ -253,3 +259,143 @@ def test_metric_compatibility_check_still_raises(monkeypatch):
     monkeypatch.setattr(riemannian_extension, "PolyConnection", corrupted)
     with pytest.raises(RuntimeError, match="metric compatibility"):
         levi_civita_block(g)
+
+
+# -- integer nilpotency kernel ---------------------------------------------
+
+
+def _mat_mul_reference(A, B):
+    n = len(A)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        for k in range(n):
+            a = Ai[k]
+            if not a:
+                continue
+            Bk = B[k]
+            row = out[i]
+            for j in range(n):
+                if Bk[j]:
+                    row[j] += a * Bk[j]
+    return out
+
+
+def _is_nilpotent_reference(J):
+    """Check J^n = 0 by repeated squaring of Fraction matrices (n = size):
+    the test check_extension_theorems made before it cleared denominators."""
+    n = len(J)
+    P = J
+    power = 1
+    while power < n:
+        P = _mat_mul_reference(P, P)
+        power *= 2
+        if all(not v for row in P for v in row):
+            return True
+    return all(not v for row in P for v in row)
+
+
+def _inverse(g):
+    """Gauss-Jordan inverse of a Fraction matrix, or None if singular."""
+    n = len(g)
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return None
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [v - a[r][c] * w for v, w in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def _integer_kernel(M):
+    x, den = _clear_denominators([v for row in M for v in row])
+    assert den > 0 and all(type(v) is int for v in x)
+    assert [Fraction(v, den) for v in x] == [v for row in M for v in row]
+    return _is_nilpotent(x.reshape(len(M), len(M)))
+
+
+rationals = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 3, 5, 7, 11, 13])
+)
+
+
+@st.composite
+def conjugated(draw, diagonal):
+    """g (N + diag(d)) g^-1 with N strictly upper triangular, g rational
+    with odd denominators; diagonal=True adds a nonzero d."""
+    n = draw(st.integers(1, 6))
+    N = [[draw(rationals) if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+    if diagonal:
+        for i in range(n):
+            N[i][i] = draw(rationals)
+        k = draw(st.integers(0, n - 1))
+        N[k][k] = draw(rationals.filter(bool))
+    g = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    g_inv = _inverse(g)
+    if g_inv is None:  # fall back to a unit lower triangular g
+        g = [[g[i][j] if j < i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        g_inv = _inverse(g)
+    return _mat_mul_reference(_mat_mul_reference(g, N), g_inv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated(diagonal=False))
+def test_integer_kernel_certifies_conjugated_nilpotent_matrices(M):
+    assert _is_nilpotent_reference(M)
+    assert _integer_kernel(M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated(diagonal=True))
+def test_integer_kernel_rejects_matrices_with_a_nonzero_eigenvalue(M):
+    assert not _is_nilpotent_reference(M)
+    assert not _integer_kernel(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_integer_kernel_agrees_with_fraction_squaring(M):
+    assert _integer_kernel(M) == _is_nilpotent_reference(M)
+
+
+def test_integer_kernel_needs_the_last_square():
+    # a full Jordan block of size n has J^(n-1) != 0, so n = 5 needs J^8
+    for n in (1, 2, 3, 4, 5, 8, 9):
+        shift = np.array([[int(j == i + 1) for j in range(n)] for i in range(n)], dtype=object)
+        assert _is_nilpotent(shift)
+        shift[n - 1, 0] = 1  # a cyclic permutation: not nilpotent
+        assert not _is_nilpotent(shift)
+
+
+def test_clear_denominators_takes_floats_fractions_and_ints():
+    x, den = _clear_denominators([0.75, Fraction(-2, 3), 5, 0.0])
+    assert den == 12 and list(x) == [9, -8, 60, 0]
+    x, den = _clear_denominators([2.0 ** -60, 1.5])
+    assert den == 2 ** 60 and list(x) == [1, 3 * 2 ** 59]
+
+
+def test_points_with_thirds_give_the_recorded_reports():
+    # Written by the Fraction implementation the integer kernel replaced.
+    def thirds(m):
+        return [Fraction((-1) ** k * (k + 1), 3) for k in range(2 * m)]
+
+    calls = [
+        (curvature_homogeneous_connection(3, 1), "deformed", 3, 1e-3),
+        (plane_wave_connection(), "deformed", 3, 1e-6),
+        (flat_connection(2), "modified", 2, 1e-6),
+    ]
+    reports = [
+        check_extension_theorems(C, which=w, point=thirds(m), n_vectors=2, seed=1,
+                                 tol=t).to_json_dict()
+        for C, w, m, t in calls
+    ]
+    golden = Path(__file__).parent / "golden" / "extend_thirds_points.json"
+    assert json.dumps(reports, sort_keys=True, indent=2) + "\n" == golden.read_text()
+    methods = {r["method"] for report in reports for r in report["vectors"]}
+    assert methods == {"exact", "numeric"}

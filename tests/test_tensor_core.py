@@ -165,6 +165,13 @@ def test_json_validation():
         model_from_json_dict({"entries": []})
 
 
+@pytest.mark.parametrize("dim", [2.9, 2.0, True, "2", None, [2]])
+def test_json_validation_rejects_a_non_integer_dim(dim):
+    rows = [[0, 1, 0, 1, 1.0], [1, 0, 0, 1, -1.0]]
+    with pytest.raises(ValueError, match="'dim' must be an integer"):
+        model_from_json_dict({"dim": dim, "entries": rows})
+
+
 @pytest.mark.parametrize("bad_row,problem", [
     ([0, 1, 1, 0.5, 1.0], "non-integer index"),
     ([0, 1, 1, 1.0, 1.0], "non-integer index"),
