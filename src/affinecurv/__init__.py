@@ -97,6 +97,7 @@ from .tensor_core import (
     load_model,
     model_from_json_dict,
     model_to_json_dict,
+    model_to_json_text,
     perp_basis,
     perp_basis_batch,
     reduced_jacobi,

@@ -354,7 +354,10 @@ def adams_admissible(m, partition):
     """Gate a bundle partition by the sphere vector-field bounds.
 
     With m odd a continuous eigenbundle decomposition of the sphere's
-    tangent bundle must be trivial (one bundle of rank m - 1).  For
+    tangent bundle must be trivial (one bundle of rank m - 1), and that
+    bundle must be real: a projectively constant conjugate pair would give
+    a complex structure on X^perp that is even in X, hence on the tangent
+    bundle of RP^(m-1), which is not orientable for m odd.  For
     m = 2 mod 4 at most two bundles may occur and one must have rank at
     least m - 2; for m = 4 mod 8 at most four bundles with one of rank at
     least m - 4.  For m = 0 mod 8 the bound is vacuous.
@@ -364,11 +367,17 @@ def adams_admissible(m, partition):
     count = len(partition.dims)
     top = max(partition.dims)
     if m % 2 == 1:
-        if count == 1:
-            return AdamsResult("admissible")
-        return AdamsResult(
-            "inadmissible", "odd m admits a single eigenbundle, got %d" % count
-        )
+        if count > 1:
+            return AdamsResult(
+                "inadmissible", "odd m admits a single eigenbundle, got %d" % count
+            )
+        if partition.kinds[0] == "complex-pair":
+            return AdamsResult(
+                "inadmissible",
+                "odd m admits no conjugate-pair bundle: RP^%d is not orientable, "
+                "so it has no almost complex structure" % (m - 1),
+            )
+        return AdamsResult("admissible")
     if m % 4 == 2:
         limit, floor = 2, m - 2
     elif m % 8 == 4:

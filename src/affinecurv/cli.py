@@ -48,7 +48,7 @@ from .spectral import EigensolverError, jordan_profile, spectrum
 from .tensor_core import (
     check_affine_symmetries,
     load_model,
-    model_to_json_dict,
+    model_to_json_text,
     reduced_jacobi,
     save_model,
 )
@@ -113,8 +113,17 @@ def _partition(text):
     return dims, kinds
 
 
-def _emit(report, args):
+# stands for an inlined model in the report until the text is written
+_MODEL = "\0model"
+
+
+def _emit(report, args, model=None):
+    """Write the report as json.dumps(report, indent=2, sort_keys=True).
+    A `model` given here sits under report["model"] = _MODEL and is written
+    by the model-file writer, which gives the same text faster."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if model is not None:
+        text = text.replace(json.dumps(_MODEL), model_to_json_text(model, depth=1), 1)
     sys.stdout.write(text)
     if args.json_out:
         with open(args.json_out, "w") as fh:
@@ -153,8 +162,8 @@ def _cmd_realize(args):
         save_model(A, args.out)
         report["out"] = args.out
     else:
-        report["model"] = model_to_json_dict(A)
-    _emit(report, args)
+        report["model"] = _MODEL
+    _emit(report, args, model=None if args.out else A)
     _pretty(args, [
         "case %s at m=%d: %d nonzero entries" % (args.case, args.m, report["nonzero_entries"]),
         "written to %s" % args.out if args.out else "model inlined in report",

@@ -18,6 +18,7 @@ table is indexed nabla[i][j][k][n][l] for (grad_{d_n} R)(d_i, d_j) d_k.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -144,19 +145,14 @@ class PolyCurvature:
         return CurvatureTensor(self._evaluator(point))
 
     def evaluate_exact(self, point):
-        """Nested Fraction table at an exact rational point."""
+        """Nested Fraction table at an exact rational point; only the
+        nonzero entries are evaluated."""
         point = [Fraction(v) for v in point]
-        m = self.dim
-        return [
-            [
-                [
-                    [self.riemann[i][j][k][l](point) for l in range(m)]
-                    for k in range(m)
-                ]
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
+        if len(point) != self.dim:
+            raise ValueError("point has %d components, expected %d" % (len(point), self.dim))
+        zero = Fraction(0)
+        return [[[[p(point) if p else zero for p in row] for row in plane] for plane in block]
+                for block in self.riemann]
 
 
 def curvature(C, with_nabla=False):
@@ -404,6 +400,54 @@ _BLOWUP_SPEED = 1e8
 _STEP_GROWTH = 2.0
 
 
+def _spray(C):
+    """spray[k]: the pairs (i, j) with G_ij^k != 0 in lexicographic order,
+    each as (i, j, start, terms).  The terms are (coeff, [(var, exp), ...])
+    in `Polynomial.terms()` order, which is the order `CompiledTable` sums
+    in, and the symbol's value is start + term + term + ...  `start` is 0.0
+    plus a leading term without variables, so a constant symbol needs no
+    work per call."""
+    m = C.dim
+    g = C.gamma
+    spray = []
+    for k in range(m):
+        pairs = []
+        for i in range(m):
+            for j in range(m):
+                if g[i][j][k]:
+                    terms = [(float(coeff), [(var, e) for var, e in enumerate(exps) if e])
+                             for exps, coeff in g[i][j][k].terms()]
+                    start = 0.0
+                    if not terms[0][1]:
+                        start += terms.pop(0)[0]
+                    pairs.append((i, j, start, terms))
+        spray.append(pairs)
+    return spray
+
+
+def _norm_sq(w):
+    s = 0.0
+    for a in w:
+        s += a * a
+    return s
+
+
+def _near(a, b):
+    """Whether a and b are close enough that numpy's dot, whose summation
+    may fuse multiply-adds, could order them the other way."""
+    return abs(a - b) <= 1e-9 * max(a, b)
+
+
+def _within_growth(w, vel, limit):
+    """w @ w <= _STEP_GROWTH^2 (vel @ vel) as numpy decides it, where
+    `limit` is the right-hand side from plain sums."""
+    s = _norm_sq(w)
+    if _near(s, limit):
+        w, vel = np.asarray(w), np.asarray(vel)
+        return bool(w @ w <= _STEP_GROWTH**2 * (vel @ vel))
+    return s <= limit
+
+
 def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     """Classical fourth-order Runge-Kutta for x'' + G(x)(x', x') = 0.
 
@@ -418,41 +462,77 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     the speed grows by less than that factor within every step, as on
     bounded runs at a resolving step size, every step is one plain RK4
     step of the given size.
+
+    The loop runs on Python floats over the nonzero symbol terms only, so
+    a step costs O(terms), not O(m^3).  It does the float operations of a
+    numpy integrator built on `CompiledTable` and einsum in the same
+    order: powers as repeated products, each term as coeff times its
+    factors left to right, each symbol summed from 0.0, and
+    sum (G_ij^k v_i) v_j over (i, j) in lexicographic order.  Its results
+    are bit for bit those of that integrator.  The squared speeds of the
+    growth and blow-up tests are plain sums; within rounding of a tie
+    numpy's dot decides, as it did there.
     """
     m = C.dim
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
+    v = np.asarray(v0, dtype=float)
     if x.shape != (m,) or v.shape != (m,):
         raise ValueError("state must have %d components" % m)
     if t_max <= 0 or step <= 0:
         raise ValueError("t_max and step must be positive")
 
-    gamma_at = C.gamma_at
+    spray = _spray(C)
+    degree = max((e for pairs in spray for _, _, _, terms in pairs
+                  for _, factors in terms for _, e in factors), default=0)
 
     def accel(pos, vel):
-        return -np.einsum("ijk,i,j->k", gamma_at(pos), vel, vel)
+        powers = [[1.0, a] for a in pos]  # powers[var][e] = pos[var]^e
+        for _ in range(degree - 1):
+            for row in powers:
+                row.append(row[-1] * row[1])
+        out = []
+        for pairs in spray:
+            s = 0.0
+            for i, j, g, terms in pairs:
+                for coeff, factors in terms:
+                    for var, e in factors:
+                        coeff *= powers[var][e]
+                    g += coeff
+                s += g * vel[i] * vel[j]
+            out.append(-s)
+        return out
 
     def rk4(pos, vel, h):
         """One step, and whether no stage sped up past the growth limit
         (false as well for a non-finite stage)."""
-        k1x, k1v = vel, accel(pos, vel)
-        k2x, k2v = vel + 0.5 * h * k1v, accel(pos + 0.5 * h * k1x, vel + 0.5 * h * k1v)
-        k3x, k3v = vel + 0.5 * h * k2v, accel(pos + 0.5 * h * k2x, vel + 0.5 * h * k2v)
-        k4x, k4v = vel + h * k3v, accel(pos + h * k3x, vel + h * k3v)
-        new_pos = pos + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        new_vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        limit = _STEP_GROWTH**2 * (vel @ vel)
-        ok = all(w @ w <= limit for w in (k2x, k3x, k4x, new_vel))
-        return new_pos, new_vel, ok and bool(np.all(np.isfinite(new_pos)))
+        hh = 0.5 * h
+        k1v = accel(pos, vel)
+        k2x = [a + hh * b for a, b in zip(vel, k1v)]
+        k2v = accel([a + hh * b for a, b in zip(pos, vel)], k2x)
+        k3x = [a + hh * b for a, b in zip(vel, k2v)]
+        k3v = accel([a + hh * b for a, b in zip(pos, k2x)], k3x)
+        k4x = [a + h * b for a, b in zip(vel, k3v)]
+        k4v = accel([a + h * b for a, b in zip(pos, k3x)], k4x)
+        h6 = h / 6.0
+        new_pos = [a + h6 * (((b + 2.0 * c) + 2.0 * d) + e)
+                   for a, b, c, d, e in zip(pos, vel, k2x, k3x, k4x)]
+        new_vel = [a + h6 * (((b + 2.0 * c) + 2.0 * d) + e)
+                   for a, b, c, d, e in zip(vel, k1v, k2v, k3v, k4v)]
+        limit = _STEP_GROWTH**2 * _norm_sq(vel)
+        ok = all(_within_growth(w, vel, limit) for w in (k2x, k3x, k4x, new_vel))
+        return new_pos, new_vel, ok and all(map(math.isfinite, new_pos))
 
+    x = tuple(x.tolist())
+    v = tuple(v.tolist())
     times = [0.0]
-    positions = [x.copy()]
-    velocities = [v.copy()]
+    positions = [x]
+    velocities = [v]
     t = 0.0
     h = step
     blew_up = False
     blow_time = None
     min_step = step * 2.0**-45
+    speed_sq = _BLOWUP_SPEED**2
     while t < t_max - 1e-15:
         h = min(step, 2.0 * h, t_max - t)
         while True:
@@ -466,22 +546,18 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
                 break
         if blew_up:
             break
-        x, v = nx, nv
+        x, v = tuple(nx), tuple(nv)
         t += h
         times.append(t)
-        positions.append(x.copy())
-        velocities.append(v.copy())
-        if np.linalg.norm(v) >= _BLOWUP_SPEED:
+        positions.append(x)
+        velocities.append(v)
+        s = _norm_sq(v)
+        if (np.linalg.norm(v) >= _BLOWUP_SPEED if _near(s, speed_sq)
+                else s >= speed_sq):
             blew_up = True
             blow_time = t
             break
-    return GeodesicResult(
-        tuple(times),
-        tuple(tuple(p) for p in positions),
-        tuple(tuple(w) for w in velocities),
-        blew_up,
-        blow_time,
-    )
+    return GeodesicResult(tuple(times), tuple(positions), tuple(velocities), blew_up, blow_time)
 
 
 # -- JSON connection files ------------------------------------------------

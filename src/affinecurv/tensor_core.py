@@ -34,6 +34,7 @@ __all__ = [
     "perp_basis",
     "perp_basis_batch",
     "model_to_json_dict",
+    "model_to_json_text",
     "model_from_json_dict",
     "save_model",
     "load_model",
@@ -279,28 +280,35 @@ def model_from_json_dict(data):
     return CurvatureTensor._own(arr)
 
 
-# One entry row as json.dump(..., indent=2) lays it out at depth 2.
-_ROW = "    [\n" + "      %s,\n" * 4 + "      %s\n    ]"
-
-
-def save_model(A, path):
-    """Write A as the text json.dump(model_to_json_dict(A), fh,
-    sort_keys=True, indent=2) writes, plus a newline, from one row
+def model_to_json_text(A, depth=0):
+    """The text json.dumps(model_to_json_dict(A), sort_keys=True, indent=2)
+    gives, nested `depth` levels deep in an indent=2 document (every line
+    after the first indented by 2 * depth more spaces), built from one row
     template.  Values are written with float.__repr__, as the json module
     does; non-finite values, which JSON cannot hold, raise ValueError."""
+    pad = "  " * depth
     idx, vals = _nonzero(A)
     if not np.all(np.isfinite(vals)):
         raise ValueError("model has non-finite entries, which JSON cannot hold")
     if len(vals):
+        row = pad + "    [\n" + (pad + "      %s,\n") * 4 + pad + "      %s\n" + pad + "    ]"
         cells = np.empty((len(vals), 5), dtype=object)
         cells[:, :4] = np.array([str(v) for v in range(A.dim)], dtype=object)[idx]
         cells[:, 4] = list(map(float.__repr__, vals.tolist()))
-        rows = ",\n".join([_ROW] * len(vals)) % tuple(cells.ravel().tolist())
-        entries = "[\n%s\n  ]" % rows
+        rows = ",\n".join([row] * len(vals)) % tuple(cells.ravel().tolist())
+        entries = "[\n%s\n%s  ]" % (rows, pad)
     else:
         entries = "[]"
+    return '{\n%s  "dim": %d,\n%s  "entries": %s\n%s}' % (pad, A.dim, pad, entries, pad)
+
+
+def save_model(A, path):
+    """Write model_to_json_text(A) plus a newline: the text of
+    json.dump(model_to_json_dict(A), fh, sort_keys=True, indent=2)."""
+    text = model_to_json_text(A)
     with open(path, "w") as fh:
-        fh.write('{\n  "dim": %d,\n  "entries": %s\n}\n' % (A.dim, entries))
+        fh.write(text)
+        fh.write("\n")
 
 
 def load_model(path):

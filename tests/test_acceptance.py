@@ -119,7 +119,7 @@ ADAMS_CASES = [
     (3, "2", "admissible"),
     (3, "1,1", "inadmissible"),
     (5, "4", "admissible"),
-    (5, "4c", "admissible"),
+    (5, "4c", "inadmissible"),
     (5, "2,2", "inadmissible"),
     (7, "6", "admissible"),
     (7, "2,4c", "inadmissible"),

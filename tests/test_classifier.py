@@ -1,5 +1,7 @@
 """Sampled Osserman verdicts, taxonomy matching, eigenbundle bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,14 @@ from affinecurv.classifier import (
     match_taxonomy,
     sample_sphere,
 )
-from affinecurv.constructors import StructureSpec, constant_curvature, realize
+from affinecurv.constructors import (
+    _CASES,
+    StructureSpec,
+    _dimension_ok,
+    case_constraints,
+    constant_curvature,
+    realize,
+)
 from affinecurv.spectral import spectrum
 from affinecurv.tensor_core import CurvatureTensor, reduced_jacobi
 
@@ -237,7 +246,7 @@ def test_bundle_partition_validation():
 ADAMS_TABLE = [
     (3, (2,), ("real",), "admissible"),
     (3, (1, 1), ("real", "real"), "inadmissible"),
-    (5, (4,), ("complex-pair",), "admissible"),
+    (5, (4,), ("complex-pair",), "inadmissible"),
     (6, (5,), ("real",), "admissible"),
     (6, (1, 4), ("real", "complex-pair"), "admissible"),
     (6, (1, 1, 3), ("real", "real", "real"), "inadmissible"),
@@ -260,6 +269,57 @@ def test_adams_table(m, dims, kinds, expected):
     assert result.status == expected
     if expected == "inadmissible":
         assert result.reason
+
+
+def _partitions(n, parts, largest=None):
+    """Partitions of n into at most `parts` parts, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _bundle_partitions(m, parts):
+    """Every BundlePartition of R^m with at most `parts` bundles: each even
+    rank may be real or a conjugate pair."""
+    seen = set()
+    for dims in _partitions(m - 1, parts):
+        choices = [("real", "complex-pair") if d % 2 == 0 else ("real",) for d in dims]
+        for kinds in itertools.product(*choices):
+            part = BundlePartition(m=m, dims=dims, kinds=kinds)
+            key = tuple(zip(part.dims, part.kinds))
+            if key not in seen:
+                seen.add(key)
+                yield key, part
+
+
+def _realized(m):
+    """The (rank, kind) multisets of the case labels that exist at m."""
+    out = set()
+    for case, (dim_class, *_rest) in _CASES.items():
+        reals, pairs = case_constraints(case, m)
+        if _dimension_ok(dim_class, m) and min(reals + pairs) >= 1:
+            bundles = [(d, "real") for d in reals] + [(2 * d, "complex-pair") for d in pairs]
+            out.add(tuple(sorted(bundles)))
+    return out
+
+
+def test_adams_gate_admits_exactly_the_realized_partitions():
+    # The gate rejects more bundles than its limit (1 at odd m, 2 at
+    # m = 2 mod 4, 4 at m = 4 mod 8) on the count alone, so partitions with
+    # up to one bundle more cover every case where it could differ from
+    # the case table.
+    for m in range(3, 65):
+        if m % 8 == 0:
+            continue
+        parts = 2 if m % 2 else 3 if m % 4 == 2 else 5
+        admitted = {key for key, part in _bundle_partitions(m, parts)
+                    if adams_admissible(m, part).status == "admissible"}
+        assert admitted == _realized(m), m
 
 
 def test_adams_m_mismatch():

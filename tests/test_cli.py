@@ -75,6 +75,17 @@ def test_realize_inlines_model_without_out(capsys):
     assert data["model"]["dim"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--case", "3-g", "--m", "8", "--lambda=1", "--lambda=2", "--lambda=-3", "--nu=0.5+0.1i"],
+    ["--case", "3-e-iii", "--m", "8", "--lambda=0.6666666666666666", "--nu=1.5+2i"],
+    ["--case", "1", "--m", "3", "--lambda=1e-300"],
+])
+def test_realize_inline_report_is_the_json_dumps_text(capsys, argv):
+    code, out, _ = run_cli(capsys, "realize", *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_classify_affine_exit(capsys, affine_model):
     code, out, _ = run_cli(capsys, "classify", str(affine_model), "--samples", "4")
     assert code == 1

@@ -49,6 +49,29 @@ REPORTS = {
         "extend", "--builtin", "homogeneous", "--m", "4", "--eps", "0.5",
         "--kind", "deformed", "--vectors", "3",
     ],
+    # Bounded RK4 runs of 500 plain steps to t = 1, from states with
+    # negative components, a bounded plane-wave run and a blow-up.
+    "geometry_geodesic_homogeneous_m3.json": [
+        "geometry", "--builtin", "homogeneous", "--m", "3", "--eps", "1",
+        "--geodesic", "0.1,-0.2,0.3", "-0.1,0.2,0.15", "--t-max", "1", "--step", "0.002",
+    ],
+    "geometry_geodesic_homogeneous_m6.json": [
+        "geometry", "--builtin", "homogeneous", "--m", "6", "--eps", "1",
+        "--geodesic", "0.1,-0.2,0.3,0.05,-0.1,0.2", "-0.1,0.2,0.15,-0.05,0.1,0.12",
+        "--t-max", "1", "--step", "0.002",
+    ],
+    "geometry_geodesic_planewave.json": [
+        "geometry", "--builtin", "planewave", "--geodesic", "0.5,-0.25,1", "0.3,-0.4,0.2",
+        "--t-max", "2",
+    ],
+    "geometry_geodesic_blowup_m3.json": [
+        "geometry", "--builtin", "homogeneous", "--m", "3", "--eps", "1",
+        "--geodesic", "0,0,0", "0,0,-0.5", "--t-max", "2",
+    ],
+    # without --out the model is inlined in the report
+    "realize_2-c_m6_inline.json": [
+        "realize", "--case", "2-c", "--m", "6", "--lambda=1.25", "--nu=-0.7+0.3i",
+    ],
 }
 
 EXIT_CODES = {"extend_deformed_homogeneous_eps0.5_m4.json": 2}

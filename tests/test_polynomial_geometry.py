@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affinecurv.classifier import NEITHER, PROJECTIVE, is_projective_affine_osserman
 from affinecurv.constructors import constant_curvature
 from affinecurv.polynomial_geometry import (
     PolyConnection,
+    _norm_sq,
+    _within_growth,
     PolyCurvature,
     connection_from_json_dict,
     connection_from_symbols,
@@ -27,7 +29,7 @@ from affinecurv.polynomial_geometry import (
     save_connection,
     surface_projective_osserman,
 )
-from affinecurv.polynomials import Polynomial, parse_polynomial
+from affinecurv.polynomials import CompiledTable, Polynomial, parse_polynomial
 from affinecurv.riemannian_extension import (
     deformed_extension,
     levi_civita_block,
@@ -152,6 +154,20 @@ def test_evaluate_exact_returns_fractions():
     assert table[1][0][0][0] == Fraction(1, 3)
     assert table[0][1][1][1] == Fraction(-1, 3)
     assert table[0][2][2][0] == 1
+
+
+def test_evaluate_exact_equals_every_entry_evaluated():
+    C = connection_from_symbols(3, {(0, 0, 1): var(1, 3) * var(2, 3) + Fraction(1, 3),
+                                    (0, 1, 2): var(0, 3) - 2})
+    P = curvature(C)
+    pt = [Fraction(2, 3), Fraction(-1, 5), Fraction(7, 2)]
+    table = P.evaluate_exact(pt)
+    for i, j, k, l in np.ndindex(3, 3, 3, 3):
+        value = table[i][j][k][l]
+        assert type(value) is Fraction
+        assert value == P.riemann[i][j][k][l](pt)
+    with pytest.raises(ValueError):
+        curvature(flat_connection(3)).evaluate_exact([0, 0])
 
 
 # -- covariant derivative -------------------------------------------------
@@ -419,8 +435,8 @@ def dense_curvature(C):
 
 
 @st.composite
-def sparse_connections(draw):
-    m = draw(st.integers(min_value=2, max_value=4))
+def sparse_connections(draw, max_m=4, max_exp=2):
+    m = draw(st.integers(min_value=2, max_value=max_m))
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     keys = draw(st.lists(
         st.tuples(*(st.integers(min_value=0, max_value=m - 1),) * 3),
@@ -429,7 +445,7 @@ def sparse_connections(draw):
     for i, j, k in keys:
         poly = Polynomial.zero(m)
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            exps = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(m))
+            exps = tuple(draw(st.integers(min_value=0, max_value=max_exp)) for _ in range(m))
             poly = poly + Polynomial(m, {exps: draw(coeff)})
         symbols[(min(i, j), max(i, j), k)] = poly
     return connection_from_symbols(m, symbols)
@@ -577,3 +593,111 @@ def test_bounded_geodesic_takes_plain_steps():
     assert not res.blew_up
     assert len(res.times) == 501
     assert np.allclose(np.diff(res.times), 0.002, rtol=0, atol=1e-15)
+
+
+# -- geodesics against the numpy integrator --------------------------------
+
+
+def numpy_geodesic_integrate(C, x0, v0, t_max, step=1e-3):
+    """The integrator as it was written with numpy: the symbols from a
+    CompiledTable, the acceleration from einsum over the full m^3 table.
+    The float integrator must reproduce it bit for bit."""
+    m = C.dim
+    x = np.asarray(x0, dtype=float).copy()
+    v = np.asarray(v0, dtype=float).copy()
+    gamma_at = CompiledTable(C.gamma, (m,) * 3, m)
+
+    def accel(pos, vel):
+        return -np.einsum("ijk,i,j->k", gamma_at(pos), vel, vel)
+
+    def rk4(pos, vel, h):
+        k1x, k1v = vel, accel(pos, vel)
+        k2x, k2v = vel + 0.5 * h * k1v, accel(pos + 0.5 * h * k1x, vel + 0.5 * h * k1v)
+        k3x, k3v = vel + 0.5 * h * k2v, accel(pos + 0.5 * h * k2x, vel + 0.5 * h * k2v)
+        k4x, k4v = vel + h * k3v, accel(pos + h * k3x, vel + h * k3v)
+        new_pos = pos + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        new_vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        limit = 2.0**2 * (vel @ vel)
+        ok = all(w @ w <= limit for w in (k2x, k3x, k4x, new_vel))
+        return new_pos, new_vel, ok and bool(np.all(np.isfinite(new_pos)))
+
+    times, positions, velocities = [0.0], [x.copy()], [v.copy()]
+    t, h = 0.0, step
+    blew_up, blow_time = False, None
+    min_step = step * 2.0**-45
+    while t < t_max - 1e-15:
+        h = min(step, 2.0 * h, t_max - t)
+        while True:
+            nx, nv, ok = rk4(x, v, h)
+            if ok:
+                break
+            h *= 0.5
+            if h < min_step:
+                blew_up, blow_time = True, t
+                break
+        if blew_up:
+            break
+        x, v = nx, nv
+        t += h
+        times.append(t)
+        positions.append(x.copy())
+        velocities.append(v.copy())
+        if np.linalg.norm(v) >= 1e8:
+            blew_up, blow_time = True, t
+            break
+    return times, positions, velocities, blew_up, blow_time
+
+
+def _bits(rows):
+    return [[float(a).hex() for a in row] for row in rows]
+
+
+def _blow_up_problem(v, offset):
+    pole = 1.0 / (2.0 * v)
+    step = pole / (500 + offset)
+    return (curvature_homogeneous_connection(3, eps=1), [0.0, 0.0, 0.0], [0.0, 0.0, -v],
+            2.0 * pole, step)
+
+
+@st.composite
+def geodesic_problems(draw):
+    C = draw(sparse_connections(max_m=5, max_exp=3))
+    coords = st.floats(min_value=-1.5, max_value=1.5, allow_subnormal=False)
+    x0 = draw(st.lists(coords, min_size=C.dim, max_size=C.dim))
+    v0 = draw(st.lists(coords, min_size=C.dim, max_size=C.dim))
+    t_max = draw(st.floats(min_value=0.01, max_value=1.0))
+    step = draw(st.floats(min_value=0.005, max_value=0.1))
+    return C, x0, v0, t_max, step
+
+
+@settings(max_examples=60, deadline=None)
+@given(geodesic_problems())
+@example(_blow_up_problem(0.45, 0.5))
+@example(_blow_up_problem(0.5, 0.75))
+@example(_blow_up_problem(0.55, 0.9))
+def test_geodesic_matches_numpy_reference_bit_for_bit(problem):
+    C, x0, v0, t_max, step = problem
+    res = geodesic_integrate(C, x0, v0, t_max, step=step)
+    times, positions, velocities, blew_up, blow_time = numpy_geodesic_integrate(
+        C, x0, v0, t_max, step=step)
+    assert [t.hex() for t in res.times] == [t.hex() for t in times]
+    assert _bits(res.positions) == _bits(positions)
+    assert _bits(res.velocities) == _bits(velocities)
+    assert res.blew_up == blew_up
+    assert res.blow_up_time == blow_time
+
+
+def test_growth_test_decides_ties_as_numpy_does():
+    # w against a permutation of w / 2 is a tie in exact arithmetic; the
+    # plain sums and numpy's dot round it either way, and numpy must win
+    rng = np.random.default_rng(5)
+    differs = 0
+    for _ in range(300):
+        w = rng.standard_normal(3)
+        for perm in ([1, 2, 0], [2, 0, 1], [1, 0, 2]):
+            vel = w[perm] / 2
+            want = bool(w @ w <= 4.0 * (vel @ vel))
+            limit = 4.0 * _norm_sq(vel.tolist())
+            assert _within_growth(w.tolist(), vel.tolist(), limit) == want
+            differs += (_norm_sq(w.tolist()) <= limit) != want
+    assert differs > 0

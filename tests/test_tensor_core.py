@@ -13,6 +13,7 @@ from affinecurv.tensor_core import (
     load_model,
     model_from_json_dict,
     model_to_json_dict,
+    model_to_json_text,
     perp_basis,
     reduced_jacobi,
     save_model,
@@ -235,6 +236,22 @@ def test_save_model_of_the_zero_model(tmp_path):
     path = tmp_path / "zero.json"
     save_model(A, path)
     assert path.read_text() == _json_dump_text(A) == '{\n  "dim": 3,\n  "entries": []\n}\n'
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_model_text_nests_as_json_dumps_does(depth):
+    rng = np.random.default_rng(depth)
+    e = np.where(rng.random((3,) * 4) < 0.3, rng.standard_normal((3,) * 4), 0.0)
+    holder = "\0model"
+    for A in (CurvatureTensor(e), CurvatureTensor(np.zeros((2,) * 4))):
+        nested, placeheld = model_to_json_dict(A), holder
+        for level in range(depth):
+            nested = {"b": nested, "c": level}
+            placeheld = {"b": placeheld, "c": level}
+        want = json.dumps(nested, indent=2, sort_keys=True)
+        got = json.dumps(placeheld, indent=2, sort_keys=True).replace(
+            json.dumps(holder), model_to_json_text(A, depth))
+        assert got == want
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
