@@ -6,6 +6,15 @@ report regenerates its file and says why in CHANGES.md, e.g.
     PYTHONPATH=src python -m affinecurv.cli extend --builtin planewave \
         --vectors 3 > tests/golden/extend_planewave.json
 
+The model files that `classify` and `symm` read sit next to the reports:
+`classify_affine_planewave.model.json` is the `geometry --builtin planewave
+--at 0.2,1.5,-0.3 --model-out` model, `classify_neither_m5.model.json` the
+curvature tensor of the rank-3 projection of R^5 (nilpotent Jacobi
+operators along its kernel only) and `symm_fail_m3.model.json` a hand-made
+tensor that is antisymmetric but fails the cyclic identity.  A
+`classify_<label>_m<m>.json` report classifies the model that `realize`
+writes from the arguments in CLASSIFY.
+
 A `realize_<label>_m<m>.json` report comes with the model file it wrote,
 `realize_<label>_m<m>.model.json`; both are made in the directory that
 holds the model file, so that the report's "out" is "model.json":
@@ -72,9 +81,49 @@ REPORTS = {
     "realize_2-c_m6_inline.json": [
         "realize", "--case", "2-c", "--m", "6", "--lambda=1.25", "--nu=-0.7+0.3i",
     ],
+    # The gate: admissible, each inadmissible reason, unconstrained.
+    "adams_m6_1_4c.json": ["adams", "--m", "6", "--partition", "1,4c"],
+    "adams_m3_1_1.json": ["adams", "--m", "3", "--partition", "1,1"],
+    "adams_m5_4c.json": ["adams", "--m", "5", "--partition", "4c"],
+    "adams_m6_1_1_3.json": ["adams", "--m", "6", "--partition", "1,1,3"],
+    "adams_m12_2_2_3_4c.json": ["adams", "--m", "12", "--partition", "2,2,3,4c"],
+    "adams_m8_1_1_1_4c.json": ["adams", "--m", "8", "--partition", "1,1,1,4c"],
+    "classify_affine_planewave.json": [
+        "classify", str(GOLDEN / "classify_affine_planewave.model.json"), "--samples", "16",
+    ],
+    "classify_neither_m5.json": [
+        "classify", str(GOLDEN / "classify_neither_m5.model.json"), "--samples", "16",
+    ],
+    "symm_realize_2-c_m6.json": ["symm", str(GOLDEN / "realize_2-c_m6.model.json")],
+    "symm_fail_m3.json": ["symm", str(GOLDEN / "symm_fail_m3.model.json")],
+    "geometry_jordan_homogeneous_m3.json": [
+        "geometry", "--builtin", "homogeneous", "--m", "3", "--eps", "1",
+        "--jordan-at", "0.7071067811865476,0,0.7071067811865476",
+    ],
 }
 
-EXIT_CODES = {"extend_deformed_homogeneous_eps0.5_m4.json": 2}
+EXIT_CODES = {
+    "extend_deformed_homogeneous_eps0.5_m4.json": 2,
+    "adams_m3_1_1.json": 2,
+    "adams_m5_4c.json": 2,
+    "adams_m6_1_1_3.json": 2,
+    "adams_m12_2_2_3_4c.json": 2,
+    "classify_affine_planewave.json": 1,
+    "classify_neither_m5.json": 2,
+    "symm_fail_m3.json": 2,
+}
+
+# One model per residue class with a listed case, and 3-g at m = 8, where
+# realize builds the model but the structure is "unlisted" and the gate
+# says "unconstrained".
+CLASSIFY = {
+    "classify_1_m7": ["--case", "1", "--m", "7", "--lambda=0.3333333333333333"],
+    "classify_2-c_m10": ["--case", "2-c", "--m", "10", "--lambda=-1.5", "--nu=0.25+0.75i"],
+    "classify_3-g_m12": ["--case", "3-g", "--m", "12", "--lambda=1", "--lambda=2",
+                         "--lambda=-3", "--nu=0.5+0.1i"],
+    "classify_3-g_m8": ["--case", "3-g", "--m", "8", "--lambda=1", "--lambda=2",
+                        "--lambda=-3", "--nu=0.5+0.1i"],
+}
 
 
 # One label per constructor path: the constant-curvature family, both
@@ -111,3 +160,14 @@ def test_realize_report_and_model_file_match_golden_files(name, capsys, tmp_path
     assert code == 0
     assert out.encode() == (GOLDEN / (name + ".json")).read_bytes()
     assert (tmp_path / "model.json").read_bytes() == (GOLDEN / (name + ".model.json")).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY))
+def test_classify_report_of_a_realized_model_matches_golden_file(name, capsys, tmp_path):
+    model = str(tmp_path / "model.json")
+    assert main(["realize"] + CLASSIFY[name] + ["--out", model]) == 0
+    capsys.readouterr()
+    code = main(["classify", model, "--samples", "16"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / (name + ".json")).read_bytes()
