@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .constructors import CASE_LABELS, StructureSpec, case_constraints
+from .constructors import StructureSpec, _listed_cases
 from .spectral import Spectrum, mu_vector
 from .tensor_core import check_affine_symmetries, reduced_jacobi_batch
 
@@ -229,14 +229,15 @@ def _reduced_pattern(S):
     return reals, pairs
 
 
-def _candidate_cases(m):
-    if m % 2 == 1:
-        return [c for c in CASE_LABELS if c == "1"]
-    if m % 4 == 2:
-        return [c for c in CASE_LABELS if c.startswith("2-")]
-    if m % 8 == 4:
-        return [c for c in CASE_LABELS if c.startswith("3-")]
-    return []  # m = 0 mod 8: no listed eigenvalue structures
+def _in_slot_order(want, found):
+    """Values of `found`, (value, mult) pairs in ascending value order
+    whose mults are the multiset `want`, placed in the slots of `want`:
+    slots with equal multiplicity take ascending values."""
+    slots = sorted(range(len(want)), key=lambda i: (want[i], i))
+    out = [None] * len(want)
+    for slot, (value, _) in zip(slots, sorted(found, key=lambda t: t[1])):
+        out[slot] = value
+    return tuple(out)
 
 
 def match_taxonomy(S, m, tol=1e-8):
@@ -253,31 +254,10 @@ def match_taxonomy(S, m, tol=1e-8):
         )
     real_mults = sorted(mm for _, mm in reals)
     pair_mults = sorted(mm for _, mm in pairs)
-    for case in _candidate_cases(m):
-        want_real, want_pair = case_constraints(case, m)
-        if sorted(want_real) != real_mults or sorted(want_pair) != pair_mults:
-            continue
-        # Assign eigenvalues to declaration slots: slots with equal
-        # multiplicity are filled in ascending value order.
-        lam_pool = sorted(reals, key=lambda t: (t[1], t[0]))
-        nu_pool = sorted(pairs, key=lambda t: (t[1], t[0].real, t[0].imag))
-        lambdas = [None] * len(want_real)
-        nus = [None] * len(want_pair)
-        for slot in sorted(range(len(want_real)), key=lambda i: (want_real[i], i)):
-            for idx, (value, mm) in enumerate(lam_pool):
-                if mm == want_real[slot]:
-                    lambdas[slot] = value
-                    lam_pool.pop(idx)
-                    break
-        for slot in sorted(range(len(want_pair)), key=lambda i: (want_pair[i], i)):
-            for idx, (value, mm) in enumerate(nu_pool):
-                if mm == want_pair[slot]:
-                    nus[slot] = value
-                    nu_pool.pop(idx)
-                    break
-        if any(v is None for v in lambdas) or any(v is None for v in nus):
-            continue
-        return StructureSpec(case=case, lambdas=tuple(lambdas), nus=tuple(nus), m=m)
+    for case, want_real, want_pair in _listed_cases(m):
+        if sorted(want_real) == real_mults and sorted(want_pair) == pair_mults:
+            return StructureSpec(case=case, lambdas=_in_slot_order(want_real, reals),
+                                 nus=_in_slot_order(want_pair, pairs), m=m)
     return "unlisted"
 
 
@@ -353,44 +333,40 @@ class AdamsResult:
 def adams_admissible(m, partition):
     """Gate a bundle partition by the sphere vector-field bounds.
 
-    With m odd a continuous eigenbundle decomposition of the sphere's
-    tangent bundle must be trivial (one bundle of rank m - 1), and that
-    bundle must be real: a projectively constant conjugate pair would give
-    a complex structure on X^perp that is even in X, hence on the tangent
-    bundle of RP^(m-1), which is not orientable for m odd.  For
-    m = 2 mod 4 at most two bundles may occur and one must have rank at
-    least m - 2; for m = 4 mod 8 at most four bundles with one of rank at
-    least m - 4.  For m = 0 mod 8 the bound is vacuous.
+    For m = 1 mod 2, 2 mod 4 and 4 mod 8 the listed cases realize exactly
+    the partitions that Adams' bound admits, so the gate admits a partition
+    when it is the bundle shape of a case listed at m.  The bound allows
+    at most as many bundles as the case with the most, and a largest rank
+    no smaller than the smallest top rank of a case: one real bundle for m
+    odd, two with one of rank at least m - 2 for m = 2 mod 4, four with
+    one of rank at least m - 4 for m = 4 mod 8.  A conjugate pair at m odd
+    would give a complex structure on X^perp that is even in X, hence on
+    the tangent bundle of RP^(m-1), which is not orientable.  For
+    m = 0 mod 8 no case is listed and the bound is vacuous.
     """
     if partition.m != m:
         raise ValueError("partition was built for m=%d, not m=%d" % (partition.m, m))
-    count = len(partition.dims)
-    top = max(partition.dims)
-    if m % 2 == 1:
-        if count > 1:
-            return AdamsResult(
-                "inadmissible", "odd m admits a single eigenbundle, got %d" % count
-            )
-        if partition.kinds[0] == "complex-pair":
-            return AdamsResult(
-                "inadmissible",
-                "odd m admits no conjugate-pair bundle: RP^%d is not orientable, "
-                "so it has no almost complex structure" % (m - 1),
-            )
-        return AdamsResult("admissible")
-    if m % 4 == 2:
-        limit, floor = 2, m - 2
-    elif m % 8 == 4:
-        limit, floor = 4, m - 4
-    else:
+    # (rank, kind) pairs in the order of BundlePartition
+    shapes = [sorted([(k, "real") for k in reals] + [(2 * k, "complex-pair") for k in pairs])
+              for _, reals, pairs in _listed_cases(m)]
+    if not shapes:
         return AdamsResult("unconstrained")
-    if count > limit:
-        return AdamsResult(
-            "inadmissible", "at most %d eigenbundles allowed for m=%d, got %d" % (limit, m, count)
+    if list(zip(partition.dims, partition.kinds)) in shapes:
+        return AdamsResult("admissible")
+    count, top = len(partition.dims), max(partition.dims)
+    limit = max(len(shape) for shape in shapes)
+    floor = min(shape[-1][0] for shape in shapes)
+    if count > limit and m % 2:
+        reason = "odd m admits a single eigenbundle, got %d" % count
+    elif count > limit:
+        reason = "at most %d eigenbundles allowed for m=%d, got %d" % (limit, m, count)
+    elif top < floor:
+        reason = "largest bundle rank %d is below the floor %d for m=%d" % (top, floor, m)
+    else:
+        # Within the count and the floor only a single bundle of rank
+        # m - 1 at m odd is not a case shape: a conjugate pair.
+        reason = (
+            "odd m admits no conjugate-pair bundle: RP^%d is not orientable, "
+            "so it has no almost complex structure" % (m - 1)
         )
-    if top < floor:
-        return AdamsResult(
-            "inadmissible",
-            "largest bundle rank %d is below the floor %d for m=%d" % (top, floor, m),
-        )
-    return AdamsResult("admissible")
+    return AdamsResult("inadmissible", reason)

@@ -246,42 +246,92 @@ def quaternion_model(Q, j1_value, j2_value, j3_value, perp_value, perp_skew, pla
 
 # -- case table and realization -------------------------------------------
 
-CASE_LABELS = (
-    "1",
-    "2-a", "2-b", "2-c",
-    "3-a", "3-b-i", "3-b-ii", "3-b-iii", "3-c-i", "3-c-ii", "3-d",
-    "3-e-i", "3-e-ii", "3-e-iii", "3-f-i", "3-f-ii", "3-g", "3-h",
-)
 
-# label -> (dimension class, #lambda, #nu, real slot mults, pair slot mults,
-#           zero eigenvalue permitted).  Mults are in declaration order:
-# lambda_1.. first, then nu_1.. .
+def _constant_model(m, value):
+    """value * constant_curvature(m), scaled slab by slab."""
+    eye = np.eye(m)
+    return _from_slabs(m, lambda i: value * _constant_curvature_slab(eye, i))
+
+
+def _complex_model(m, *args):
+    """complex_model on the standard complex structure of R^m."""
+    return complex_model(standard_complex_structure(m), *args)
+
+
+def _quaternion_model(m, *args):
+    """quaternion_model on the standard quaternion structure of R^m."""
+    return quaternion_model(standard_quaternion_structure(m), *args)
+
+
+# label -> (modulus, residue, real slot mults, pair slot mults, builder,
+#           builder arguments).  The case exists at m when m % modulus ==
+# residue and every slot is nonempty.  Mults are in slot order, lambda_1..
+# first, then nu_1.. .  realize returns builder(m, *arguments(v, re, im))
+# for the real eigenvalues v and the real and imaginary parts re, im of
+# the nus.
 _CASES = {
-    "1":       ("odd",  1, 0, lambda m: (m - 1,),          lambda m: (),             False),
-    "2-a":     ("2mod4", 1, 0, lambda m: (m - 1,),         lambda m: (),             False),
-    "2-b":     ("2mod4", 2, 0, lambda m: (1, m - 2),       lambda m: (),             True),
-    "2-c":     ("2mod4", 1, 1, lambda m: (1,),             lambda m: ((m - 2) // 2,), True),
-    "3-a":     ("0mod4", 1, 0, lambda m: (m - 1,),         lambda m: (),             False),
-    "3-b-i":   ("0mod4", 2, 0, lambda m: (1, m - 2),       lambda m: (),             True),
-    "3-b-ii":  ("0mod4", 2, 0, lambda m: (2, m - 3),       lambda m: (),             True),
-    "3-b-iii": ("0mod4", 2, 0, lambda m: (3, m - 4),       lambda m: (),             True),
-    "3-c-i":   ("0mod4", 3, 0, lambda m: (1, 1, m - 3),    lambda m: (),             True),
-    "3-c-ii":  ("0mod4", 3, 0, lambda m: (1, 2, m - 4),    lambda m: (),             True),
-    "3-d":     ("0mod4", 4, 0, lambda m: (1, 1, 1, m - 4), lambda m: (),             True),
-    "3-e-i":   ("0mod4", 1, 1, lambda m: (1,),             lambda m: ((m - 2) // 2,), True),
-    "3-e-ii":  ("0mod4", 1, 1, lambda m: (3,),             lambda m: ((m - 4) // 2,), True),
-    "3-e-iii": ("0mod4", 1, 1, lambda m: (m - 3,),         lambda m: (1,),           True),
-    "3-f-i":   ("0mod4", 2, 1, lambda m: (1, 2),           lambda m: ((m - 4) // 2,), True),
-    "3-f-ii":  ("0mod4", 2, 1, lambda m: (1, m - 4),       lambda m: (1,),           True),
-    "3-g":     ("0mod4", 3, 1, lambda m: (1, 1, 1),        lambda m: ((m - 4) // 2,), True),
-    "3-h":     ("0mod4", 1, 2, lambda m: (1,),             lambda m: (1, (m - 4) // 2), True),
+    "1":       (2, 1, lambda m: (m - 1,), lambda m: (), _constant_model,
+                lambda v, re, im: (v[0],)),
+    "2-a":     (4, 2, lambda m: (m - 1,), lambda m: (), _constant_model,
+                lambda v, re, im: (v[0],)),
+    "2-b":     (4, 2, lambda m: (1, m - 2), lambda m: (), _complex_model,
+                lambda v, re, im: (v[0], v[1], 0.0)),
+    "2-c":     (4, 2, lambda m: (1,), lambda m: ((m - 2) // 2,), _complex_model,
+                lambda v, re, im: (v[0], re[0], im[0])),
+    "3-a":     (4, 0, lambda m: (m - 1,), lambda m: (), _constant_model,
+                lambda v, re, im: (v[0],)),
+    "3-b-i":   (4, 0, lambda m: (1, m - 2), lambda m: (), _complex_model,
+                lambda v, re, im: (v[0], v[1], 0.0)),
+    "3-b-ii":  (4, 0, lambda m: (2, m - 3), lambda m: (), _quaternion_model,
+                lambda v, re, im: (v[0], v[0], v[1], v[1], 0.0, 0.0)),
+    "3-b-iii": (4, 0, lambda m: (3, m - 4), lambda m: (), _quaternion_model,
+                lambda v, re, im: (v[0], v[0], v[0], v[1], 0.0, 0.0)),
+    "3-c-i":   (4, 0, lambda m: (1, 1, m - 3), lambda m: (), _quaternion_model,
+                lambda v, re, im: (v[0], v[1], v[2], v[2], 0.0, 0.0)),
+    "3-c-ii":  (4, 0, lambda m: (1, 2, m - 4), lambda m: (), _quaternion_model,
+                lambda v, re, im: (v[0], v[1], v[1], v[2], 0.0, 0.0)),
+    "3-d":     (4, 0, lambda m: (1, 1, 1, m - 4), lambda m: (), _quaternion_model,
+                lambda v, re, im: (v[0], v[1], v[2], v[3], 0.0, 0.0)),
+    "3-e-i":   (4, 0, lambda m: (1,), lambda m: ((m - 2) // 2,), _quaternion_model,
+                lambda v, re, im: (v[0], re[0], re[0], re[0], im[0], im[0])),
+    "3-e-ii":  (4, 0, lambda m: (3,), lambda m: ((m - 4) // 2,), _quaternion_model,
+                lambda v, re, im: (v[0], v[0], v[0], re[0], im[0], 0.0)),
+    "3-e-iii": (4, 0, lambda m: (m - 3,), lambda m: (1,), _quaternion_model,
+                lambda v, re, im: (v[0], re[0], re[0], v[0], 0.0, im[0])),
+    "3-f-i":   (4, 0, lambda m: (1, 2), lambda m: ((m - 4) // 2,), _quaternion_model,
+                lambda v, re, im: (v[0], v[1], v[1], re[0], im[0], 0.0)),
+    "3-f-ii":  (4, 0, lambda m: (1, m - 4), lambda m: (1,), _quaternion_model,
+                lambda v, re, im: (v[0], re[0], re[0], v[1], 0.0, im[0])),
+    "3-g":     (4, 0, lambda m: (1, 1, 1), lambda m: ((m - 4) // 2,), _quaternion_model,
+                lambda v, re, im: (v[0], v[1], v[2], re[0], im[0], 0.0)),
+    "3-h":     (4, 0, lambda m: (1,), lambda m: (1, (m - 4) // 2), _quaternion_model,
+                lambda v, re, im: (v[0], re[0], re[0], re[1], im[1], im[0])),
 }
+
+CASE_LABELS = tuple(_CASES)
 
 
 def case_constraints(case, m):
     """(real multiplicities, pair multiplicities) for a case at dimension m."""
     info = _CASES[case]
-    return info[3](m), info[4](m)
+    return info[2](m), info[3](m)
+
+
+def _listed_cases(m):
+    """(label, real mults, pair mults) of each case the taxonomy lists at m,
+    in table order: those whose residue class holds m and whose slots are
+    all nonempty.  They are the classification for m odd, 2 mod 4 and
+    4 mod 8.  For m = 0 mod 8 the sphere bound is vacuous and nothing is
+    listed, though realize still builds the 3-x cases there."""
+    if m % 8 == 0:
+        return []
+    out = []
+    for case, (modulus, residue, real_mults, pair_mults, *_) in _CASES.items():
+        if m % modulus == residue:
+            reals, pairs = real_mults(m), pair_mults(m)
+            if min(reals + pairs) >= 1:
+                out.append((case, reals, pairs))
+    return out
 
 
 @dataclass(frozen=True)
@@ -330,31 +380,24 @@ class StructureSpec:
         )
 
 
-def _dimension_ok(dim_class, m):
-    if dim_class == "odd":
-        return m % 2 == 1
-    if dim_class == "2mod4":
-        return m % 4 == 2
-    return m % 4 == 0
-
-
 def _validate(spec, m):
-    dim_class, n_lam, n_nu, real_mults, pair_mults, zero_ok = _CASES[spec.case]
+    modulus, residue, real_mults, pair_mults = _CASES[spec.case][:4]
     if spec.m is not None and spec.m != m:
         raise ValueError("spec carries m=%d but realize was given m=%d" % (spec.m, m))
     if m < 2:
         raise ValueError("need m >= 2")
-    if not _dimension_ok(dim_class, m):
+    if m % modulus != residue:
         raise ValueError(
-            "case %s needs dimension class %s; m=%d does not qualify"
-            % (spec.case, dim_class, m)
+            "case %s needs dimension class m = %d mod %d; m=%d does not qualify"
+            % (spec.case, residue, modulus, m)
         )
-    if len(spec.lambdas) != n_lam or len(spec.nus) != n_nu:
+    reals, pairs = real_mults(m), pair_mults(m)
+    if len(spec.lambdas) != len(reals) or len(spec.nus) != len(pairs):
         raise ValueError(
             "case %s takes %d real and %d complex eigenvalues, got %d and %d"
-            % (spec.case, n_lam, n_nu, len(spec.lambdas), len(spec.nus))
+            % (spec.case, len(reals), len(pairs), len(spec.lambdas), len(spec.nus))
         )
-    for mults, what in ((real_mults(m), "real"), (pair_mults(m), "complex")):
+    for mults, what in ((reals, "real"), (pairs, "complex")):
         for slot, mult in enumerate(mults):
             if mult < 1:
                 raise ValueError(
@@ -369,7 +412,9 @@ def _validate(spec, m):
                     "case %s requires distinct eigenvalues; got a repeat %r"
                     % (spec.case, values[i])
                 )
-    if not zero_ok and spec.lambdas[0] == 0.0:
+    # Distinct values are not all zero unless there is one; a lone zero
+    # eigenvalue gives the zero model, which is affine Osserman.
+    if not any(values):
         raise ValueError("case %s needs a nonzero eigenvalue" % spec.case)
 
 
@@ -381,53 +426,7 @@ def realize(spec, m):
     multiplicity, and pairwise distinctness of the eigenvalue data.
     """
     _validate(spec, m)
-    case = spec.case
-    lams = spec.lambdas
-    nus = spec.nus
-
-    if case in ("1", "2-a", "3-a"):
-        eye = np.eye(m)
-        return _from_slabs(m, lambda i: lams[0] * _constant_curvature_slab(eye, i))
-
-    if case in ("2-b", "3-b-i"):
-        J = standard_complex_structure(m)
-        return complex_model(J, lams[0], lams[1], 0.0)
-    if case == "2-c":
-        J = standard_complex_structure(m)
-        return complex_model(J, lams[0], nus[0].real, nus[0].imag)
-
-    Q = standard_quaternion_structure(m)
-    if case == "3-b-ii":
-        args = (lams[0], lams[0], lams[1], lams[1], 0.0, 0.0)
-    elif case == "3-b-iii":
-        args = (lams[0], lams[0], lams[0], lams[1], 0.0, 0.0)
-    elif case == "3-c-i":
-        args = (lams[0], lams[1], lams[2], lams[2], 0.0, 0.0)
-    elif case == "3-c-ii":
-        args = (lams[0], lams[1], lams[1], lams[2], 0.0, 0.0)
-    elif case == "3-d":
-        args = (lams[0], lams[1], lams[2], lams[3], 0.0, 0.0)
-    elif case == "3-e-i":
-        nu = nus[0]
-        args = (lams[0], nu.real, nu.real, nu.real, nu.imag, nu.imag)
-    elif case == "3-e-ii":
-        nu = nus[0]
-        args = (lams[0], lams[0], lams[0], nu.real, nu.imag, 0.0)
-    elif case == "3-e-iii":
-        nu = nus[0]
-        args = (lams[0], nu.real, nu.real, lams[0], 0.0, nu.imag)
-    elif case == "3-f-i":
-        nu = nus[0]
-        args = (lams[0], lams[1], lams[1], nu.real, nu.imag, 0.0)
-    elif case == "3-f-ii":
-        nu = nus[0]
-        args = (lams[0], nu.real, nu.real, lams[1], 0.0, nu.imag)
-    elif case == "3-g":
-        nu = nus[0]
-        args = (lams[0], lams[1], lams[2], nu.real, nu.imag, 0.0)
-    elif case == "3-h":
-        nu1, nu2 = nus
-        args = (lams[0], nu1.real, nu1.real, nu2.real, nu2.imag, nu1.imag)
-    else:  # pragma: no cover
-        raise AssertionError(case)
-    return quaternion_model(Q, *args)
+    build, arguments = _CASES[spec.case][4:]
+    re = [nu.real for nu in spec.nus]
+    im = [nu.imag for nu in spec.nus]
+    return build(m, *arguments(spec.lambdas, re, im))

@@ -162,14 +162,18 @@ def curvature(C, with_nabla=False):
     verified as exact zero polynomials before returning.
     """
     m = C.dim
-    g = C.gamma
     rows = C.symbol_rows()
     zero = Polynomial.zero(m)
     R = [[[[zero] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(m):
-                acc = [g[j][k][l].diff(i) - g[i][k][l].diff(j) for l in range(m)]
+                # d_i G_jk^l - d_j G_ik^l over the nonzero symbols only
+                acc = [zero] * m
+                for l, p in rows[j][k]:
+                    acc[l] = p.diff(i)
+                for l, p in rows[i][k]:
+                    acc[l] = acc[l] - p.diff(j)
                 # sum_n G_in^l G_jk^n - G_jn^l G_ik^n over nonzero pairs only
                 for n, b in rows[j][k]:
                     for l, a in rows[i][n]:
@@ -209,7 +213,9 @@ def _covariant_derivative(C, R):
         for j in range(i + 1, m):
             for k in range(m):
                 for n in range(m):
-                    acc = [R[i][j][k][l].diff(n) for l in range(m)]
+                    acc = list(zeros)
+                    for l, r in nonzero[i][j][k]:
+                        acc[l] = r.diff(n)
                     for p, r in nonzero[i][j][k]:
                         for l, a in rows[n][p]:
                             acc[l] = acc[l] + a * r
@@ -578,14 +584,25 @@ def connection_to_json_dict(C):
 
 
 def connection_from_json_dict(data):
+    """Inverse of connection_to_json_dict.  `dim` must be a positive JSON
+    integer and `gamma` an object whose keys are "i,j,k" with indices in
+    range(dim) and whose values are polynomial strings; anything else
+    raises ValueError."""
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         raw = data["gamma"]
     except (KeyError, TypeError) as exc:
         raise ValueError("connection JSON needs 'dim' and 'gamma'") from exc
+    if type(dim) is not int or dim < 1:
+        raise ValueError("connection JSON 'dim' must be a positive integer, got %r" % (dim,))
+    if not isinstance(raw, dict):
+        raise ValueError("connection JSON 'gamma' must be an object, got %s"
+                         % type(raw).__name__)
     table = _empty_table(dim)
     filled = {}
     for key, text in raw.items():
+        if not isinstance(text, str):
+            raise ValueError("symbol %r must be a polynomial string, got %r" % (key, text))
         try:
             i, j, k = (int(p) for p in key.split(","))
         except ValueError as exc:

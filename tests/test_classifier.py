@@ -14,15 +14,15 @@ from affinecurv.classifier import (
     InconsistencyError,
     adams_admissible,
     bundle_partition,
+    classify,
     classify_structure,
     is_projective_affine_osserman,
     match_taxonomy,
     sample_sphere,
 )
 from affinecurv.constructors import (
-    _CASES,
+    CASE_LABELS,
     StructureSpec,
-    _dimension_ok,
     case_constraints,
     constant_curvature,
     realize,
@@ -297,19 +297,46 @@ def _bundle_partitions(m, parts):
                 yield key, part
 
 
-def _realized(m):
-    """The (rank, kind) multisets of the case labels that exist at m."""
-    out = set()
-    for case, (dim_class, *_rest) in _CASES.items():
+def _shapes(m):
+    """label -> (rank, kind) multiset of the cases that exist at m: the
+    paper lists case 1 for m odd, the 2-x cases for m = 2 mod 4 and the
+    3-x cases for m = 4 mod 8, each where all its slots are nonempty."""
+    prefix = "1" if m % 2 else "2-" if m % 4 == 2 else "3-"
+    out = {}
+    for case in CASE_LABELS:
         reals, pairs = case_constraints(case, m)
-        if _dimension_ok(dim_class, m) and min(reals + pairs) >= 1:
+        if case.startswith(prefix) and min(reals + pairs) >= 1:
             bundles = [(d, "real") for d in reals] + [(2 * d, "complex-pair") for d in pairs]
-            out.add(tuple(sorted(bundles)))
+            out[case] = tuple(sorted(bundles))
     return out
 
 
+def _paper_bound(m, part):
+    """(status, reason) of the vector-field bound as the paper states it,
+    for m not divisible by 8: a single real bundle for m odd; at most two
+    bundles, one of rank at least m - 2, for m = 2 mod 4; at most four,
+    one of rank at least m - 4, for m = 4 mod 8."""
+    count, top = len(part.dims), max(part.dims)
+    if m % 2:
+        if count > 1:
+            return "inadmissible", "odd m admits a single eigenbundle, got %d" % count
+        if part.kinds[0] == "complex-pair":
+            return "inadmissible", (
+                "odd m admits no conjugate-pair bundle: RP^%d is not orientable, "
+                "so it has no almost complex structure" % (m - 1))
+        return "admissible", None
+    limit, floor = (2, m - 2) if m % 4 == 2 else (4, m - 4)
+    if count > limit:
+        return "inadmissible", "at most %d eigenbundles allowed for m=%d, got %d" % (
+            limit, m, count)
+    if top < floor:
+        return "inadmissible", "largest bundle rank %d is below the floor %d for m=%d" % (
+            top, floor, m)
+    return "admissible", None
+
+
 def test_adams_gate_admits_exactly_the_realized_partitions():
-    # The gate rejects more bundles than its limit (1 at odd m, 2 at
+    # The bound rejects more bundles than its limit (1 at odd m, 2 at
     # m = 2 mod 4, 4 at m = 4 mod 8) on the count alone, so partitions with
     # up to one bundle more cover every case where it could differ from
     # the case table.
@@ -317,9 +344,33 @@ def test_adams_gate_admits_exactly_the_realized_partitions():
         if m % 8 == 0:
             continue
         parts = 2 if m % 2 else 3 if m % 4 == 2 else 5
-        admitted = {key for key, part in _bundle_partitions(m, parts)
-                    if adams_admissible(m, part).status == "admissible"}
-        assert admitted == _realized(m), m
+        admitted = set()
+        for key, part in _bundle_partitions(m, parts):
+            result = adams_admissible(m, part)
+            assert (result.status, result.reason) == _paper_bound(m, part), (m, key)
+            if result.status == "admissible":
+                admitted.add(key)
+        assert admitted == set(_shapes(m).values()), m
+
+
+@pytest.mark.parametrize("m", [5, 7, 6, 10, 12, 20])
+def test_every_admitted_partition_is_realized_and_classified_back(m):
+    shapes = _shapes(m)
+    parts = 2 if m % 2 else 3 if m % 4 == 2 else 5
+    admitted = [(key, part) for key, part in _bundle_partitions(m, parts)
+                if adams_admissible(m, part).status == "admissible"]
+    assert len(admitted) == len(shapes)
+    for key, part in admitted:
+        (case,) = [case for case, shape in shapes.items() if shape == key]
+        reals, pairs = case_constraints(case, m)
+        lambdas = (1.0, 2.0, 3.0, 4.0)[:len(reals)]
+        nus = (-1 + 0.5j, -2 + 1.5j)[:len(pairs)]
+        result = classify(realize(StructureSpec(case, lambdas, nus), m), n_samples=8)
+        assert result.verdict.status == PROJECTIVE, (m, case)
+        assert result.structure.case == case
+        assert sorted(result.structure.lambdas) == pytest.approx(lambdas, abs=1e-9)
+        assert result.partition == part
+        assert result.adams.status == "admissible"
 
 
 def test_adams_m_mismatch():

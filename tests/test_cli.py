@@ -268,6 +268,22 @@ def test_geometry_builtin_dimension_checks(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"dim": 2.9, "gamma": {"0,0,1": "x1"}}', "'dim' must be a positive integer, got 2.9"),
+    ('{"dim": true, "gamma": {}}', "'dim' must be a positive integer, got True"),
+    ('{"dim": 0, "gamma": {}}', "'dim' must be a positive integer, got 0"),
+    ('{"dim": 2, "gamma": [["0,0,1", "x1"]]}', "'gamma' must be an object, got list"),
+    ('{"dim": 2, "gamma": {"0,0,1": 1}}', "symbol '0,0,1' must be a polynomial string, got 1"),
+])
+def test_geometry_rejects_a_malformed_connection_file(capsys, tmp_path, text, message):
+    path = tmp_path / "connection.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "geometry", "--file", str(path), "--curvature")
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 def test_geometry_at_length(capsys):
     code, _, _ = run_cli(
         capsys, "geometry", "--builtin", "flat", "--m", "3", "--at", "1,2"
