@@ -80,12 +80,9 @@ from .spectral import (
     SpectrumBatch,
     jordan_profile,
     mu_vector,
-    projective_match,
     projective_match_batch,
-    projectively_equal,
     spectrum,
     spectrum_batch,
-    with_zero,
 )
 from .tensor_core import (
     CurvatureTensor,

@@ -244,6 +244,10 @@ def match_taxonomy(S, m, tol=1e-8):
     """Match a reduced Jacobi spectrum against the eigenvalue-structure
     taxonomy for dimension m.  Returns a StructureSpec or "unlisted".
 
+    Labels whose bundle shapes coincide at m (3-b-i and 3-b-ii, 3-e-i and
+    3-e-iii at m = 4) are not told apart: the first-listed label of the
+    shape is reported, with the same (value, multiplicity) pairs.
+
     A complex pair at odd m contradicts the classification and raises
     InconsistencyError.
     """

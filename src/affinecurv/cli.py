@@ -231,6 +231,18 @@ def _load_connection_source(args):
     raise UsageError("pick a connection with --builtin or --file")
 
 
+def _table_json(table, index=()):
+    """The nonzero entries of a nested polynomial table as {"i,j,...": text}."""
+    if not isinstance(table, (list, tuple)):
+        if table.is_zero:
+            return {}
+        return {",".join(map(str, index)): polynomial_to_string(table)}
+    entries = {}
+    for i, sub in enumerate(table):
+        entries.update(_table_json(sub, index + (i,)))
+    return entries
+
+
 def _cmd_geometry(args):
     C = _load_connection_source(args)
     m = C.dim
@@ -245,38 +257,12 @@ def _cmd_geometry(args):
             or args.jordan_at is not None):
         R = curvature(C, with_nabla=args.nabla_r)
     if args.curvature:
-        entries = {}
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    for l in range(m):
-                        p = R.riemann[i][j][k][l]
-                        if not p.is_zero:
-                            entries["%d,%d,%d,%d" % (i, j, k, l)] = polynomial_to_string(p)
-        report["curvature"] = entries
+        report["curvature"] = _table_json(R.riemann)
     if args.nabla_r:
-        entries = {}
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    for n in range(m):
-                        for l in range(m):
-                            p = R.nabla[i][j][k][n][l]
-                            if not p.is_zero:
-                                entries["%d,%d,%d,%d,%d" % (i, j, k, n, l)] = polynomial_to_string(p)
-        report["nabla_r"] = entries
+        report["nabla_r"] = _table_json(R.nabla)
     if args.ricci:
         sym, alt = ricci_split(R)
-        report["ricci"] = {
-            "sym": {
-                "%d,%d" % (j, k): polynomial_to_string(sym[j][k])
-                for j in range(m) for k in range(m) if not sym[j][k].is_zero
-            },
-            "alt": {
-                "%d,%d" % (j, k): polynomial_to_string(alt[j][k])
-                for j in range(m) for k in range(m) if not alt[j][k].is_zero
-            },
-        }
+        report["ricci"] = {"sym": _table_json(sym), "alt": _table_json(alt)}
     if args.model_out or args.jordan_at is not None:
         A = R.evaluate_at(at)
     if args.model_out:

@@ -183,9 +183,12 @@ def curvature(C, with_nabla=False):
                         acc[l] = acc[l] - a * b
                 R[i][j][k] = acc
                 R[j][i][k] = [-p for p in acc]
+    # R[j][i] = -R[i][j] and R[i][i] = 0 exactly, so the cyclic sum is
+    # invariant under rotation, changes sign under a swap and vanishes when
+    # two indices coincide: i < j < k covers every (i, j, k).
     for i in range(m):
-        for j in range(m):
-            for k in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
                 for l in range(m):
                     cyc = R[i][j][k][l] + R[j][k][i][l] + R[k][i][j][l]
                     if not cyc.is_zero:

@@ -31,6 +31,15 @@ first 2^k >= 2m; repeated squaring decides that with no gcd.  Otherwise the
 unit operator J_xi / |<xi, xi>| equals J_int G_den / (D |q_int|) with
 q_int = x G_int x, and its float entries are the correctly rounded
 quotients of those integers.
+
+Each clause is one batched projective match per causal character.  The
+deformed clauses match every spectrum against the first one, since
+equality up to a positive scale is transitive.  The modified clauses
+match against the exact target spectrum and also require |scale - 1| <=
+tol, so a cluster may miss its target by tol relative to the spectral
+radius (at least tol), plus the scale's own error.  A nilpotent vector,
+or a spectrum without a zero cluster or with nothing else, fails the
+clause.
 """
 
 from __future__ import annotations
@@ -316,20 +325,15 @@ def _sample_causal(gram, n_each, seed, max_tries=20000):
     return spacelike, timelike
 
 
-def _spectrum_matches(S, targets, tol):
-    """targets: list of (value, multiplicity); matched within tol, no
-    leftovers allowed."""
-    items = list(S.items)
-    for value, mult in targets:
-        hit = None
-        for idx, (v, mm) in enumerate(items):
-            if abs(v - value) <= tol and mm == mult:
-                hit = idx
-                break
-        if hit is None:
-            return False
-        items.pop(hit)
-    return not items
+def _match_all(batch, ref, tol):
+    """Scales of the rows of batch against the Spectrum ref, or None when a
+    row matches no positive multiple of ref, or when projective comparison
+    does not apply (a row or ref without a zero cluster, or all zero)."""
+    try:
+        scales, residuals, _ = spectral.projective_match_batch(batch, ref, tol)
+    except ValueError:
+        return None
+    return scales if np.isfinite(residuals).all() else None
 
 
 def check_extension_theorems(
@@ -380,7 +384,7 @@ def check_extension_theorems(
     spacelike, timelike = _sample_causal(gram, n_vectors, seed)
 
     records = []
-    spectra = {}
+    batches = {}  # one SpectrumBatch per character, None if a vector is nilpotent
     for character, bucket in (("spacelike", spacelike), ("timelike", timelike)):
         # J_xi / |<xi, xi>| = J_int G_den / (D |q_int|) (module docstring);
         # int / int rounds as Fraction.__float__ does.
@@ -394,13 +398,15 @@ def check_extension_theorems(
                 scale = D * abs(x @ G_int @ x)
                 units.append((J_int * G_den / scale).astype(float))
         stack = [J for J in units if J is not None]
-        batch = iter(spectral.spectrum_batch(stack, cluster_tol=tol) if stack else ())
-        spectra[character] = [None if J is None else next(batch) for J in units]
-        for xi, S in zip(bucket, spectra[character]):
+        batch = spectral.spectrum_batch(stack, cluster_tol=tol) if stack else ()
+        rows = iter(batch)
+        for xi, J in zip(bucket, units):
+            S = None if J is None else next(rows)
             records.append(VectorRecord(
                 tuple(map(float, xi)), character, "exact" if S is None else "numeric",
                 0.0 if S is None else float(S.radius()), S is None, S,
             ))
+        batches[character] = batch if len(stack) == len(units) else None
 
     clauses = {}
     if which == "deformed":
@@ -408,34 +414,25 @@ def check_extension_theorems(
             clauses["nilpotent"] = all(r.nilpotent for r in records)
         elif base_verdict.status == classifier.PROJECTIVE:
             # The kernel of J_xi contains xi, so each spectrum carries its
-            # own zero cluster; no quotient bookkeeping is needed.
-            for character in ("spacelike", "timelike"):
-                bucket = spectra[character]
-                ok = all(S is not None for S in bucket)
-                if ok:
-                    try:
-                        for i in range(len(bucket)):
-                            for j in range(i + 1, len(bucket)):
-                                if spectral.projective_match(bucket[i], bucket[j], tol) is None:
-                                    ok = False
-                    except ValueError:
-                        ok = False
-                clauses["projective_" + character] = ok
+            # own zero cluster.  Equality up to a positive scale is
+            # transitive, so matching every spectrum against the first one
+            # decides the clause.
+            for character, batch in batches.items():
+                clauses["projective_" + character] = (
+                    batch is not None and _match_all(batch, batch[0], tol) is not None
+                )
         else:
             clauses["base_osserman"] = False
     else:
-        space_targets = [(0.0, 1), (1.0, 1), (0.25, n - 2)]
-        time_targets = [(0.0, 1), (-1.0, 1), (-0.25, n - 2)]
-        ok_s = all(
-            S is not None and _spectrum_matches(S, space_targets, tol)
-            for S in spectra["spacelike"]
-        )
-        ok_t = all(
-            S is not None and _spectrum_matches(S, time_targets, tol)
-            for S in spectra["timelike"]
-        )
-        clauses["spacelike_spectrum"] = ok_s
-        clauses["timelike_negative"] = ok_t
+        # Unit spectra {0, sign, sign/4} with multiplicities (1, 1, n - 2).
+        for name, character, sign in (("spacelike_spectrum", "spacelike", 1.0),
+                                      ("timelike_negative", "timelike", -1.0)):
+            items = sorted([(0j, 1), (complex(sign), 1), (complex(sign / 4), n - 2)],
+                           key=lambda item: item[0].real)
+            batch = batches[character]
+            scales = None if batch is None else _match_all(
+                batch, spectral.Spectrum(tuple(items), tol), tol)
+            clauses[name] = scales is not None and bool(np.all(np.abs(scales - 1.0) <= tol))
 
     passed = bool(clauses) and all(clauses.values())
     return ExtensionReport(

@@ -24,11 +24,7 @@ __all__ = [
     "spectrum_batch",
     "jordan_profile",
     "mu_vector",
-    "projectively_equal",
-    "projective_match",
     "projective_match_batch",
-    "with_zero",
-    "is_zero_spectrum",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -56,9 +52,6 @@ class Spectrum:
 
     def radius(self):
         return max((abs(v) for v, _ in self.items), default=0.0)
-
-    def nonzero_items(self):
-        return [(v, m) for v, m in self.items if abs(v) > self.cluster_tol]
 
     def scaled(self, c):
         """The spectrum of c times the matrix, for c > 0."""
@@ -226,17 +219,6 @@ def spectrum(M, cluster_tol=None):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square, got shape %r" % (M.shape,))
     return spectrum_batch(M[None], cluster_tol)[0]
-
-
-def is_zero_spectrum(S):
-    """True when every eigenvalue sits within the cluster tolerance of 0."""
-    return all(abs(v) <= S.cluster_tol for v, _ in S.items)
-
-
-def with_zero(S):
-    """Adjoin one extra zero eigenvalue (the quotient direction); see
-    SpectrumBatch.with_zero."""
-    return SpectrumBatch.of([S]).with_zero()[0]
 
 
 @dataclass(frozen=True)
@@ -418,19 +400,3 @@ def projective_match_batch(batch, ref, tol=1e-8):
         rows = SpectrumBatch(batch.values[failed], batch.mults[failed], batch.tol[failed])
         negative[failed] = np.isfinite(_residuals(rows, ref, -scales[failed], tol))
     return scales, residuals, negative
-
-
-def projective_match(S1, S2, tol=1e-8):
-    """(scale, residual) with S1 = scale * S2, or None: the one-spectrum
-    case of projective_match_batch.  Scales are positive by construction.
-    """
-    scales, residuals, _ = projective_match_batch(SpectrumBatch.of([S1]), S2, tol)
-    if np.isinf(residuals[0]):
-        return None
-    return float(scales[0]), float(residuals[0])
-
-
-def projectively_equal(S1, S2, tol=1e-8):
-    """Positive scale s with S1 = s * S2 as multisets, else None."""
-    match = projective_match(S1, S2, tol)
-    return None if match is None else match[0]

@@ -18,12 +18,10 @@ from affinecurv.classifier import (
 from affinecurv.constructors import StructureSpec, realize
 from affinecurv.spectral import (
     SpectrumBatch,
-    is_zero_spectrum,
     mu_vector,
-    projective_match,
+    projective_match_batch,
     spectrum,
     spectrum_batch,
-    with_zero,
 )
 from affinecurv.tensor_core import (
     CurvatureTensor,
@@ -90,19 +88,23 @@ MODELS = [
 ]
 
 
+def one_row(S):
+    return SpectrumBatch.of([S])
+
+
 def per_direction(A, n_samples, seed, tol):
     """The verdict computed one direction at a time, with every pair of
     spectra compared: (status, mu, reduced spectrum at e1, full spectra)."""
     reduced = [spectrum(reduced_jacobi(A, X), cluster_tol=tol)
                for X in sample_sphere(A.dim, n_samples, seed)]
-    full = [with_zero(S) for S in reduced]
-    zero = [is_zero_spectrum(S) for S in full]
+    full = [one_row(S).with_zero()[0] for S in reduced]
+    zero = [one_row(S).zero_flags()[0] for S in full]
     if all(zero):
         return AFFINE, mu_vector(full[0]), reduced[0], full
     if any(zero):
         return NEITHER, None, reduced[0], full
     for S1, S2 in itertools.combinations(full, 2):
-        if projective_match(S1, S2, tol) is None:
+        if np.isinf(projective_match_batch(one_row(S1), S2, tol)[1][0]):
             return NEITHER, None, reduced[0], full
     if len({mu_vector(S).entries for S in full}) != 1:
         return NEITHER, None, reduced[0], full
@@ -126,7 +128,7 @@ def test_batched_pipeline_matches_per_direction(make):
     batch = spectrum_batch(reduced_jacobi_batch(A, X), cluster_tol=TOL)
     assert len(batch) == len(full)
     for s, S in enumerate(full):
-        assert same_spectrum(with_zero(batch[s]), S, TOL), s
+        assert same_spectrum(batch.with_zero()[s], S, TOL), s
 
     verdict = result.verdict
     assert verdict.status == status

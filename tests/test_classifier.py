@@ -190,6 +190,29 @@ def test_classify_structure_round_trip(case, m, lams, nus):
     assert np.allclose(got.nus, nus, atol=1e-8)
 
 
+def _slots(spec):
+    """(value, multiplicity) of every slot of a structure, sorted."""
+    reals, pairs = case_constraints(spec.case, spec.m)
+    return (sorted(zip(spec.lambdas, reals)),
+            sorted(zip(spec.nus, pairs), key=lambda t: (t[0].real, t[0].imag)))
+
+
+@pytest.mark.parametrize(
+    "case,lams,nus,reported",
+    [("3-b-ii", (3.0, -0.2), (), "3-b-i"), ("3-e-iii", (0.5,), (1.5 + 2j,), "3-e-i")],
+)
+def test_duplicate_shapes_at_m4_report_the_first_listed_label(case, lams, nus, reported):
+    spec = StructureSpec(case, lams, nus, m=4)
+    got = classify_structure(realize(spec, 4), n_samples=16)
+    assert CASE_LABELS.index(reported) < CASE_LABELS.index(case)
+    assert got.case == reported and got.m == 4
+    (want_reals, want_pairs), (got_reals, got_pairs) = _slots(spec), _slots(got)
+    assert [m for _, m in got_reals] == [m for _, m in want_reals]
+    assert [v for v, _ in got_reals] == pytest.approx([v for v, _ in want_reals], abs=1e-9)
+    assert [m for _, m in got_pairs] == [m for _, m in want_pairs]
+    assert [v for v, _ in got_pairs] == pytest.approx([v for v, _ in want_pairs], abs=1e-9)
+
+
 def test_classify_structure_requires_projective():
     with pytest.raises(ValueError):
         classify_structure(CurvatureTensor(np.zeros((3,) * 4)))

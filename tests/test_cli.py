@@ -1,8 +1,10 @@
 """Command-line driver: exit codes, JSON reports, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from affinecurv import cli, polynomial_geometry
 from affinecurv.cli import main
 from affinecurv.polynomial_geometry import curvature
 from affinecurv.tensor_core import CurvatureTensor, save_model
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -446,9 +450,13 @@ def test_no_command_is_usage_error(capsys):
 
 
 def test_console_script_installed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "affinecurv.cli", "adams", "--m", "6", "--partition", "5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["status"] == "admissible"

@@ -404,9 +404,9 @@ def test_classifier_on_plane_wave_point():
 # -- sparse curvature against a dense reference ----------------------------
 
 
-def dense_curvature(C):
-    """R and nabla R from the defining sums over every index, with no
-    skipped products and no use of antisymmetry."""
+def dense_riemann(C):
+    """R from the defining sum over every index, with no skipped products
+    and no use of antisymmetry."""
     m = C.dim
     g = C.gamma
     R = {}
@@ -418,6 +418,14 @@ def dense_curvature(C):
                     for n in range(m):
                         term = term + g[i][n][l] * g[j][k][n] - g[j][n][l] * g[i][k][n]
                     R[i, j, k, l] = term
+    return R
+
+
+def dense_curvature(C):
+    """R and nabla R from the defining sums over every index."""
+    m = C.dim
+    g = C.gamma
+    R = dense_riemann(C)
     NR = {}
     for i in range(m):
         for j in range(m):
@@ -482,6 +490,38 @@ def test_cyclic_identity_check_still_raises():
     C = _torsion_connection(3, {(0, 1, 0): var(2, 3)})
     with pytest.raises(RuntimeError, match="cyclic identity"):
         curvature(C)
+
+
+@st.composite
+def torsion_connections(draw):
+    """Symbols at random (i, j, k) slots with no symmetric closure, so the
+    connection may have any torsion."""
+    m = draw(st.integers(min_value=3, max_value=4))
+    keys = draw(st.lists(st.tuples(*(st.integers(min_value=0, max_value=m - 1),) * 3),
+                         min_size=1, max_size=4, unique=True))
+    symbols = {}
+    for key in keys:
+        exps = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in range(m))
+        symbols[key] = Polynomial(m, {exps: draw(st.sampled_from([-2, -1, 1, 3]))})
+    return _torsion_connection(m, symbols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(torsion_connections())
+@example(_torsion_connection(3, {(0, 1, 2): var(0, 3) * 2}))
+def test_cyclic_check_agrees_with_the_full_loop(C):
+    m = C.dim
+    R = dense_riemann(C)
+    violated = any(
+        not (R[i, j, k, l] + R[j, k, i, l] + R[k, i, j, l]).is_zero
+        for i in range(m) for j in range(m) for k in range(m) for l in range(m)
+    )
+    if violated:
+        with pytest.raises(RuntimeError, match="cyclic identity"):
+            curvature(C)
+    else:
+        P = curvature(C)
+        assert all(P.riemann[i][j][k][l] == want for (i, j, k, l), want in R.items())
 
 
 # -- one compiled evaluator ------------------------------------------------

@@ -194,6 +194,25 @@ def test_deformed_over_projective_base():
     assert report.passed
 
 
+@pytest.mark.parametrize("which,eps,change", [
+    # twice the target spectrum matches it projectively, but not at scale 1
+    ("modified", None, lambda Ms: 2.0 * Ms),
+    # a shift by the identity removes the zero eigenvalue; the projective
+    # comparison's ValueError makes the clause false instead of escaping
+    ("modified", None, lambda Ms: Ms + np.eye(Ms.shape[1])),
+    ("deformed", 0, lambda Ms: Ms + np.eye(Ms.shape[1])),
+], ids=["modified-doubled", "modified-shifted", "deformed-shifted"])
+def test_clauses_fail_on_changed_spectra(monkeypatch, which, eps, change):
+    from affinecurv import spectral
+
+    original = spectral.spectrum_batch
+    monkeypatch.setattr(spectral, "spectrum_batch",
+                        lambda Ms, cluster_tol=None: original(change(np.asarray(Ms)), cluster_tol))
+    C = flat_connection(2) if eps is None else curvature_homogeneous_connection(3, eps=eps)
+    report = check_extension_theorems(C, which=which, n_vectors=2)
+    assert report.clauses and not any(report.clauses.values())
+
+
 def test_extension_report_json():
     report = check_extension_theorems(plane_wave_connection(), n_vectors=2, seed=0)
     d = report.to_json_dict()

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from affinecurv.spectral import (
     Spectrum,
-    is_zero_spectrum,
+    SpectrumBatch,
     jordan_profile,
     mu_vector,
-    projective_match,
-    projectively_equal,
+    projective_match_batch,
     spectrum,
-    with_zero,
+    spectrum_batch,
 )
 
 
@@ -62,16 +61,12 @@ def test_spectrum_validation():
 
 def test_zero_spectrum_detection():
     N = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert is_zero_spectrum(spectrum(N))
-    assert not is_zero_spectrum(spectrum(np.eye(2)))
+    assert list(spectrum_batch(np.stack([N, np.eye(2)])).zero_flags()) == [True, False]
 
 
 def test_with_zero_inserts_or_merges():
-    S = spectrum(np.diag([1.0, 2.0]))
-    S2 = with_zero(S)
+    S2, T2 = spectrum_batch(np.stack([np.diag([1.0, 2.0]), np.diag([0.0, 1.0])])).with_zero()
     assert (0j, 1) in S2.items and S2.total_multiplicity == 3
-    T = spectrum(np.diag([0.0, 1.0]))
-    T2 = with_zero(T)
     assert any(v == 0 and m == 2 for v, m in T2.items)
     assert T2.total_multiplicity == 3
 
@@ -162,37 +157,33 @@ def test_mu_vector_needs_zero():
 
 def test_projective_match_scale_recovery():
     M = np.diag([0.0, 1.0, 1.0, -2.0])
-    for s in (0.5, 1.0, 7.25):
-        S1 = spectrum(s * M)
-        S2 = spectrum(M)
-        got = projective_match(S1, S2, tol=1e-8)
-        assert got is not None
-        scale, residual = got
-        assert scale == pytest.approx(s, rel=1e-12)
-        assert residual <= 1e-10
+    s = np.array([0.5, 1.0, 7.25])
+    scales, residuals, negative = projective_match_batch(
+        spectrum_batch(s[:, None, None] * M), spectrum(M), tol=1e-8)
+    np.testing.assert_allclose(scales, s, rtol=1e-12)
+    assert np.all(residuals <= 1e-10) and not negative.any()
 
 
 def test_projective_match_rejects_sign_flip():
-    S1 = spectrum(np.diag([0.0, 1.0]))
-    S2 = spectrum(np.diag([0.0, -1.0]))
-    assert projective_match(S1, S2, tol=1e-8) is None
-    assert projectively_equal(S1, S2) is None
+    batch = spectrum_batch(np.diag([0.0, 1.0])[None])
+    _, residuals, negative = projective_match_batch(batch, spectrum(np.diag([0.0, -1.0])))
+    assert np.isinf(residuals[0]) and negative[0]
 
 
 def test_projective_match_multiplicities_matter():
-    S1 = spectrum(np.diag([0.0, 1.0, 1.0, 2.0]))
-    S2 = spectrum(np.diag([0.0, 1.0, 2.0, 2.0]))
-    assert projective_match(S1, S2, tol=1e-8) is None
+    batch = spectrum_batch(np.diag([0.0, 1.0, 1.0, 2.0])[None])
+    _, residuals, negative = projective_match_batch(
+        batch, spectrum(np.diag([0.0, 1.0, 2.0, 2.0])), tol=1e-8)
+    assert np.isinf(residuals[0]) and not negative[0]
 
 
 def test_projective_match_preconditions():
-    no_zero = spectrum(np.eye(2))
     has_zero = spectrum(np.diag([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        projective_match(no_zero, has_zero)
-    nilpotent = spectrum(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        projective_match(nilpotent, has_zero)
+    for bad in (np.eye(2), np.zeros((2, 2))):  # no zero cluster; nilpotent
+        with pytest.raises(ValueError):
+            projective_match_batch(spectrum_batch(bad[None]), has_zero)
+        with pytest.raises(ValueError):
+            projective_match_batch(SpectrumBatch.of([has_zero]), spectrum(bad))
 
 
 @settings(max_examples=50, deadline=None)
@@ -202,11 +193,12 @@ def test_projective_match_preconditions():
 )
 def test_projective_equality_under_scaling(values, s):
     M = np.diag([0.0] + [float(v) for v in values])
-    S = spectrum(M)
-    if is_zero_spectrum(S):
+    batch = spectrum_batch(np.stack([M, s * M]))
+    if batch.zero_flags()[0]:
         return
-    scale = projectively_equal(spectrum(s * M), S, tol=1e-8)
-    assert scale is not None and scale == pytest.approx(s, rel=1e-9)
+    scales, residuals, _ = projective_match_batch(batch, batch[0], tol=1e-8)
+    assert np.all(np.isfinite(residuals))
+    assert scales == pytest.approx([1.0, s], rel=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
