@@ -124,6 +124,8 @@ def _sampled_verdict(A, n_samples, seed, tol, extra_directions=()):
             "direction is %d-dimensional); classification needs m >= 2"
             % (A.dim, max(A.dim - 1, 0))
         )
+    if n_samples < 1:
+        raise ValueError("need at least one random sample")
     c = _model_scale(A)
     report = check_affine_symmetries(A, tol=1e-10 * c)
     if not report.passed:
@@ -131,8 +133,6 @@ def _sampled_verdict(A, n_samples, seed, tol, extra_directions=()):
             "input fails the curvature symmetries (antisymmetry defect %g, "
             "cyclic defect %g)" % (report.antisymmetry_defect, report.bianchi_defect)
         )
-    if n_samples < 1:
-        raise ValueError("need at least one random sample")
     X = sample_sphere(A.dim, n_samples, seed)
     if len(extra_directions):
         extra = np.asarray(extra_directions, dtype=float)

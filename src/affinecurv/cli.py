@@ -18,7 +18,9 @@ admissible / passed), 1 affine Osserman, 2 negative verdict, 3 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import re
 import sys
 
@@ -137,7 +139,11 @@ def _pretty(args, lines):
 
 
 def _tol(args, default):
-    return default if args.tol is None else args.tol
+    if args.tol is None:
+        return default
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise UsageError("--tol must be positive and finite, got %r" % args.tol)
+    return args.tol
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -155,7 +161,7 @@ def _cmd_realize(args):
         "command": "realize",
         "spec": spec.to_json_dict(),
         "dim": A.dim,
-        "nonzero_entries": int(np.count_nonzero(A.entries)),
+        "nonzero_entries": len(A.nonzero()[1]),
         "notes": list(A.notes),
     }
     if args.out:
@@ -350,7 +356,10 @@ def _cmd_symm(args):
 # -- wiring ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and then shared: parsing
+    keeps no state on it, and each call gets a fresh namespace."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="sampling seed")
     common.add_argument("--samples", type=int, default=64, help="random sample count")

@@ -11,6 +11,11 @@ to JX.  Composing with orthogonal (anti)complex structures and taking
 linear combinations produces models whose Jacobi operator acts, on the
 quotient by X, with any admissible eigenvalue pattern; `realize` maps a
 case label plus eigenvalue data to the matching combination.
+
+Both operators are Kronecker deltas times Id or J, and the standard
+structures are signed permutations, so each model has O(m^2) nonzero
+entries.  It is built as a sorted nonzero list (`_Term`), never as an
+m^4 array, and its entries have the bits of the dense formulas.
 """
 
 from __future__ import annotations
@@ -41,12 +46,6 @@ __all__ = [
 _STRUCT_TOL = 1e-10
 
 
-def _frozen(arr):
-    arr = np.array(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ComplexStructure:
     """Orthogonal anti-involution: J^2 = -Id and J^T J = Id."""
@@ -54,7 +53,8 @@ class ComplexStructure:
     matrix: np.ndarray
 
     def __post_init__(self):
-        J = _frozen(self.matrix)
+        J = np.array(self.matrix, dtype=float)
+        J.setflags(write=False)
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise ValueError("J must be square")
         m = J.shape[0]
@@ -102,9 +102,8 @@ def standard_complex_structure(m):
     if m % 2:
         raise ValueError("m must be even, got %d" % m)
     J = np.zeros((m, m))
-    for k in range(0, m, 2):
-        J[k + 1, k] = 1.0
-        J[k, k + 1] = -1.0
+    k = np.arange(0, m, 2)
+    J[k + 1, k], J[k, k + 1] = 1.0, -1.0
     return ComplexStructure(J)
 
 
@@ -112,63 +111,94 @@ def standard_quaternion_structure(m):
     """Left multiplication by i, j, k on consecutive coordinate 4-blocks."""
     if m % 4:
         raise ValueError("m must be divisible by 4, got %d" % m)
-    J1 = np.zeros((m, m))
-    J2 = np.zeros((m, m))
-    J3 = np.zeros((m, m))
-    for b in range(0, m, 4):
-        # basis of the block: 1, i, j, k
-        J1[b + 1, b] = 1.0
-        J1[b, b + 1] = -1.0
-        J1[b + 3, b + 2] = 1.0
-        J1[b + 2, b + 3] = -1.0
-        J2[b + 2, b] = 1.0
-        J2[b, b + 2] = -1.0
-        J2[b + 3, b + 1] = -1.0
-        J2[b + 1, b + 3] = 1.0
-        J3[b + 3, b] = 1.0
-        J3[b, b + 3] = -1.0
-        J3[b + 2, b + 1] = 1.0
-        J3[b + 1, b + 2] = -1.0
-    return QuaternionStructure(
-        ComplexStructure(J1), ComplexStructure(J2), ComplexStructure(J3)
-    )
+    J = np.zeros((3, m, m))
+    b = np.arange(0, m, 4)[:, None]
+    # unit * (1, i, j, k)[c] = sign[c] * (1, i, j, k)[row[c]] in each block
+    for Ju, row, sign in zip(J, ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+                             ((1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))):
+        Ju[b + row, b + np.arange(4)] = sign
+    return QuaternionStructure(*map(ComplexStructure, J))
 
 
-def _constant_curvature_slab(eye, i):
-    """Slab i of constant_curvature: [j, k, l] -> <e_j,e_k> d_il - d_ik <e_j,e_l>."""
-    return eye[:, :, None] * eye[i] - eye[i][:, None] * eye[:, None, :]
+class _Term:
+    """Sparse rank-4 tensor: sorted unique raveled (i, j, k, l) keys and
+    values, a missing key reading as 0.  Each operator gives a nonzero value
+    the bits of the dense array operation, which only adds signed zeros."""
+
+    __array_ufunc__ = None  # so numpy scalars defer to __rmul__
+
+    def __init__(self, m, keys, vals):
+        self.m, self.keys, self.vals = m, keys, vals
+
+    @classmethod
+    def collect(cls, m, keys, vals):
+        """Join the key and value arrays and sum the values of equal keys."""
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        vals = np.concatenate(vals)[order]
+        del order  # freed before the outputs are made, which lowers the peak
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        return cls(m, keys[first], np.add.reduceat(vals, first))
+
+    @classmethod
+    def delta(cls, M, row, col):
+        """M[x_row, x_col] times the Kronecker delta of the other two slots."""
+        m = len(M)
+        r, c = np.nonzero(M)
+        idx = [np.arange(len(r) * m) % m] * 4
+        idx[row], idx[col] = np.repeat(r, m), np.repeat(c, m)
+        return cls.collect(m, [np.ravel_multi_index(idx, (m,) * 4)], [np.repeat(M[r, c], m)])
+
+    def __rmul__(self, c):
+        return _Term(self.m, self.keys, c * self.vals)
+
+    def __truediv__(self, c):
+        return _Term(self.m, self.keys, self.vals / c)
+
+    def __add__(self, other):
+        return _Term.collect(self.m, (self.keys, other.keys), (self.vals, other.vals))
+
+    def __sub__(self, other):
+        return self + _Term(other.m, other.keys, -other.vals)
+
+    def __matmul__(self, M):
+        """entries @ M: each M[p, l] != 0 moves the entries at p in the last slot
+        to l, times M[p, l]; one product an entry if M is a signed permutation."""
+        p, l = np.nonzero(M)
+        last = self.keys % self.m
+        start = np.searchsorted(p, last)
+        count = np.searchsorted(p, last, side="right") - start
+        at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        return _Term.collect(self.m, [np.repeat(self.keys - last, count) + l[at]],
+                             [np.repeat(self.vals, count) * M[p[at], l[at]]])
+
+    def tensor(self, notes=()):
+        keep = self.vals != 0.0
+        return CurvatureTensor._from_nonzero(self.m, self.keys[keep], self.vals[keep], notes)
 
 
-def _complex_structure_slab(Jm, eye, i):
-    """Slab i of complex_structure_term; <J e_j, e_k> = Jm[k, j]."""
-    return (
-        Jm.T[:, :, None] * eye[i]
-        - Jm[:, i][:, None] * eye[:, None, :]
-        - 2.0 * (Jm[:, i][:, None, None] * eye)
-    ) / 3.0
+def _constant_curvature(m):
+    """<Y,Z>X - <X,Z>Y: [i, j, k, l] -> d_jk d_il - d_ik d_jl."""
+    eye = np.eye(m)
+    return _Term.delta(eye, 2, 1) - _Term.delta(eye, 2, 0)
 
 
-def _from_slabs(m, slab, notes=()):
-    """Tensor whose first-index slab entries[i] is slab(i), filled one m^3
-    slab at a time so that no other O(m^4) array is made."""
-    entries = np.empty((m,) * 4)
-    for i in range(m):
-        entries[i] = slab(i)
-    return CurvatureTensor._own(entries, notes)
+def _complex_structure(Jm):
+    """complex_structure_term; <J e_j, e_k> = Jm[k, j]."""
+    return (_Term.delta(Jm, 2, 1) - _Term.delta(Jm, 2, 0) - 2.0 * _Term.delta(Jm, 1, 0)) / 3.0
 
 
 def constant_curvature(m):
     """A(X, Y)Z = <Y,Z>X - <X,Z>Y, the constant-sectional-curvature model."""
     if m < 2:
         raise ValueError("need m >= 2")
-    eye = np.eye(m)
-    return _from_slabs(m, lambda i: _constant_curvature_slab(eye, i))
+    return _constant_curvature(m).tensor()
 
 
 def complex_structure_term(J):
     """A(X, Y)Z = (1/3)(<JY,Z>X - <JX,Z>Y - 2<JX,Y>Z) for a complex structure J."""
-    eye = np.eye(J.dim)
-    return _from_slabs(J.dim, lambda i: _complex_structure_slab(J.matrix, eye, i))
+    return _complex_structure(J.matrix).tensor()
 
 
 def compose_endomorphism(Xi, A):
@@ -191,18 +221,13 @@ def complex_model(J, axis_value, perp_value, perp_skew):
     real eigenvalue of multiplicity m - 2 when perp_skew = 0).
     """
     Jm = J.matrix
-    eye = np.eye(J.dim)
-
-    def slab(i):
-        a0 = _constant_curvature_slab(eye, i)
-        j_aj = _complex_structure_slab(Jm, eye, i) @ Jm.T
-        return (
-            perp_value * a0
-            + perp_skew * (a0 @ Jm.T - j_aj @ Jm.T)
-            + (axis_value - perp_value) * j_aj
-        )
-
-    return _from_slabs(J.dim, slab)
+    a0 = _constant_curvature(J.dim)
+    j_aj = _complex_structure(Jm) @ Jm.T
+    return (
+        perp_value * a0
+        + perp_skew * (a0 @ Jm.T - j_aj @ Jm.T)
+        + (axis_value - perp_value) * j_aj
+    ).tensor()
 
 
 def quaternion_model(Q, j1_value, j2_value, j3_value, perp_value, perp_skew, plane_skew):
@@ -220,37 +245,26 @@ def quaternion_model(Q, j1_value, j2_value, j3_value, perp_value, perp_skew, pla
     the complement is empty and the perp slot is absent; the returned
     tensor is flagged with a note in that case.
     """
-    m = Q.dim
     J1, J2, J3 = Q.j1.matrix, Q.j2.matrix, Q.j3.matrix
-    eye = np.eye(m)
-    a1 = perp_skew
-    a2 = plane_skew - perp_skew
-
-    def slab(i):
-        a0 = _constant_curvature_slab(eye, i)
-        t1, t2, t3 = (_complex_structure_slab(Jm, eye, i) @ Jm.T for Jm in (J1, J2, J3))
-        return (
-            perp_value * a0
-            + (j1_value - perp_value) * t1
-            + (j2_value - perp_value) * t2
-            + (j3_value - perp_value) * t3
-            + a1 * (a0 @ J1.T - t1 @ J1.T)
-            + a2 * ((t2 + t3) @ J1.T)
-        )
-
-    notes = ()
-    if m == 4:
-        notes = ("empty-complement: the perp eigenvalue slot has multiplicity 0",)
-    return _from_slabs(m, slab, notes)
+    a0 = _constant_curvature(Q.dim)
+    t1, t2, t3 = (_complex_structure(Jm) @ Jm.T for Jm in (J1, J2, J3))
+    notes = ("empty-complement: the perp eigenvalue slot has multiplicity 0",) if Q.dim == 4 else ()
+    return (
+        perp_value * a0
+        + (j1_value - perp_value) * t1
+        + (j2_value - perp_value) * t2
+        + (j3_value - perp_value) * t3
+        + perp_skew * (a0 @ J1.T - t1 @ J1.T)
+        + (plane_skew - perp_skew) * ((t2 + t3) @ J1.T)
+    ).tensor(notes)
 
 
 # -- case table and realization -------------------------------------------
 
 
 def _constant_model(m, value):
-    """value * constant_curvature(m), scaled slab by slab."""
-    eye = np.eye(m)
-    return _from_slabs(m, lambda i: value * _constant_curvature_slab(eye, i))
+    """value * constant_curvature(m)."""
+    return (value * _constant_curvature(m)).tensor()
 
 
 def _complex_model(m, *args):

@@ -487,8 +487,8 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     v = np.asarray(v0, dtype=float)
     if x.shape != (m,) or v.shape != (m,):
         raise ValueError("state must have %d components" % m)
-    if t_max <= 0 or step <= 0:
-        raise ValueError("t_max and step must be positive")
+    if not all(value > 0 and math.isfinite(value) for value in (t_max, step)):
+        raise ValueError("t_max and step must be positive and finite")
 
     spray = _spray(C)
     degree = max((e for pairs in spray for _, _, _, terms in pairs

@@ -42,13 +42,20 @@ __all__ = [
 
 
 class CurvatureTensor:
-    """Immutable dense rank-4 tensor on R^m.
+    """Immutable rank-4 tensor on R^m.
+
+    It holds the sorted list of its nonzero entries (raveled C-order keys
+    and their values) and a dense m x m x m x m view, each made from the
+    other on first read and then kept.  Constructors hand over only the
+    list, whose length is O(m^2) for every realized model, so writing such
+    a model never makes the O(m^4) array; a tensor given as a dense array
+    makes its list with one scan when it is first asked for.
 
     `notes` carries non-fatal flags set by constructors (for example an
     empty spectral slot at the minimum admissible dimension).
     """
 
-    __slots__ = ("dim", "entries", "notes")
+    __slots__ = ("dim", "notes", "_dense", "_keys", "_values")
 
     def __init__(self, entries, notes=()):
         self._adopt(np.array(entries, dtype=float), notes)
@@ -57,27 +64,56 @@ class CurvatureTensor:
     def _own(cls, arr, notes=()):
         """Take ownership of a fresh float array without copying it.
 
-        For constructors and the loader, which build the array themselves
-        and keep no other reference to it.
+        For the loader and dense arithmetic, which build the array
+        themselves and keep no other reference to it.
         """
         out = cls.__new__(cls)
         out._adopt(arr, notes)
         return out
 
+    @classmethod
+    def _from_nonzero(cls, m, keys, values, notes=()):
+        """Take ownership of a nonzero list: raveled C-order keys into an
+        m x m x m x m array, sorted and unique, and the nonzero values."""
+        out = cls.__new__(cls)
+        out._keep(dim=m, notes=tuple(notes), _dense=None, _keys=keys, _values=values)
+        return out
+
     def _adopt(self, arr, notes):
         if arr.dtype != np.float64 or arr.ndim != 4 or len(set(arr.shape)) != 1:
             raise ValueError("entries must be an m x m x m x m array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "dim", arr.shape[0])
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "notes", tuple(notes))
+        self._keep(dim=arr.shape[0], notes=tuple(notes), _dense=arr, _keys=None, _values=None)
+
+    def _keep(self, **fields):
+        """Set fields past the immutability guard, arrays read-only."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def entries(self):
+        """The dense array, entries[i, j, k, l]; read-only."""
+        if self._dense is None:
+            dense = np.zeros((self.dim,) * 4)
+            dense.reshape(-1)[self._keys] = self._values
+            self._keep(_dense=dense)
+        return self._dense
+
+    def nonzero(self):
+        """Indices (n, 4) and values (n,) of the nonzero entries, in
+        lexicographic order of (i, j, k, l), which is numpy's C order."""
+        if self._keys is None:
+            flat = self._dense.reshape(-1)
+            keys = np.flatnonzero(flat)
+            self._keep(_keys=keys, _values=flat[keys])
+        return np.stack(np.unravel_index(self._keys, (self.dim,) * 4), axis=1), self._values
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureTensor is immutable")
 
     def __repr__(self):
-        nnz = int(np.count_nonzero(self.entries))
-        return "CurvatureTensor(dim=%d, nonzero=%d)" % (self.dim, nnz)
+        return "CurvatureTensor(dim=%d, nonzero=%d)" % (self.dim, len(self.nonzero()[1]))
 
 
 @dataclass(frozen=True)
@@ -215,17 +251,10 @@ def reduced_jacobi(A, X):
 # -- JSON model files -----------------------------------------------------
 
 
-def _nonzero(A):
-    """Indices (n, 4) and values (n,) of the nonzero entries, in
-    lexicographic order of (i, j, k, l), which is numpy's C order."""
-    idx = np.nonzero(A.entries)
-    return np.stack(idx, axis=1), A.entries[idx]
-
-
 def model_to_json_dict(A):
     """{"dim": m, "entries": [[i, j, k, l, value], ...]} with 0-based
     indices, zeros omitted, entries sorted lexicographically."""
-    idx, vals = _nonzero(A)
+    idx, vals = A.nonzero()
     rows = [row + [value] for row, value in zip(idx.tolist(), vals.tolist())]
     return {"dim": int(A.dim), "entries": rows}
 
@@ -287,7 +316,7 @@ def model_to_json_text(A, depth=0):
     template.  Values are written with float.__repr__, as the json module
     does; non-finite values, which JSON cannot hold, raise ValueError."""
     pad = "  " * depth
-    idx, vals = _nonzero(A)
+    idx, vals = A.nonzero()
     if not np.all(np.isfinite(vals)):
         raise ValueError("model has non-finite entries, which JSON cannot hold")
     if len(vals):

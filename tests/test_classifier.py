@@ -120,6 +120,13 @@ def test_symmetry_precheck():
         is_projective_affine_osserman(CurvatureTensor(bad))
 
 
+def test_sample_count_is_checked_before_the_symmetries():
+    bad = np.zeros((3,) * 4)
+    bad[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="at least one random sample"):
+        is_projective_affine_osserman(CurvatureTensor(bad), n_samples=0)
+
+
 def rank_one_ricci_tensor():
     # surface tensor A(x, y)z = rho(y, z) x - rho(x, z) y with
     # rho = [[-1, -1], [-1, -1]]: the single reduced eigenvalue is

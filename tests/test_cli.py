@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinecurv import cli, polynomial_geometry
+from affinecurv import __version__, cli, polynomial_geometry
 from affinecurv.cli import main
 from affinecurv.polynomial_geometry import curvature
 from affinecurv.tensor_core import CurvatureTensor, save_model
@@ -367,6 +367,22 @@ def test_extend_rejects_zero_vectors(capsys):
     assert "at least one vector" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_classify_rejects_a_bad_tolerance(capsys, projective_model, tol):
+    code, out, err = run_cli(capsys, "classify", str(projective_model), "--tol", tol)
+    assert code == 3
+    assert out == ""
+    assert "--tol must be positive and finite" in err
+
+
+def test_extend_rejects_a_zero_tolerance(capsys):
+    code, out, err = run_cli(capsys, "extend", "--builtin", "homogeneous", "--m", "3",
+                             "--vectors", "2", "--tol", "0")
+    assert code == 3
+    assert out == ""
+    assert "--tol must be positive and finite" in err
+
+
 def test_symm_passes_on_model(capsys, projective_model):
     code, out, _ = run_cli(capsys, "symm", str(projective_model))
     assert code == 0
@@ -439,6 +455,44 @@ def test_leading_space_state_still_parses(capsys):
     assert read_json(out)["geodesic"]["v_final"][0] < 0.0
 
 
+@pytest.mark.parametrize("flag,value", [("--step", "nan"), ("--t-max", "nan"),
+                                        ("--t-max", "inf")])
+def test_geodesic_rejects_non_finite_parameters(flag, value):
+    # run apart, so that a loop that never ends fails on the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "affinecurv.cli", "geometry", "--builtin", "homogeneous",
+         "--m", "3", "--geodesic", "0,0,0", "0.1,0,0", flag, value],
+        capture_output=True, text=True, env=_src_env(), timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "t_max and step must be positive and finite" in proc.stderr
+
+
+def test_parser_is_built_once_and_parses_afresh(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run_cli(capsys, "realize", "--case", "2-c", "--m", "6",
+                           "--lambda", "4", "--nu", "1+2i")
+    assert code == 0
+    # a call that fails part way through the appended values
+    code, out, err = run_cli(capsys, "realize", "--case", "2-c", "--m", "6",
+                             "--lambda", "5", "--nu", "1-2i")
+    assert code == 3 and out == "" and "argument --nu" in err
+    code, out, _ = run_cli(capsys, "realize", "--case", "2-c", "--m", "6",
+                           "--lambda", "3", "--nu", "2+1i")
+    assert code == 0
+    spec = read_json(out)["spec"]
+    assert spec["lambda"] == [3.0] and spec["nu"] == [[2.0, 1.0]]
+
+
+def test_version_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+    assert run_cli(capsys, "adams", "--m", "3", "--partition", "2")[0] == 0
+
+
 def test_unknown_option_is_still_an_option(capsys):
     code, _, err = run_cli(capsys, "adams", "--m", "6", "--partition", "5", "-x")
     assert code == 3
@@ -449,14 +503,18 @@ def test_no_command_is_usage_error(capsys):
     assert run_cli(capsys, )[0] == 3
 
 
-def test_console_script_installed():
+def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "affinecurv.cli", "adams", "--m", "6", "--partition", "5"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["status"] == "admissible"

@@ -28,7 +28,9 @@ from affinecurv.tensor_core import (
     check_affine_symmetries,
     evaluate,
     jacobi,
+    model_to_json_text,
     reduced_jacobi,
+    save_model,
 )
 
 
@@ -444,8 +446,9 @@ def test_slab_building_blocks_match_einsum_formulas():
 
 
 def test_realize_peak_memory_stays_near_the_tensor():
-    """Building slab by slab keeps the peak near the m^4 output; the dense
-    einsum construction peaked at about 9 times it."""
+    """The peak stays below the m^4 output, which is made only when
+    `entries` is read; the dense einsum construction peaked at about 9
+    times it."""
     m = 24
     spec = StructureSpec("3-g", (1.0, 2.0, 3.0), (0.5 + 1j,))
     realize(spec, 8)
@@ -457,3 +460,92 @@ def test_realize_peak_memory_stays_near_the_tensor():
         tracemalloc.stop()
     assert A.entries.nbytes == m ** 4 * 8
     assert peak <= 2.5 * A.entries.nbytes
+
+
+# -- sparse construction ----------------------------------------------------
+
+_LARGER_DIMS = {"1": 21, "2-a": 22, "2-b": 22, "2-c": 22}
+
+
+@pytest.mark.parametrize("case", CASE_LABELS)
+def test_sparse_realize_matches_einsum_formulas_at_larger_m(case, monkeypatch):
+    m = _LARGER_DIMS.get(case, 20)
+    spec = awkward_spec(case, m, seed=m + 1)
+    A = realize(spec, m)
+    dense = einsum_realize(spec, m, monkeypatch)
+    assert np.array_equal(A.entries, dense)
+    assert len(A.nonzero()[1]) == np.count_nonzero(dense)
+
+
+@pytest.mark.parametrize("case,m,lams,nus", [
+    # a real part equal to a real eigenvalue zeroes a coefficient
+    ("2-c", 10, (4.0,), (4 + 1j,)),
+    ("3-e-ii", 12, (1.0 / 3.0,), (1.0 / 3.0 + 2j,)),
+    ("3-f-i", 12, (1.5, -2.0 / 7.0), (-2.0 / 7.0 + 1j,)),
+    ("3-g", 12, (1.0, 2.0, 3.0), (3 + 0.5j,)),
+    ("3-h", 12, (2.0,), (2 + 1j, 2 + 3j)),
+    # perp_skew = 0 and plane_skew = 0
+    ("3-b-ii", 12, (2.0 / 3.0, -1.0), ()),
+    ("3-c-ii", 12, (0.1, 0.2, 0.3), ()),
+])
+def test_cancelling_terms_give_the_dense_nonzero_count(case, m, lams, nus, monkeypatch):
+    spec = StructureSpec(case, lams, nus)
+    A = realize(spec, m)
+    dense = einsum_realize(spec, m, monkeypatch)
+    assert np.array_equal(A.entries, dense)
+    assert len(A.nonzero()[1]) == np.count_nonzero(dense)
+
+
+@pytest.mark.parametrize("case", ["1", "2-c", "3-d", "3-h"])
+def test_saved_sparse_model_is_byte_identical_to_the_scanned_one(case, tmp_path):
+    m = _LARGER_DIMS.get(case, 12)
+    A = realize(awkward_spec(case, m, seed=3), m)
+    save_model(A, tmp_path / "sparse.json")
+    save_model(CurvatureTensor(A.entries.copy()), tmp_path / "dense.json")
+    assert (tmp_path / "sparse.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+
+
+def random_orthogonal(m, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+    return q * np.sign(np.diag(r))
+
+
+def rotated(J, g):
+    return ComplexStructure(g @ J.matrix @ g.T)
+
+
+def assert_close_relative(A, B):
+    assert np.max(np.abs(A.entries - B.entries)) <= 1e-12 * np.max(np.abs(B.entries))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_models_on_a_rotated_structure_match_einsum(seed):
+    g = random_orthogonal(8, seed)
+    J = rotated(standard_complex_structure(8), g)
+    assert_close_relative(complex_model(J, 3.0, 1.0 / 3.0, 0.5),
+                          einsum_complex_model(J, 3.0, 1.0 / 3.0, 0.5))
+    Q = standard_quaternion_structure(8)
+    Q = QuaternionStructure(rotated(Q.j1, g), rotated(Q.j2, g), rotated(Q.j3, g))
+    args = (0.3, -1.0 / 3.0, 2.0 / 7.0, 5.5, 1.25, -0.1)
+    assert_close_relative(quaternion_model(Q, *args), einsum_quaternion_model(Q, *args))
+    A = complex_structure_term(Q.j2)
+    assert_close_relative(A, CurvatureTensor(einsum_complex_structure_term(Q.j2.matrix)))
+
+
+def test_realize_at_m44_stays_far_below_the_dense_tensor():
+    """The nonzero list of 3-g at m = 44 holds 39,248 entries; the dense
+    tensor, made only when `entries` is read, is 30 MB."""
+    m = 44
+    spec = StructureSpec("3-g", (1.0, 2.0, 3.0), (0.5 + 1j,))
+    realize(spec, 8)
+    tracemalloc.start()
+    try:
+        A = realize(spec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(A.nonzero()[1]) == 39248
+    model_to_json_text(A)
+    assert A._dense is None  # writing the model made no dense view
+    assert A.entries.nbytes == m ** 4 * 8
+    assert peak < 0.1 * A.entries.nbytes

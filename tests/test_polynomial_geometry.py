@@ -349,6 +349,10 @@ def test_geodesic_validation():
         geodesic_integrate(C, [0.0, 0.0], [1.0, 0.0], -1.0)
     with pytest.raises(ValueError):
         geodesic_integrate(C, [0.0, 0.0], [1.0, 0.0], 1.0, step=0.0)
+    for t_max, step in ((float("nan"), 1e-3), (float("inf"), 1e-3), (1.0, float("nan")),
+                        (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="positive and finite"):
+            geodesic_integrate(C, [0.0, 0.0], [1.0, 0.0], t_max, step=step)
 
 
 def test_geodesic_json():

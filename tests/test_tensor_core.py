@@ -34,6 +34,18 @@ def sectional_tensor(m):
     return CurvatureTensor(e)
 
 
+def test_nonzero_list_and_dense_view_agree():
+    A = sectional_tensor(3)
+    idx, vals = A.nonzero()
+    assert np.array_equal(idx, np.argwhere(A.entries))
+    assert np.array_equal(vals, A.entries[tuple(idx.T)])
+    B = CurvatureTensor._from_nonzero(3, np.ravel_multi_index(idx.T, (3,) * 4), vals.copy())
+    assert B.entries is B.entries
+    assert np.array_equal(B.entries, A.entries)
+    assert not B.entries.flags.writeable and not B.nonzero()[1].flags.writeable
+    assert repr(B) == repr(A) == "CurvatureTensor(dim=3, nonzero=%d)" % len(vals)
+
+
 def test_tensor_is_immutable():
     A = sectional_tensor(3)
     with pytest.raises(AttributeError):
