@@ -21,6 +21,7 @@ residuals are multiplied back.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,7 +111,7 @@ class OssermanVerdict:
 def _model_scale(A):
     """Power of two nearest the largest |entry| (1 for the zero model).
     Dividing by it is exact in binary."""
-    top = max(float(A.entries.max()), -float(A.entries.min()))
+    top = float(np.max(np.abs(A.nonzero()[1]), initial=0.0))
     if not math.isfinite(top):
         raise ValueError("model entries must be finite")
     return 1.0 if top == 0.0 else math.ldexp(1.0, round(math.log2(top)))
@@ -334,6 +335,16 @@ class AdamsResult:
         return {"status": self.status, "reason": self.reason}
 
 
+@functools.cache
+def _case_shapes(m):
+    """Bundle shapes of the cases listed at m, as (rank, kind) pairs in the
+    order of BundlePartition; their largest count; their smallest top rank."""
+    shapes = tuple(
+        tuple(sorted([(k, "real") for k in reals] + [(2 * k, "complex-pair") for k in pairs]))
+        for _, reals, pairs in _listed_cases(m))
+    return shapes, max(map(len, shapes), default=0), min((s[-1][0] for s in shapes), default=0)
+
+
 def adams_admissible(m, partition):
     """Gate a bundle partition by the sphere vector-field bounds.
 
@@ -350,16 +361,12 @@ def adams_admissible(m, partition):
     """
     if partition.m != m:
         raise ValueError("partition was built for m=%d, not m=%d" % (partition.m, m))
-    # (rank, kind) pairs in the order of BundlePartition
-    shapes = [sorted([(k, "real") for k in reals] + [(2 * k, "complex-pair") for k in pairs])
-              for _, reals, pairs in _listed_cases(m)]
+    shapes, limit, floor = _case_shapes(m)
     if not shapes:
         return AdamsResult("unconstrained")
-    if list(zip(partition.dims, partition.kinds)) in shapes:
+    if tuple(zip(partition.dims, partition.kinds)) in shapes:
         return AdamsResult("admissible")
     count, top = len(partition.dims), max(partition.dims)
-    limit = max(len(shape) for shape in shapes)
-    floor = min(shape[-1][0] for shape in shapes)
     if count > limit and m % 2:
         reason = "odd m admits a single eigenbundle, got %d" % count
     elif count > limit:

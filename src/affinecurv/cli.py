@@ -46,7 +46,7 @@ from .polynomial_geometry import (
 )
 from .polynomials import polynomial_to_string
 from .riemannian_extension import check_extension_theorems, default_point
-from .spectral import EigensolverError, jordan_profile, spectrum
+from .spectral import jordan_profile, spectrum
 from .tensor_core import (
     check_affine_symmetries,
     load_model,
@@ -84,9 +84,10 @@ def complex_eigenvalue(text):
     try:
         value = complex(text.replace("i", "j").replace("I", "j"))
     except ValueError:
-        raise UsageError("cannot parse %r as a complex number a+bi" % text)
+        raise argparse.ArgumentTypeError("cannot parse %r as a complex number a+bi" % text)
     if value.imag <= 0:
-        raise UsageError("complex eigenvalue %r must have positive imaginary part" % text)
+        raise argparse.ArgumentTypeError(
+            "complex eigenvalue %r must have positive imaginary part" % text)
     return value
 
 
@@ -94,7 +95,7 @@ def coordinates(text):
     try:
         return [float(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError("cannot parse %r as comma-separated numbers" % text)
+        raise argparse.ArgumentTypeError("cannot parse %r as comma-separated numbers" % text)
 
 
 def _partition(text):
@@ -438,16 +439,11 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        # ValueError covers UsageError and json.JSONDecodeError
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except EigensolverError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # EigensolverError and InconsistencyError too
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -206,7 +206,7 @@ def compose_endomorphism(Xi, A):
     Xi = np.asarray(Xi, dtype=float)
     if Xi.shape != (A.dim, A.dim):
         raise ValueError("endomorphism shape %r does not match dim %d" % (Xi.shape, A.dim))
-    return CurvatureTensor._own(A.entries @ Xi.T)
+    return (_Term(A.dim, A._keys, A._values) @ Xi.T).tensor()
 
 
 def complex_model(J, axis_value, perp_value, perp_skew):

@@ -1,4 +1,4 @@
-"""Dense rank-4 curvature tensors and their Jacobi operators.
+"""Curvature tensors as sorted nonzero lists, and their Jacobi operators.
 
 A model lives on R^m with the standard basis.  The array convention is
 
@@ -42,14 +42,11 @@ __all__ = [
 
 
 class CurvatureTensor:
-    """Immutable rank-4 tensor on R^m.
-
-    It holds the sorted list of its nonzero entries (raveled C-order keys
-    and their values) and a dense m x m x m x m view, each made from the
-    other on first read and then kept.  Constructors hand over only the
-    list, whose length is O(m^2) for every realized model, so writing such
-    a model never makes the O(m^4) array; a tensor given as a dense array
-    makes its list with one scan when it is first asked for.
+    """Immutable rank-4 tensor on R^m, stored only as its sorted nonzero
+    entries: raveled C-order keys and their values, O(m^2) of them for
+    every realized model.  `entries` is a read-only dense m x m x m x m
+    view, made on first read and kept, for the Jacobi matmul and
+    `evaluate`; a dense array given to the constructor is scanned once.
 
     `notes` carries non-fatal flags set by constructors (for example an
     empty spectral slot at the minimum admissible dimension).
@@ -58,18 +55,12 @@ class CurvatureTensor:
     __slots__ = ("dim", "notes", "_dense", "_keys", "_values")
 
     def __init__(self, entries, notes=()):
-        self._adopt(np.array(entries, dtype=float), notes)
-
-    @classmethod
-    def _own(cls, arr, notes=()):
-        """Take ownership of a fresh float array without copying it.
-
-        For the loader and dense arithmetic, which build the array
-        themselves and keep no other reference to it.
-        """
-        out = cls.__new__(cls)
-        out._adopt(arr, notes)
-        return out
+        arr = np.asarray(entries, dtype=float)
+        if arr.ndim != 4 or len(set(arr.shape)) != 1:
+            raise ValueError("entries must be an m x m x m x m array")
+        keys = np.flatnonzero(arr)
+        self._keep(dim=arr.shape[0], notes=tuple(notes), _dense=None, _keys=keys,
+                   _values=arr.flat[keys])
 
     @classmethod
     def _from_nonzero(cls, m, keys, values, notes=()):
@@ -79,17 +70,15 @@ class CurvatureTensor:
         out._keep(dim=m, notes=tuple(notes), _dense=None, _keys=keys, _values=values)
         return out
 
-    def _adopt(self, arr, notes):
-        if arr.dtype != np.float64 or arr.ndim != 4 or len(set(arr.shape)) != 1:
-            raise ValueError("entries must be an m x m x m x m array")
-        self._keep(dim=arr.shape[0], notes=tuple(notes), _dense=arr, _keys=None, _values=None)
-
     def _keep(self, **fields):
         """Set fields past the immutability guard, arrays read-only."""
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return CurvatureTensor._from_nonzero, (self.dim, self._keys, self._values, self.notes)
 
     @property
     def entries(self):
@@ -103,10 +92,6 @@ class CurvatureTensor:
     def nonzero(self):
         """Indices (n, 4) and values (n,) of the nonzero entries, in
         lexicographic order of (i, j, k, l), which is numpy's C order."""
-        if self._keys is None:
-            flat = self._dense.reshape(-1)
-            keys = np.flatnonzero(flat)
-            self._keep(_keys=keys, _values=flat[keys])
         return np.stack(np.unravel_index(self._keys, (self.dim,) * 4), axis=1), self._values
 
     def __setattr__(self, name, value):
@@ -140,18 +125,28 @@ def evaluate(A, X, Y, Z):
 
 
 def check_affine_symmetries(A, tol=1e-10):
-    """Max-abs defect of antisymmetry and of the first curvature identity."""
-    e = A.entries
-    # The same sums as e + e.transpose(1, 0, 2, 3) and
-    # e + e.transpose(1, 2, 0, 3) + e.transpose(2, 0, 1, 3), one
-    # first-index slab i at a time, so no O(m^4) temporary is made.
-    anti = np.zeros(A.dim)
-    bianchi = np.zeros(A.dim)
-    for i in range(A.dim):
-        anti[i] = np.max(np.abs(e[i] + e[:, i]))
-        bianchi[i] = np.max(np.abs(e[i] + e[:, i].transpose(1, 0, 2) + e[:, :, i]))
-    anti = float(np.max(anti, initial=0.0))
-    bianchi = float(np.max(bianchi, initial=0.0))
+    """Max-abs defect of antisymmetry and of the first curvature identity.
+
+    Bit for bit the max-abs of e + e.transpose(1, 0, 2, 3) and of
+    e + e.transpose(1, 2, 0, 3) + e.transpose(2, 0, 1, 3), with no m^4
+    array: each sum is taken at the nonzero keys, its terms added in the
+    dense order and looked up in the sorted keys.  A sum elsewhere is zero
+    or, its own term being zero, equal to the sum at a partner key.
+    """
+    shape = (A.dim,) * 4
+    i, j, k, l = np.unravel_index(A._keys, shape)
+    # a key past every index ends the list, so each lookup lands in it
+    keys = np.append(A._keys, A.dim ** 4)
+    values = np.append(A._values, 0.0)
+
+    def at(a, b, c):
+        q = np.ravel_multi_index((a, b, c, l), shape)
+        pos = np.searchsorted(keys, q)
+        return np.where(keys[pos] == q, values[pos], 0.0)
+
+    v = A._values
+    anti = float(np.max(np.abs(v + at(j, i, k)), initial=0.0))
+    bianchi = float(np.max(np.abs((v + at(k, i, j)) + at(j, k, i)), initial=0.0))
     return SymmetryReport(anti, bianchi, tol, anti <= tol and bianchi <= tol)
 
 
@@ -304,9 +299,9 @@ def model_from_json_dict(data):
     repeated = np.zeros(n, dtype=bool)
     repeated[repeats] = True
     _first_bad_row(repeated, rows, "repeats an earlier (i, j, k, l)")
-    arr = np.zeros((dim,) * 4)
-    arr.reshape(-1)[keys] = cells[:, 4].astype(float)
-    return CurvatureTensor._own(arr)
+    values = cells[order, 4].astype(float)
+    keep = values != 0.0
+    return CurvatureTensor._from_nonzero(dim, keys[order][keep], values[keep])
 
 
 def model_to_json_text(A, depth=0):

@@ -12,9 +12,10 @@ import pytest
 from affinecurv import __version__, cli, polynomial_geometry
 from affinecurv.cli import main
 from affinecurv.polynomial_geometry import curvature
-from affinecurv.tensor_core import CurvatureTensor, save_model
+from affinecurv.tensor_core import CurvatureTensor, load_model, save_model
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -483,6 +484,38 @@ def test_parser_is_built_once_and_parses_afresh(capsys):
     assert code == 0
     spec = read_json(out)["spec"]
     assert spec["lambda"] == [3.0] and spec["nu"] == [[2.0, 1.0]]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["realize", "--case", "2-c", "--m", "6", "--lambda", "4", "--nu", "1-2i"],
+     "argument --nu: complex eigenvalue '1-2i' must have positive imaginary part"),
+    (["geometry", "--builtin", "homogeneous", "--m", "3", "--at", "a,b"],
+     "argument --at: cannot parse 'a,b' as comma-separated numbers"),
+    (["geometry", "--builtin", "homogeneous", "--m", "3", "--geodesic", "a,b", "0,0,0"],
+     "error: cannot parse 'a,b' as comma-separated numbers"),
+])
+def test_argument_types_keep_their_own_messages(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("name", ["realize_3-g_m8.model.json", "symm_fail_m3.model.json"])
+def test_explicit_zero_rows_change_nothing(capsys, tmp_path, name):
+    data = json.loads((GOLDEN / name).read_text())
+    rows = data["entries"]
+    present = {tuple(row[:4]) for row in rows}
+    free = [q for q in np.ndindex(*(data["dim"],) * 4) if q not in present]
+    # zero rows at the start, in the middle and at the end
+    padded = ([list(free[0]) + [0.0]] + rows[:2] + [list(free[-1]) + [-0.0]] + rows[2:]
+              + [list(free[1]) + [0], list(free[2]) + [-0.0]])
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps({"dim": data["dim"], "entries": padded}))
+    for got, want in zip(load_model(path).nonzero(), load_model(GOLDEN / name).nonzero()):
+        assert np.array_equal(got, want)
+    for command in (["symm"], ["classify", "--samples", "16"]):
+        want = run_cli(capsys, command[0], str(GOLDEN / name), *command[1:])
+        assert run_cli(capsys, command[0], str(path), *command[1:]) == want
 
 
 def test_version_exits_zero(capsys):

@@ -1,10 +1,19 @@
 """Curvature tensor container, Jacobi operators, and model files."""
 
+import copy
 import json
+import pickle
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from affinecurv.classifier import classify
+from affinecurv.constructors import StructureSpec, realize
 from affinecurv.tensor_core import (
     CurvatureTensor,
     check_affine_symmetries,
@@ -275,7 +284,7 @@ def test_save_model_rejects_non_finite_entries(tmp_path, bad):
 
 
 def test_symmetry_defects_equal_the_dense_formulas():
-    """The slab-by-slab defects are the max-abs of the same sums as the
+    """The key-based defects are the max-abs of the same sums as the
     dense m^4 expressions, so they agree bit for bit."""
     rng = np.random.default_rng(3)
     for m in (1, 2, 5):
@@ -289,3 +298,95 @@ def test_symmetry_defects_equal_the_dense_formulas():
     assert np.isnan(check_affine_symmetries(CurvatureTensor(e)).bianchi_defect)
     empty = check_affine_symmetries(CurvatureTensor(np.zeros((0,) * 4)))
     assert empty.antisymmetry_defect == 0.0 and empty.passed
+
+
+def dense_defects(e):
+    """The two defects as the dense m^4 expressions."""
+    anti = np.max(np.abs(e + e.transpose(1, 0, 2, 3)), initial=0.0)
+    cyc = e + e.transpose(1, 2, 0, 3) + e.transpose(2, 0, 1, 3)
+    return anti, np.max(np.abs(cyc), initial=0.0)
+
+
+_VALUES = st.one_of(st.floats(-8.0, 8.0, allow_subnormal=False),
+                    st.sampled_from([1.0 / 3.0, -2.0 / 3.0, 0.1, 1e-17, -7.0]))
+
+
+@st.composite
+def sparse_models(draw):
+    """A few random entries, each perhaps with its swapped or a rotated
+    partner (the negated value or another one), perhaps one NaN."""
+    m = draw(st.integers(0, 5))
+    e = np.zeros((m,) * 4)
+    if m == 0:
+        return e
+    index = st.integers(0, m - 1)
+    for i, j, k, l in draw(st.lists(st.tuples(index, index, index, index), max_size=12)):
+        v = draw(_VALUES)
+        e[i, j, k, l] = v
+        for partner in draw(st.sets(st.sampled_from([(j, i, k), (k, i, j), (j, k, i)]))):
+            e[partner + (l,)] = draw(st.one_of(st.just(-v), _VALUES))
+    if draw(st.integers(0, 9)) == 0:
+        e[tuple(draw(index) for _ in range(4))] = np.nan
+    return e
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_models())
+@example(np.zeros((0,) * 4))
+@example(np.zeros((3,) * 4))
+def test_symmetry_defects_equal_the_dense_formulas_on_sparse_models(e):
+    report = check_affine_symmetries(CurvatureTensor(e))
+    got = (report.antisymmetry_defect, report.bianchi_defect)
+    assert np.array_equal(got, dense_defects(e), equal_nan=True)
+
+
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                        lambda A: pickle.loads(pickle.dumps(A))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_keep_the_nonzero_list(round_trip):
+    A = CurvatureTensor(sectional_tensor(3).entries, notes=("a note",))
+    B = round_trip(A)
+    for got, want in zip(B.nonzero(), A.nonzero()):
+        assert np.array_equal(got, want)
+    assert (B.dim, B.notes) == (3, ("a note",))
+    assert not B.nonzero()[1].flags.writeable and not B.entries.flags.writeable
+    with pytest.raises(AttributeError, match="immutable"):
+        B.dim = 4
+
+
+def test_tensor_keeps_no_reference_to_the_given_array():
+    e = sectional_tensor(2).entries.copy()
+    A = CurvatureTensor(e)
+    e[0, 1, 0, 1] = 5.0
+    assert A.entries[0, 1, 0, 1] == -1.0 and A._dense is not e
+
+
+def test_symm_of_a_large_model_file_makes_no_dense_array(tmp_path):
+    """3-g at m = 44 has 39,248 nonzeros; its dense tensor is 30 MB."""
+    m = 44
+    path = tmp_path / "model.json"
+    save_model(realize(StructureSpec("3-g", (1.0, 2.0, 3.0), (0.5 + 1j,)), m), path)
+    tracemalloc.start()
+    try:
+        A = load_model(path)
+        report = check_affine_symmetries(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and A._dense is None
+    assert peak < 0.5 * m ** 4 * 8
+
+
+def test_classify_builds_the_dense_view_once_for_the_jacobi_matmul(monkeypatch):
+    callers = []
+    view = CurvatureTensor.entries.fget
+
+    def entries(self):
+        if self._dense is None:
+            callers.append(sys._getframe(1).f_code.co_name)
+        return view(self)
+
+    monkeypatch.setattr(CurvatureTensor, "entries", property(entries))
+    A = load_model(Path(__file__).parent / "golden" / "realize_3-g_m8.model.json")
+    assert classify(A, n_samples=16).verdict.status == "projective_affine_osserman"
+    assert callers == ["jacobi_batch"]
