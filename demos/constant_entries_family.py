@@ -28,17 +28,12 @@ from affinecurv.polynomials import polynomial_to_string
 m, eps = 3, 1
 C = curvature_homogeneous_connection(m, eps=eps)
 
-# exact rational curvature: every entry is a constant polynomial
+# exact rational curvature: every entry is a constant polynomial; the map
+# holds the nonzero ones
 R = curvature(C).riemann
 print("nonzero curvature entries (all constant):")
-for i in range(m):
-    for j in range(m):
-        for k in range(m):
-            for l in range(m):
-                p = R[i][j][k][l]
-                if not p.is_zero:
-                    print("  R[%d][%d][%d][%d] = %s"
-                          % (i, j, k, l, polynomial_to_string(p, m)))
+for key, p in sorted(R.items()):
+    print("  R%s = %s" % (key, polynomial_to_string(p, m)))
 
 # the same tensor at two different points, hence "curvature homogeneous"
 A0 = curvature_at(C, [0.0, 0.0, 0.0])
@@ -50,8 +45,8 @@ print("sampled verdict:", is_projective_affine_osserman(A0, tol=1e-6).status)
 # alternating part proportional to eps
 sym, alt = ricci_split(C)
 print("\nricci symmetric diagonal:",
-      [polynomial_to_string(sym[i][i], m) for i in range(m)])
-print("ricci alternating [0][1]:", polynomial_to_string(alt[0][1], m))
+      [polynomial_to_string(sym[i, i], m) for i in range(m)])
+print("ricci alternating (0, 1):", polynomial_to_string(alt[0, 1], m))
 
 # at X = (e1+e3)/sqrt(2) the Jacobi operator is defective: one eigenvalue,
 # one Jordan block of size 2
@@ -65,9 +60,8 @@ print("Jordan blocks at %.3f: sizes %s" % (value.real, prof.block_sizes))
 
 # nabla R keeps the position dependence the curvature dropped
 nb = nabla_R(C)
-slot = nb[1][0][0][0]
-print("\nnabla R slot [1][0][0][0] components:",
-      [polynomial_to_string(p, m) for p in slot])
+print("\nnabla R slot (1, 0, 0, 0) components:",
+      [polynomial_to_string(nb[1, 0, 0, 0, l], m) for l in range(m)])
 print("its d2-component vanishes exactly on the plane x1 + x2 = 0")
 
 # with eps = 0 the geodesic from the origin with velocity -e3/2 satisfies

@@ -18,10 +18,9 @@ from affinecurv.polynomials import polynomial_to_string
 # 6-dimensional metric is nilpotent, certified in exact rational arithmetic
 base = plane_wave_connection()
 g = deformed_extension(base)
-print("deformed extension, dim %d, top-left block:" % g.dim)
-for row in range(base.dim):
-    print("  ", [polynomial_to_string(g.components[row][cc], g.dim)
-                 for cc in range(base.dim)])
+print("deformed extension, dim %d, nonzero top-left block entries:" % g.dim)
+for key, p in sorted(g.top_block.items()):
+    print("   B%s = %s" % (key, polynomial_to_string(p, base.dim, base.dim)))
 
 report = check_extension_theorems(base, n_vectors=3)
 print("clauses:", report.clauses)

@@ -111,7 +111,7 @@ class OssermanVerdict:
 def _model_scale(A):
     """Power of two nearest the largest |entry| (1 for the zero model).
     Dividing by it is exact in binary."""
-    top = float(np.max(np.abs(A.nonzero()[1]), initial=0.0))
+    top = float(np.max(np.abs(A._values), initial=0.0))
     if not math.isfinite(top):
         raise ValueError("model entries must be finite")
     return 1.0 if top == 0.0 else math.ldexp(1.0, round(math.log2(top)))

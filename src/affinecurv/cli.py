@@ -238,16 +238,9 @@ def _load_connection_source(args):
     raise UsageError("pick a connection with --builtin or --file")
 
 
-def _table_json(table, index=()):
-    """The nonzero entries of a nested polynomial table as {"i,j,...": text}."""
-    if not isinstance(table, (list, tuple)):
-        if table.is_zero:
-            return {}
-        return {",".join(map(str, index)): polynomial_to_string(table)}
-    entries = {}
-    for i, sub in enumerate(table):
-        entries.update(_table_json(sub, index + (i,)))
-    return entries
+def _table_json(table):
+    """A polynomial map as {"i,j,...": text}."""
+    return {",".join(map(str, key)): polynomial_to_string(p) for key, p in table.items()}
 
 
 def _cmd_geometry(args):
@@ -362,12 +355,13 @@ def _build_parser():
     """The argument parser, built on first use and then shared: parsing
     keeps no state on it, and each call gets a fresh namespace."""
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument("--samples", type=int, default=64, help="random sample count")
-    common.add_argument("--tol", type=float, default=None,
-                        help="numerical tolerance (per-command default)")
     common.add_argument("--json-out", metavar="FILE", help="also write the JSON report here")
     common.add_argument("--pretty", action="store_true", help="human summary on stderr")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="sampling seed")
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None,
+                     help="numerical tolerance (per-command default)")
 
     parser = _Parser(prog="affinecurv", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -384,8 +378,10 @@ def _build_parser():
     p.add_argument("--out", metavar="FILE", help="write the model JSON here")
     p.set_defaults(func=_cmd_realize)
 
-    p = sub.add_parser("classify", parents=[common], help="Osserman verdict for a model")
+    p = sub.add_parser("classify", parents=[common, seed, tol],
+                       help="Osserman verdict for a model")
     p.add_argument("model", help="model JSON file")
+    p.add_argument("--samples", type=int, default=64, help="random sample count")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("adams", parents=[common], help="eigenbundle partition gate")
@@ -394,7 +390,7 @@ def _build_parser():
                    help="comma list of bundle ranks; suffix c marks a conjugate-pair bundle")
     p.set_defaults(func=_cmd_adams)
 
-    p = sub.add_parser("geometry", parents=[common],
+    p = sub.add_parser("geometry", parents=[common, tol],
                        help="curvature data of a polynomial connection")
     p.add_argument("--builtin", choices=("homogeneous", "planewave", "flat"))
     p.add_argument("--file", help="connection JSON file")
@@ -414,7 +410,7 @@ def _build_parser():
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(func=_cmd_geometry)
 
-    p = sub.add_parser("extend", parents=[common],
+    p = sub.add_parser("extend", parents=[common, seed, tol],
                        help="cotangent-metric checks over an affine base")
     p.add_argument("--builtin", choices=("homogeneous", "planewave", "flat"))
     p.add_argument("--file", help="connection JSON file")
@@ -427,7 +423,7 @@ def _build_parser():
                    help="sampled vectors of each causal character")
     p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("symm", parents=[common], help="curvature symmetry defects")
+    p = sub.add_parser("symm", parents=[common, tol], help="curvature symmetry defects")
     p.add_argument("model", help="model JSON file")
     p.set_defaults(func=_cmd_symm)
 

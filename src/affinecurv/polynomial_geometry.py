@@ -8,11 +8,14 @@ happens after evaluating at a point.
 
 Index conventions, with d_i the coordinate fields:
 
-    R(d_i, d_j) d_k = sum_l R[i][j][k][l] d_l,
+    R(d_i, d_j) d_k = sum_l R[i, j, k, l] d_l,
     R_ijk^l = d_i G_jk^l - d_j G_ik^l + G_in^l G_jk^n - G_jn^l G_ik^n,
 
-where G_ij^k is the symbol gamma[i][j][k].  The covariant derivative
-table is indexed nabla[i][j][k][n][l] for (grad_{d_n} R)(d_i, d_j) d_k.
+where G_ij^k is the symbol gamma[i, j, k].  The covariant derivative is
+nabla[i, j, k, n, l] for (grad_{d_n} R)(d_i, d_j) d_k.
+
+Every table is a read-only map from index tuple to nonzero Polynomial; an
+absent key is zero.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,50 +55,49 @@ __all__ = [
 
 
 class PolyConnection:
-    """Torsion-free connection: gamma[i][j][k] is the d_k coefficient of
-    the covariant derivative of d_j along d_i, a Polynomial in as many
-    variables as the dimension."""
+    """Torsion-free connection: gamma maps (i, j, k) to the nonzero d_k
+    coefficient of the covariant derivative of d_j along d_i, a Polynomial
+    in as many variables as the dimension, keys in lexicographic order.
+
+    `symbols` is a {(i, j, k): Polynomial | rational} map; zero values are
+    dropped and (j, i, k) must hold the same symbol as (i, j, k)."""
 
     __slots__ = ("dim", "gamma", "_evaluator")
 
-    def __init__(self, dim, gamma):
+    def __init__(self, dim, symbols):
         dim = int(dim)
         if dim < 1:
             raise ValueError("need dim >= 1")
-        table = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                col = []
-                for k in range(dim):
-                    p = gamma[i][j][k]
-                    if not isinstance(p, Polynomial):
-                        p = Polynomial.constant(p, dim)
-                    if p.nvars != dim:
-                        raise ValueError(
-                            "symbol (%d,%d,%d) has %d variables, expected %d"
-                            % (i, j, k, p.nvars, dim)
-                        )
-                    col.append(p)
-                row.append(tuple(col))
-            table.append(tuple(row))
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(dim):
-                    if table[i][j][k] != table[j][i][k]:
-                        raise ValueError(
-                            "torsion: symbol (%d,%d,%d) differs from (%d,%d,%d)"
-                            % (i, j, k, j, i, k)
-                        )
+        gamma = {}
+        for (i, j, k), p in sorted(symbols.items()):
+            for idx in (i, j, k):
+                if not 0 <= idx < dim:
+                    raise ValueError("index %d out of range in key %r" % (idx, (i, j, k)))
+            if not isinstance(p, Polynomial):
+                p = Polynomial.constant(p, dim)
+            if p.nvars != dim:
+                raise ValueError(
+                    "symbol (%d,%d,%d) has %d variables, expected %d"
+                    % (i, j, k, p.nvars, dim)
+                )
+            if p:
+                gamma[i, j, k] = p
+        bad = [(min(i, j), max(i, j), k) for (i, j, k), p in gamma.items()
+               if gamma.get((j, i, k)) != p]
+        if bad:
+            i, j, k = min(bad)
+            raise ValueError(
+                "torsion: symbol (%d,%d,%d) differs from (%d,%d,%d)" % (i, j, k, j, i, k)
+            )
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gamma", tuple(table))
-        object.__setattr__(self, "_evaluator", CompiledTable(self.gamma, (dim,) * 3, dim))
+        object.__setattr__(self, "gamma", MappingProxyType(gamma))
+        object.__setattr__(self, "_evaluator", CompiledTable(gamma, (dim,) * 3, dim))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyConnection is immutable")
 
     def christoffel(self, i, j, k):
-        return self.gamma[i][j][k]
+        return self.gamma.get((i, j, k), Polynomial.zero(self.dim))
 
     def gamma_at(self, point):
         """Numeric symbol array gamma[i, j, k] at a point."""
@@ -102,40 +105,32 @@ class PolyConnection:
 
     def symbol_rows(self):
         """rows[i][j]: the pairs (k, G_ij^k) with a nonzero symbol, k ascending."""
-        m = self.dim
-        g = self.gamma
-        return [[[(k, g[i][j][k]) for k in range(m) if g[i][j][k]] for j in range(m)]
-                for i in range(m)]
-
-
-def _empty_table(dim):
-    zero = Polynomial.zero(dim)
-    return [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        rows = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        for (i, j, k), p in self.gamma.items():
+            rows[i][j].append((k, p))
+        return rows
 
 
 def connection_from_symbols(dim, symbols):
     """Build from a sparse {(i, j, k): Polynomial|rational} map; the (i, j)
     symmetric closure is applied automatically."""
-    table = _empty_table(dim)
+    table = {}
     for (i, j, k), value in symbols.items():
-        if not isinstance(value, Polynomial):
-            value = Polynomial.constant(value, dim)
-        table[i][j][k] = value
-        table[j][i][k] = value
+        table[i, j, k] = table[j, i, k] = value
     return PolyConnection(dim, table)
 
 
 @dataclass(frozen=True)
 class PolyCurvature:
-    """Rank-4 polynomial curvature table, optionally with its covariant
-    derivative attached (see nabla_R)."""
+    """Rank-4 polynomial curvature map riemann[i, j, k, l], optionally with
+    its covariant derivative nabla[i, j, k, n, l] attached (see nabla_R)."""
 
     dim: int
-    riemann: tuple
-    nabla: tuple | None = None
+    riemann: MappingProxyType
+    nabla: MappingProxyType | None = None
 
     def entry(self, i, j, k, l):
-        return self.riemann[i][j][k][l]
+        return self.riemann.get((i, j, k, l), Polynomial.zero(self.dim))
 
     @cached_property
     def _evaluator(self):
@@ -145,14 +140,13 @@ class PolyCurvature:
         return CurvatureTensor(self._evaluator(point))
 
     def evaluate_exact(self, point):
-        """Nested Fraction table at an exact rational point; only the
-        nonzero entries are evaluated."""
+        """{(i, j, k, l): Fraction} of the entries that are nonzero at an
+        exact rational point."""
         point = [Fraction(v) for v in point]
         if len(point) != self.dim:
             raise ValueError("point has %d components, expected %d" % (len(point), self.dim))
-        zero = Fraction(0)
-        return [[[[p(point) if p else zero for p in row] for row in plane] for plane in block]
-                for block in self.riemann]
+        values = ((key, p(point)) for key, p in self.riemann.items())
+        return MappingProxyType({key: v for key, v in values if v})
 
 
 def curvature(C, with_nabla=False):
@@ -164,7 +158,7 @@ def curvature(C, with_nabla=False):
     m = C.dim
     rows = C.symbol_rows()
     zero = Polynomial.zero(m)
-    R = [[[[zero] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
+    R = {}
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(m):
@@ -181,63 +175,66 @@ def curvature(C, with_nabla=False):
                 for n, b in rows[i][k]:
                     for l, a in rows[j][n]:
                         acc[l] = acc[l] - a * b
-                R[i][j][k] = acc
-                R[j][i][k] = [-p for p in acc]
-    # R[j][i] = -R[i][j] and R[i][i] = 0 exactly, so the cyclic sum is
+                for l, p in enumerate(acc):
+                    if p:
+                        R[i, j, k, l] = p
+                        R[j, i, k, l] = -p
+    # R[j, i] = -R[i, j] and R[i, i] = 0 exactly, so the cyclic sum is
     # invariant under rotation, changes sign under a swap and vanishes when
     # two indices coincide: i < j < k covers every (i, j, k).
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
                 for l in range(m):
-                    cyc = R[i][j][k][l] + R[j][k][i][l] + R[k][i][j][l]
+                    cyc = (R.get((i, j, k, l), zero) + R.get((j, k, i, l), zero)
+                           + R.get((k, i, j, l), zero))
                     if not cyc.is_zero:
                         raise RuntimeError(
                             "cyclic identity violated at (%d,%d,%d,%d)" % (i, j, k, l)
                         )
-    riemann = tuple(tuple(tuple(tuple(col) for col in row) for row in plane) for plane in R)
-    result = PolyCurvature(m, riemann)
-    if with_nabla:
-        result = PolyCurvature(m, riemann, _covariant_derivative(C, riemann))
-    return result
+    nabla = _covariant_derivative(C, R) if with_nabla else None
+    return PolyCurvature(m, MappingProxyType(R), nabla)
 
 
 def _covariant_derivative(C, R):
-    """nabla[i][j][k][n][l] = d_n R_ijk^l + G_np^l R_ijk^p - G_ni^p R_pjk^l
+    """nabla[i, j, k, n, l] = d_n R_ijk^l + G_np^l R_ijk^p - G_ni^p R_pjk^l
     - G_nj^p R_ipk^l - G_nk^p R_ijp^l, summed over the nonzero pairs.  It is
     antisymmetric in (i, j) because R is, so only i < j is computed."""
     m = C.dim
     rows = C.symbol_rows()
-    nonzero = [[[[(l, p) for l, p in enumerate(R[i][j][k]) if p] for k in range(m)]
-                for j in range(m)] for i in range(m)]
-    zeros = (Polynomial.zero(m),) * m
-    NR = [[[[zeros] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
+    Rrows = {}  # (i, j, k) -> [(l, R_ijk^l), ...], l ascending as curvature stores it
+    for (i, j, k, l), r in R.items():
+        Rrows.setdefault((i, j, k), []).append((l, r))
+    zero = Polynomial.zero(m)
+    NR = {}
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(m):
                 for n in range(m):
-                    acc = list(zeros)
-                    for l, r in nonzero[i][j][k]:
+                    acc = [zero] * m
+                    for l, r in Rrows.get((i, j, k), ()):
                         acc[l] = r.diff(n)
-                    for p, r in nonzero[i][j][k]:
+                    for p, r in Rrows.get((i, j, k), ()):
                         for l, a in rows[n][p]:
                             acc[l] = acc[l] + a * r
                     for p, a in rows[n][i]:
-                        for l, r in nonzero[p][j][k]:
+                        for l, r in Rrows.get((p, j, k), ()):
                             acc[l] = acc[l] - a * r
                     for p, a in rows[n][j]:
-                        for l, r in nonzero[i][p][k]:
+                        for l, r in Rrows.get((i, p, k), ()):
                             acc[l] = acc[l] - a * r
                     for p, a in rows[n][k]:
-                        for l, r in nonzero[i][j][p]:
+                        for l, r in Rrows.get((i, j, p), ()):
                             acc[l] = acc[l] - a * r
-                    NR[i][j][k][n] = tuple(acc)
-                    NR[j][i][k][n] = tuple(-q for q in acc)
-    return tuple(tuple(tuple(tuple(col) for col in row) for row in plane) for plane in NR)
+                    for l, q in enumerate(acc):
+                        if q:
+                            NR[i, j, k, n, l] = q
+                            NR[j, i, k, n, l] = -q
+    return MappingProxyType(NR)
 
 
 def nabla_R(C):
-    """Rank-5 table nabla[i][j][k][n][l] of the covariant derivative of the
+    """Rank-5 map nabla[i, j, k, n, l] of the covariant derivative of the
     curvature: the l-component of (grad_{d_n} R)(d_i, d_j) d_k."""
     return curvature(C, with_nabla=True).nabla
 
@@ -253,27 +250,28 @@ def _as_curvature(source):
 
 def ricci_split(source):
     """(symmetric, antisymmetric) parts of the Ricci tensor
-    rho_jk = sum_l R_ljk^l, each an m x m polynomial table.
+    rho_jk = sum_l R_ljk^l, each a {(j, k): Polynomial} map.
 
     `source` is a connection or its already computed PolyCurvature."""
     curv = _as_curvature(source)
     R = curv.riemann
     m = curv.dim
-    rho = [[Polynomial.zero(m) for _ in range(m)] for _ in range(m)]
+    zero = Polynomial.zero(m)
+    rho = {}
     for j in range(m):
         for k in range(m):
-            total = Polynomial.zero(m)
+            total = zero
             for l in range(m):
-                total = total + R[l][j][k][l]
-            rho[j][k] = total
+                total = total + R.get((l, j, k, l), zero)
+            rho[j, k] = total
     half = Fraction(1, 2)
-    sym = tuple(
-        tuple(half * (rho[j][k] + rho[k][j]) for k in range(m)) for j in range(m)
-    )
-    alt = tuple(
-        tuple(half * (rho[j][k] - rho[k][j]) for k in range(m)) for j in range(m)
-    )
-    return sym, alt
+    sym, alt = {}, {}
+    for j, k in rho:
+        for part, p in ((sym, half * (rho[j, k] + rho[k, j])),
+                        (alt, half * (rho[j, k] - rho[k, j]))):
+            if p:
+                part[j, k] = p
+    return MappingProxyType(sym), MappingProxyType(alt)
 
 
 @dataclass(frozen=True)
@@ -311,7 +309,8 @@ def surface_projective_osserman(source, point, n_samples=64, seed=0, tol=1e-8):
     curv = _as_curvature(source)
     sym, _ = ricci_split(curv)
     pt = [Fraction(v) for v in point]
-    vals = [[sym[j][k](pt) for k in range(2)] for j in range(2)]
+    vals = [[sym[j, k](pt) if (j, k) in sym else Fraction(0) for k in range(2)]
+            for j in range(2)]
     det = vals[0][0] * vals[1][1] - vals[0][1] * vals[1][0]
     definite = det > 0
     extra = ()
@@ -335,7 +334,7 @@ def surface_projective_osserman(source, point, n_samples=64, seed=0, tol=1e-8):
 
 
 def flat_connection(m):
-    return PolyConnection(m, _empty_table(m))
+    return PolyConnection(m, {})
 
 
 def curvature_homogeneous_connection(m, eps=0):
@@ -416,21 +415,15 @@ def _spray(C):
     in, and the symbol's value is start + term + term + ...  `start` is 0.0
     plus a leading term without variables, so a constant symbol needs no
     work per call."""
-    m = C.dim
-    g = C.gamma
-    spray = []
-    for k in range(m):
-        pairs = []
-        for i in range(m):
-            for j in range(m):
-                if g[i][j][k]:
-                    terms = [(float(coeff), [(var, e) for var, e in enumerate(exps) if e])
-                             for exps, coeff in g[i][j][k].terms()]
-                    start = 0.0
-                    if not terms[0][1]:
-                        start += terms.pop(0)[0]
-                    pairs.append((i, j, start, terms))
-        spray.append(pairs)
+    spray = [[] for _ in range(C.dim)]
+    # gamma is in lexicographic key order, so each spray[k] is too
+    for (i, j, k), p in C.gamma.items():
+        terms = [(float(coeff), [(var, e) for var, e in enumerate(exps) if e])
+                 for exps, coeff in p.terms()]
+        start = 0.0
+        if not terms[0][1]:
+            start += terms.pop(0)[0]
+        spray[k].append((i, j, start, terms))
     return spray
 
 
@@ -575,14 +568,8 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
 def connection_to_json_dict(C):
     """{"dim": m, "gamma": {"i,j,k": "<polynomial>"}} with 0-based indices;
     only the i <= j representative of each symmetric pair is stored."""
-    out = {}
-    for i in range(C.dim):
-        for j in range(i, C.dim):
-            for k in range(C.dim):
-                p = C.gamma[i][j][k]
-                if p.is_zero:
-                    continue
-                out["%d,%d,%d" % (i, j, k)] = polynomial_to_string(p)
+    out = {"%d,%d,%d" % key: polynomial_to_string(p)
+           for key, p in C.gamma.items() if key[0] <= key[1]}
     return {"dim": C.dim, "gamma": out}
 
 
@@ -601,7 +588,6 @@ def connection_from_json_dict(data):
     if not isinstance(raw, dict):
         raise ValueError("connection JSON 'gamma' must be an object, got %s"
                          % type(raw).__name__)
-    table = _empty_table(dim)
     filled = {}
     for key, text in raw.items():
         if not isinstance(text, str):
@@ -621,9 +607,7 @@ def connection_from_json_dict(data):
             raise ValueError(
                 "asymmetric symbols for (%d,%d,%d) vs (%d,%d,%d)" % (i, j, k, j, i, k)
             )
-        table[i][j][k] = poly
-        table[j][i][k] = poly
-    return PolyConnection(dim, table)
+    return connection_from_symbols(dim, filled)
 
 
 def save_connection(C, path):

@@ -247,7 +247,8 @@ class Polynomial:
 
 
 class CompiledTable:
-    """Float evaluator of a nested table of polynomials in one ring.
+    """Float evaluator of a {index tuple: Polynomial} map in one ring, read
+    as an array of the given shape that is zero at every absent key.
 
     Over the nonzero terms of all entries it holds the flat output index of
     each term, the exponent matrix (terms x nvars) and the coefficient
@@ -261,18 +262,16 @@ class CompiledTable:
 
     def __init__(self, table, shape, nvars):
         index, exponents, coeffs = [], [], []
-        for flat, idx in enumerate(np.ndindex(*shape)):
-            poly = table
-            for i in idx:
-                poly = poly[i]
+        for key, poly in table.items():
             for exps, coeff in poly.terms():
-                index.append(flat)
+                index.append(key)
                 exponents.append(exps)
                 coeffs.append(float(coeff))
         self.nvars = nvars
         self.shape = tuple(shape)
         self.size = math.prod(self.shape)
-        self.index = np.array(index, dtype=np.intp)
+        keys = np.array(index, dtype=np.intp).reshape(len(index), len(self.shape))
+        self.index = np.ravel_multi_index(keys.T, self.shape)
         self.exponents = np.array(exponents, dtype=np.int64).reshape(len(index), nvars)
         self.coeffs = np.array(coeffs, dtype=float)
         self.degree = int(self.exponents.max(initial=0))

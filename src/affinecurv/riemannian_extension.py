@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,58 +66,54 @@ __all__ = [
 
 
 class PolyMetric:
-    """Block cotangent metric; `components` is the dense 2m x 2m table of
-    polynomials in the 2m variables, `top_block` the m x m matrix B."""
+    """Block cotangent metric.  `components` maps (a, b) to the nonzero
+    entries of the 2m x 2m table of polynomials in the 2m variables and
+    `top_block` maps (i, j) to those of the m x m matrix B, which the
+    constructor takes as a {(i, j): Polynomial | rational} map."""
 
     __slots__ = ("m", "dim", "components", "top_block", "_evaluator")
 
     def __init__(self, m, top_block):
         m = int(m)
         n = 2 * m
-        B = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                p = top_block[i][j]
-                if not isinstance(p, Polynomial):
-                    p = Polynomial.constant(p, n)
-                if p.nvars != n:
-                    raise ValueError("top block entries must live in %d variables" % n)
-                row.append(p)
-            B.append(tuple(row))
-        for i in range(m):
-            for j in range(i + 1, m):
-                if B[i][j] != B[j][i]:
-                    raise ValueError("top block is not symmetric at (%d, %d)" % (i, j))
-        zero = Polynomial.zero(n)
+        B = {}
+        for (i, j), p in top_block.items():
+            for idx in (i, j):
+                if not 0 <= idx < m:
+                    raise ValueError("index %d out of range in key %r" % (idx, (i, j)))
+            if not isinstance(p, Polynomial):
+                p = Polynomial.constant(p, n)
+            if p.nvars != n:
+                raise ValueError("top block entries must live in %d variables" % n)
+            if p:
+                B[i, j] = p
+        bad = [(min(i, j), max(i, j)) for (i, j), p in B.items() if B.get((j, i)) != p]
+        if bad:
+            raise ValueError("top block is not symmetric at (%d, %d)" % min(bad))
         one = Polynomial.constant(1, n)
-        comp = [[zero for _ in range(n)] for _ in range(n)]
+        comp = dict(B)
         for i in range(m):
-            for j in range(m):
-                comp[i][j] = B[i][j]
-            comp[i][m + i] = one
-            comp[m + i][i] = one
+            comp[i, m + i] = comp[m + i, i] = one
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "components", tuple(tuple(row) for row in comp))
-        object.__setattr__(self, "top_block", tuple(B))
-        object.__setattr__(self, "_evaluator", CompiledTable(self.components, (n, n), n))
+        object.__setattr__(self, "components", MappingProxyType(comp))
+        object.__setattr__(self, "top_block", MappingProxyType(B))
+        object.__setattr__(self, "_evaluator", CompiledTable(comp, (n, n), n))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMetric is immutable")
 
     def inverse(self):
-        """Exact polynomial inverse [[0, Id], [Id, -B]]."""
+        """Exact polynomial inverse [[0, Id], [Id, -B]], keys in
+        lexicographic order."""
         m, n = self.m, self.dim
-        zero = Polynomial.zero(n)
         one = Polynomial.constant(1, n)
-        inv = [[zero for _ in range(n)] for _ in range(n)]
+        inv = {}
         for i in range(m):
-            inv[i][m + i] = one
-            inv[m + i][i] = one
-            for j in range(m):
-                inv[m + i][m + j] = -self.top_block[i][j]
-        return tuple(tuple(row) for row in inv)
+            inv[i, m + i] = inv[m + i, i] = one
+        for (i, j), p in self.top_block.items():
+            inv[m + i, m + j] = -p
+        return MappingProxyType(dict(sorted(inv.items())))
 
     def gram_at(self, point):
         """Numeric Gram matrix at a point of R^{2m}."""
@@ -124,63 +121,46 @@ class PolyMetric:
 
     def gram_exact(self, point):
         point = [Fraction(v) for v in point]
-        n = self.dim
-        return [[self.components[a][b](point) for b in range(n)] for a in range(n)]
-
-
-def _lift_connection_symbols(C):
-    """Base symbols re-read in the 2m-variable ring."""
-    n = 2 * C.dim
-    return [
-        [[C.gamma[i][j][k].embed(n) for k in range(C.dim)] for j in range(C.dim)]
-        for i in range(C.dim)
-    ]
+        gram = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for (a, b), p in self.components.items():
+            gram[a][b] = p(point)
+        return gram
 
 
 def deformed_extension(C, Phi=None):
     """Metric with top block B_ij = -2 y_k G_ij^k + Phi_ij.
 
-    Phi is an optional symmetric m x m table of polynomials in the base
-    variables (numbers are accepted and read as constants).
+    Phi is an optional symmetric {(i, j): Polynomial | rational} map of
+    polynomials in the base variables (numbers are read as constants).
     """
     m = C.dim
     n = 2 * m
-    lifted = _lift_connection_symbols(C)
-    B = [[Polynomial.zero(n) for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            total = Polynomial.zero(n)
-            for k in range(m):
-                if lifted[i][j][k]:
-                    total = total - 2 * Polynomial.variable(m + k, n) * lifted[i][j][k]
-            B[i][j] = total
+    zero = Polynomial.zero(n)
+    B = {}
+    for (i, j, k), p in C.gamma.items():  # k ascending for each (i, j)
+        B[i, j] = B.get((i, j), zero) - 2 * Polynomial.variable(m + k, n) * p.embed(n)
     if Phi is not None:
-        for i in range(m):
-            for j in range(m):
-                p = Phi[i][j]
-                if not isinstance(p, Polynomial):
-                    p = Polynomial.constant(p, m)
-                if p.nvars == m:
-                    p = p.embed(n)
-                if p.nvars != n:
-                    raise ValueError("Phi entries must use the base variables")
-                B[i][j] = B[i][j] + p
-        for i in range(m):
-            for j in range(i + 1, m):
-                if B[i][j] != B[j][i]:
-                    raise ValueError("Phi must be symmetric")
-    return PolyMetric(m, B)
+        for (i, j), p in Phi.items():
+            if not isinstance(p, Polynomial):
+                p = Polynomial.constant(p, m)
+            if p.nvars == m:
+                p = p.embed(n)
+            if p.nvars != n:
+                raise ValueError("Phi entries must use the base variables")
+            B[i, j] = B.get((i, j), zero) + p
+    return PolyMetric(m, B)  # which rejects an asymmetric Phi
 
 
 def modified_extension(C):
     """Metric with top block B_ij = y_i y_j - 2 y_k G_ij^k."""
     m = C.dim
     n = 2 * m
-    base = deformed_extension(C)
-    B = [list(row) for row in base.top_block]
+    zero = Polynomial.zero(n)
+    B = dict(deformed_extension(C).top_block)
     for i in range(m):
         for j in range(m):
-            B[i][j] = B[i][j] + Polynomial.variable(m + i, n) * Polynomial.variable(m + j, n)
+            y_ij = Polynomial.variable(m + i, n) * Polynomial.variable(m + j, n)
+            B[i, j] = B.get((i, j), zero) + y_ij
     return PolyMetric(m, B)
 
 
@@ -192,36 +172,41 @@ def levi_civita_block(metric):
     """
     n = metric.dim
     g = metric.components
-    ginv = metric.inverse()
+    ginv = [[] for _ in range(n)]  # ginv[c]: the pairs (d, ginv^cd), d ascending
+    for (c, d), p in metric.inverse().items():
+        ginv[c].append((d, p))
     half = Fraction(1, 2)
-    dg = [[[g[a][b].diff(c) for c in range(n)] for b in range(n)] for a in range(n)]
-    table = [[[None] * n for _ in range(n)] for _ in range(n)]
-    ginv_rows = [[(d, ginv[c][d]) for d in range(n) if ginv[c][d]] for c in range(n)]
+    zero = Polynomial.zero(n)
+    # dg[a, b, c] = d_c g_ab, nonzero ones only
+    dg = {(a, b, c): d for (a, b), p in g.items() for c in range(n) if (d := p.diff(c))}
+    table = {}
     for a in range(n):
         for b in range(a, n):
+            brackets = {}
+            for d in range(n):
+                bracket = (dg.get((b, d, a), zero) + dg.get((a, d, b), zero)
+                           - dg.get((a, b, d), zero))
+                if bracket:
+                    brackets[d] = bracket
             for c in range(n):
-                total = Polynomial.zero(n)
-                for d, inv in ginv_rows[c]:
-                    bracket = dg[b][d][a] + dg[a][d][b] - dg[a][b][d]
-                    if bracket:
-                        total = total + inv * bracket
-                if total:
-                    total = half * total
-                table[a][b][c] = total
-                table[b][a][c] = total
+                total = zero
+                for d, inv in ginv[c]:
+                    if d in brackets:
+                        total = total + inv * brackets[d]
+                table[a, b, c] = table[b, a, c] = half * total
     conn = PolyConnection(n, table)
     # d_a g_bc = G_ab^d g_dc + G_ac^d g_bd, over the nonzero products only
     rows = conn.symbol_rows()
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                defect = dg[b][c][a]
+                defect = dg.get((b, c, a), zero)
                 for d, gam in rows[a][b]:
-                    if g[d][c]:
-                        defect = defect - gam * g[d][c]
+                    if (d, c) in g:
+                        defect = defect - gam * g[d, c]
                 for d, gam in rows[a][c]:
-                    if g[b][d]:
-                        defect = defect - gam * g[b][d]
+                    if (b, d) in g:
+                        defect = defect - gam * g[b, d]
                 if not defect.is_zero:
                     raise RuntimeError("metric compatibility fails at (%d,%d,%d)" % (a, b, c))
     return conn
@@ -362,15 +347,12 @@ def check_extension_theorems(
 
     metric = deformed_extension(C, Phi) if which == "deformed" else modified_extension(C)
     lc = levi_civita_block(metric)
-    R = curvature(lc)
+    R = curvature(lc).evaluate_exact(point)
     n = 2 * m
-    # Denominators are cleared once: R = R_int / D and G = G_int / G_den.
-    # R_int is laid out so that J_xi[l, i] = sum_jk R[i, j, k, l] xi_j xi_k
-    # is one matrix-vector product with xi (x) xi.
-    R_int, D = _clear_denominators(
-        [v for a in R.evaluate_exact(point) for b in a for c in b for v in c]
-    )
-    R_int = R_int.reshape(n, n, n, n).transpose(3, 0, 1, 2).reshape(n * n, n * n)
+    # Denominators are cleared once, over the nonzero entries: R = R_int / D
+    # and G = G_int / G_den.
+    values, D = _clear_denominators(R.values())
+    R_int = list(zip(R, values.tolist()))  # ((i, j, k, l), integer) pairs
     G_int, G_den = _clear_denominators([v for row in metric.gram_exact(point) for v in row])
     G_int = G_int.reshape(n, n)
 
@@ -391,7 +373,10 @@ def check_extension_theorems(
         units = []
         for xi in bucket:
             x, _ = _clear_denominators(xi)
-            J_int = (R_int @ np.outer(x, x).ravel()).reshape(n, n)
+            # J_int[l, i] = sum_jk R_int[i, j, k, l] x_j x_k
+            J_int = np.zeros((n, n), dtype=object)
+            for (i, j, k, l), r in R_int:
+                J_int[l, i] += r * x[j] * x[k]
             if _is_nilpotent(J_int):
                 units.append(None)
             else:

@@ -131,22 +131,25 @@ def check_affine_symmetries(A, tol=1e-10):
     e + e.transpose(1, 2, 0, 3) + e.transpose(2, 0, 1, 3), with no m^4
     array: each sum is taken at the nonzero keys, its terms added in the
     dense order and looked up in the sorted keys.  A sum elsewhere is zero
-    or, its own term being zero, equal to the sum at a partner key.
+    or, its own term being zero, equal to the sum at a partner key.  The
+    partner keys come from the key ((i m + j) m + k) m + l by arithmetic.
     """
-    shape = (A.dim,) * 4
-    i, j, k, l = np.unravel_index(A._keys, shape)
+    m = A.dim
+    ij, kl = np.divmod(A._keys, m * m)
+    i, j = np.divmod(ij, m)
+    k, l = np.divmod(kl, m)
     # a key past every index ends the list, so each lookup lands in it
-    keys = np.append(A._keys, A.dim ** 4)
+    keys = np.append(A._keys, m ** 4)
     values = np.append(A._values, 0.0)
 
-    def at(a, b, c):
-        q = np.ravel_multi_index((a, b, c, l), shape)
+    def at(q):
         pos = np.searchsorted(keys, q)
         return np.where(keys[pos] == q, values[pos], 0.0)
 
     v = A._values
-    anti = float(np.max(np.abs(v + at(j, i, k)), initial=0.0))
-    bianchi = float(np.max(np.abs((v + at(k, i, j)) + at(j, k, i)), initial=0.0))
+    anti = float(np.max(np.abs(v + at((j * m + i) * m * m + kl)), initial=0.0))
+    bianchi = float(np.max(np.abs((v + at(((k * m + i) * m + j) * m + l))
+                                  + at(((j * m + k) * m + i) * m + l)), initial=0.0))
     return SymmetryReport(anti, bianchi, tol, anti <= tol and bianchi <= tol)
 
 
@@ -309,7 +312,8 @@ def model_to_json_text(A, depth=0):
     gives, nested `depth` levels deep in an indent=2 document (every line
     after the first indented by 2 * depth more spaces), built from one row
     template.  Values are written with float.__repr__, as the json module
-    does; non-finite values, which JSON cannot hold, raise ValueError."""
+    does, once per distinct value; non-finite values, which JSON cannot
+    hold, raise ValueError."""
     pad = "  " * depth
     idx, vals = A.nonzero()
     if not np.all(np.isfinite(vals)):
@@ -318,7 +322,8 @@ def model_to_json_text(A, depth=0):
         row = pad + "    [\n" + (pad + "      %s,\n") * 4 + pad + "      %s\n" + pad + "    ]"
         cells = np.empty((len(vals), 5), dtype=object)
         cells[:, :4] = np.array([str(v) for v in range(A.dim)], dtype=object)[idx]
-        cells[:, 4] = list(map(float.__repr__, vals.tolist()))
+        distinct, which = np.unique(vals, return_inverse=True)
+        cells[:, 4] = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[which]
         rows = ",\n".join([row] * len(vals)) % tuple(cells.ravel().tolist())
         entries = "[\n%s\n%s  ]" % (rows, pad)
     else:

@@ -500,6 +500,22 @@ def test_argument_types_keep_their_own_messages(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["realize", "--case", "1", "--m", "7", "--lambda", "1", "--seed", "5"], "--seed"),
+    (["realize", "--case", "1", "--m", "7", "--lambda", "1", "--tol", "9"], "--tol"),
+    (["realize", "--case", "1", "--m", "7", "--lambda", "1", "--samples", "8"], "--samples"),
+    (["adams", "--m", "6", "--partition", "1,4c", "--tol", "1e-3"], "--tol"),
+    (["adams", "--m", "6", "--partition", "1,4c", "--seed", "1"], "--seed"),
+    (["extend", "--builtin", "planewave", "--vectors", "2", "--samples", "8"], "--samples"),
+    (["geometry", "--builtin", "flat", "--m", "2", "--seed", "1"], "--seed"),
+    (["symm", "model.json", "--samples", "8"], "--samples"),
+])
+def test_a_subcommand_takes_only_the_flags_it_reads(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "unrecognized arguments: %s" % flag in err
+
+
 @pytest.mark.parametrize("name", ["realize_3-g_m8.model.json", "symm_fail_m3.model.json"])
 def test_explicit_zero_rows_change_nothing(capsys, tmp_path, name):
     data = json.loads((GOLDEN / name).read_text())

@@ -1,6 +1,7 @@
 """Polynomial connections: curvature, Ricci, surfaces, geodesics, files."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -69,16 +70,28 @@ def homogeneous_curvature_oracle(m, eps):
 
 def test_connection_symmetric_closure():
     C = connection_from_symbols(2, {(0, 1, 0): var(1, 2)})
-    assert C.gamma[1][0][0] == var(1, 2)
+    assert C.gamma[1, 0, 0] == var(1, 2)
     assert C.christoffel(0, 1, 0) == var(1, 2)
 
 
 def test_connection_rejects_torsion():
-    zero = Polynomial.zero(2)
-    table = [[[zero] * 2 for _ in range(2)] for _ in range(2)]
-    table[0][1][0] = var(1, 2)  # no matching (1, 0, 0) entry
+    table = {(0, 1, 0): var(1, 2)}  # no matching (1, 0, 0) entry
     with pytest.raises(ValueError):
         PolyConnection(2, table)
+
+
+def test_connection_keeps_a_read_only_map_of_nonzero_symbols():
+    symbols = {(1, 0, 0): var(1, 2), (0, 1, 0): var(1, 2), (1, 1, 1): 0,
+               (0, 0, 0): Polynomial.zero(2)}
+    C = PolyConnection(2, symbols)
+    assert list(C.gamma.items()) == [((0, 1, 0), var(1, 2)), ((1, 0, 0), var(1, 2))]
+    assert C.christoffel(1, 1, 1) == Polynomial.zero(2)
+    with pytest.raises(TypeError):
+        C.gamma[0, 0, 0] = var(0, 2)
+    with pytest.raises(ValueError, match="index 2 out of range"):
+        PolyConnection(2, {(0, 2, 0): 1})
+    with pytest.raises(ValueError, match="index -1 out of range"):
+        connection_from_symbols(2, {(0, -1, 0): 1})
 
 
 def test_connection_is_immutable():
@@ -106,23 +119,25 @@ def test_gamma_at():
 
 
 def test_flat_connection_is_flat():
-    R = curvature(flat_connection(3)).riemann
+    P = curvature(flat_connection(3))
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 for l in range(3):
-                    assert R[i][j][k][l].is_zero
+                    assert P.entry(i, j, k, l).is_zero
+    assert dict(P.riemann) == {}
 
 
 def test_plane_wave_curvature():
-    R = curvature(plane_wave_connection()).riemann
+    P = curvature(plane_wave_connection())
     expected = {(0, 1, 0, 2): Fraction(-1), (1, 0, 0, 2): Fraction(1)}
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 for l in range(3):
                     want = expected.get((i, j, k, l), 0)
-                    assert R[i][j][k][l] == Polynomial.constant(want, 3)
+                    assert P.entry(i, j, k, l) == Polynomial.constant(want, 3)
+    assert set(P.riemann) == set(expected)
 
 
 @pytest.mark.parametrize("m,eps", [(3, 0), (3, 1), (4, 2), (3, Fraction(1, 2))])
@@ -151,9 +166,9 @@ def test_homogeneous_validation():
 def test_evaluate_exact_returns_fractions():
     P = curvature(curvature_homogeneous_connection(3, eps=Fraction(1, 3)))
     table = P.evaluate_exact([Fraction(1, 2)] * 3)
-    assert table[1][0][0][0] == Fraction(1, 3)
-    assert table[0][1][1][1] == Fraction(-1, 3)
-    assert table[0][2][2][0] == 1
+    assert table[1, 0, 0, 0] == Fraction(1, 3)
+    assert table[0, 1, 1, 1] == Fraction(-1, 3)
+    assert table[0, 2, 2, 0] == 1
 
 
 def test_evaluate_exact_equals_every_entry_evaluated():
@@ -163,9 +178,10 @@ def test_evaluate_exact_equals_every_entry_evaluated():
     pt = [Fraction(2, 3), Fraction(-1, 5), Fraction(7, 2)]
     table = P.evaluate_exact(pt)
     for i, j, k, l in np.ndindex(3, 3, 3, 3):
-        value = table[i][j][k][l]
+        value = table.get((i, j, k, l), Fraction(0))
         assert type(value) is Fraction
-        assert value == P.riemann[i][j][k][l](pt)
+        assert value == P.entry(i, j, k, l)(pt)
+    assert all(table.values())
     with pytest.raises(ValueError):
         curvature(flat_connection(3)).evaluate_exact([0, 0])
 
@@ -182,12 +198,12 @@ def test_nabla_entry_polynomials():
     eps = Fraction(1, 2)
     nabla = nabla_R(curvature_homogeneous_connection(m, eps=eps))
     L = var(0, m) + var(1, m)
-    slot = nabla[1][0][0][0]
+    slot = [nabla[1, 0, 0, 0, l] for l in range(m)]
     assert slot[0] == -(eps**2) * L
     assert slot[1] == Fraction(-2) * eps * L
     assert slot[2] == Polynomial.constant(eps, m)
     # mirrored slot from the other perturbed symbol
-    mirror = nabla[0][1][1][1]
+    mirror = [nabla[0, 1, 1, 1, l] for l in range(m)]
     assert mirror[0] == Fraction(2) * eps * L
     assert mirror[1] == -(eps**2) * L
     assert mirror[2] == Polynomial.constant(-eps, m)
@@ -201,17 +217,12 @@ def test_nabla_nonzero_at_eps_zero():
     m = 4
     nabla = nabla_R(curvature_homogeneous_connection(m))
     d = m - 1
-    assert nabla[d][0][0][d][d] == Polynomial.constant(-2, m)
+    assert nabla[d, 0, 0, d, d] == Polynomial.constant(-2, m)
 
 
 def test_flat_nabla_vanishes():
     nabla = nabla_R(flat_connection(2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for n in range(2):
-                    for l in range(2):
-                        assert nabla[i][j][k][n][l].is_zero
+    assert dict(nabla) == {}
 
 
 # -- Ricci ----------------------------------------------------------------
@@ -220,12 +231,8 @@ def test_flat_nabla_vanishes():
 def test_ricci_split_worked_example():
     C = connection_from_symbols(2, {(0, 0, 1): var(1, 2)})
     sym, alt = ricci_split(C)
-    assert sym[0][0] == Polynomial.constant(1, 2)
-    for j, k in ((0, 1), (1, 0), (1, 1)):
-        assert sym[j][k].is_zero
-    for j in range(2):
-        for k in range(2):
-            assert alt[j][k].is_zero
+    assert dict(sym) == {(0, 0): Polynomial.constant(1, 2)}
+    assert dict(alt) == {}
 
 
 def test_ricci_antisymmetric_part():
@@ -233,11 +240,10 @@ def test_ricci_antisymmetric_part():
     for j in range(3):
         for k in range(3):
             want = Fraction(2) if j == k else Fraction(0)
-            assert sym[j][k] == Polynomial.constant(want, 3)
+            assert sym.get((j, k), Polynomial.zero(3)) == Polynomial.constant(want, 3)
     # curvature entries are constant, so the skew Ricci part is the constant
     # eps even though the symbols themselves vary
-    assert alt[0][1] == Polynomial.constant(1, 3)
-    assert alt[1][0] == Polynomial.constant(-1, 3)
+    assert dict(alt) == {(0, 1): Polynomial.constant(1, 3), (1, 0): Polynomial.constant(-1, 3)}
 
 
 def test_jacobi_trace_is_ricci_quadratic_form():
@@ -251,6 +257,7 @@ def test_jacobi_trace_is_ricci_quadratic_form():
         },
     )
     sym, alt = ricci_split(C)
+    zero = Polynomial.zero(3)
     pt = [0.4, -0.3, 1.1]
     A = curvature_at(C, pt)
     rng = np.random.default_rng(0)
@@ -258,7 +265,7 @@ def test_jacobi_trace_is_ricci_quadratic_form():
         X = rng.standard_normal(3)
         lhs = np.trace(jacobi(A, X))
         rhs = sum(
-            (float(sym[j][k](pt)) + float(alt[j][k](pt))) * X[j] * X[k]
+            (float(sym.get((j, k), zero)(pt)) + float(alt.get((j, k), zero)(pt))) * X[j] * X[k]
             for j in range(3)
             for k in range(3)
         )
@@ -375,7 +382,8 @@ def test_connection_json_round_trip(tmp_path):
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert D.gamma[i][j][k] == C.gamma[i][j][k]
+                assert D.christoffel(i, j, k) == C.christoffel(i, j, k)
+    assert D.gamma == C.gamma
 
 
 def test_connection_json_stores_representatives():
@@ -412,15 +420,15 @@ def dense_riemann(C):
     """R from the defining sum over every index, with no skipped products
     and no use of antisymmetry."""
     m = C.dim
-    g = C.gamma
+    g = C.christoffel
     R = {}
     for i in range(m):
         for j in range(m):
             for k in range(m):
                 for l in range(m):
-                    term = g[j][k][l].diff(i) - g[i][k][l].diff(j)
+                    term = g(j, k, l).diff(i) - g(i, k, l).diff(j)
                     for n in range(m):
-                        term = term + g[i][n][l] * g[j][k][n] - g[j][n][l] * g[i][k][n]
+                        term = term + g(i, n, l) * g(j, k, n) - g(j, n, l) * g(i, k, n)
                     R[i, j, k, l] = term
     return R
 
@@ -428,7 +436,7 @@ def dense_riemann(C):
 def dense_curvature(C):
     """R and nabla R from the defining sums over every index."""
     m = C.dim
-    g = C.gamma
+    g = C.christoffel
     R = dense_riemann(C)
     NR = {}
     for i in range(m):
@@ -438,10 +446,10 @@ def dense_curvature(C):
                     for l in range(m):
                         term = R[i, j, k, l].diff(n)
                         for p in range(m):
-                            term = term + g[n][p][l] * R[i, j, k, p]
-                            term = term - g[n][i][p] * R[p, j, k, l]
-                            term = term - g[n][j][p] * R[i, p, k, l]
-                            term = term - g[n][k][p] * R[i, j, p, l]
+                            term = term + g(n, p, l) * R[i, j, k, p]
+                            term = term - g(n, i, p) * R[p, j, k, l]
+                            term = term - g(n, j, p) * R[i, p, k, l]
+                            term = term - g(n, k, p) * R[i, j, p, l]
                         NR[i, j, k, n, l] = term
     return R, NR
 
@@ -470,21 +478,75 @@ def test_sparse_curvature_matches_dense_reference(C):
     R, NR = dense_curvature(C)
     P = curvature(C, with_nabla=True)
     for (i, j, k, l), want in R.items():
-        assert P.riemann[i][j][k][l] == want
+        assert P.entry(i, j, k, l) == want
     for (i, j, k, n, l), want in NR.items():
-        assert P.nabla[i][j][k][n][l] == want
-    assert len(P.nabla) == m
+        assert P.nabla.get((i, j, k, n, l), Polynomial.zero(m)) == want
+    assert set(P.nabla) <= set(NR)
+
+
+def _expect_nonzero_map(table, reference):
+    """`table` is read-only and holds exactly the nonzero entries of the
+    dense {key: Polynomial} reference, so an absent key means zero."""
+    assert isinstance(table, MappingProxyType)
+    assert all(table.values())
+    assert dict(table) == {key: p for key, p in reference.items() if p}
+
+
+@settings(max_examples=20, deadline=None)
+@given(sparse_connections(max_m=3), st.booleans())
+def test_every_table_is_the_map_of_its_nonzero_entries(C, modified):
+    m, n = C.dim, 2 * C.dim
+    assert isinstance(C.gamma, MappingProxyType) and all(C.gamma.values())
+    assert all(C.gamma[i, j, k] == C.gamma.get((j, i, k)) for i, j, k in C.gamma)
+    R, NR = dense_curvature(C)
+    P = curvature(C, with_nabla=True)
+    _expect_nonzero_map(P.riemann, R)
+    _expect_nonzero_map(P.nabla, NR)
+    # Ricci: rho_jk = sum_l R_ljk^l, split into halves
+    zero, half = Polynomial.zero(m), Fraction(1, 2)
+    rho = {(j, k): sum((R[l, j, k, l] for l in range(m)), zero)
+           for j in range(m) for k in range(m)}
+    sym, alt = ricci_split(P)
+    _expect_nonzero_map(sym, {(j, k): half * (p + rho[k, j]) for (j, k), p in rho.items()})
+    _expect_nonzero_map(alt, {(j, k): half * (p - rho[k, j]) for (j, k), p in rho.items()})
+    # the extension metric [[B, Id], [Id, 0]], its inverse [[0, Id], [Id, -B]]
+    # and its Levi-Civita symbols from the defining sums over every index
+    zero = Polynomial.zero(n)
+
+    def y(k):
+        return Polynomial.variable(m + k, n)
+
+    B = {}
+    for i, j in np.ndindex(m, m):
+        B[i, j] = sum((-2 * y(k) * C.christoffel(i, j, k).embed(n) for k in range(m)), zero)
+        if modified:
+            B[i, j] = B[i, j] + y(i) * y(j)
+    one = Polynomial.constant(1, n)
+    g = {(a, b): zero for a, b in np.ndindex(n, n)}
+    ginv = dict(g)
+    for (i, j), p in B.items():
+        g[i, j] = p
+        ginv[m + i, m + j] = -p
+    for i in range(m):
+        g[i, m + i] = g[m + i, i] = ginv[i, m + i] = ginv[m + i, i] = one
+    metric = modified_extension(C) if modified else deformed_extension(C)
+    _expect_nonzero_map(metric.top_block, B)
+    _expect_nonzero_map(metric.components, g)
+    _expect_nonzero_map(metric.inverse(), ginv)
+    lc = {}
+    for a, b, c in np.ndindex(n, n, n):
+        total = zero
+        for d in range(n):
+            total = total + ginv[c, d] * (g[b, d].diff(a) + g[a, d].diff(b) - g[a, b].diff(d))
+        lc[a, b, c] = half * total
+    _expect_nonzero_map(levi_civita_block(metric).gamma, lc)
 
 
 def _torsion_connection(m, symbols):
     """A connection object that skips the torsion check of the constructor."""
-    zero = Polynomial.zero(m)
-    table = [[[zero] * m for _ in range(m)] for _ in range(m)]
-    for (i, j, k), p in symbols.items():
-        table[i][j][k] = p
     C = object.__new__(PolyConnection)
     object.__setattr__(C, "dim", m)
-    object.__setattr__(C, "gamma", tuple(tuple(tuple(c) for c in r) for r in table))
+    object.__setattr__(C, "gamma", MappingProxyType(dict(sorted(symbols.items()))))
     return C
 
 
@@ -525,7 +587,7 @@ def test_cyclic_check_agrees_with_the_full_loop(C):
             curvature(C)
     else:
         P = curvature(C)
-        assert all(P.riemann[i][j][k][l] == want for (i, j, k, l), want in R.items())
+        assert all(P.entry(i, j, k, l) == want for (i, j, k, l), want in R.items())
 
 
 # -- one compiled evaluator ------------------------------------------------
@@ -565,10 +627,7 @@ def _tables():
 def _reference(table, shape, point):
     ref = np.empty(shape)
     for idx in np.ndindex(*shape):
-        poly = table
-        for i in idx:
-            poly = poly[i]
-        ref[idx] = float(poly(point))
+        ref[idx] = float(table.get(idx, Polynomial.zero(shape[0]))(point))
     return ref
 
 

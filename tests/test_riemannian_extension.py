@@ -41,18 +41,18 @@ def test_deformed_top_block_entries():
     # variables first, y_3 is variable index 5 of 6
     g = deformed_extension(plane_wave_connection())
     want = Fraction(-2) * var(5, 6) * var(1, 6)
-    assert g.top_block[0][0] == want
+    assert g.top_block[0, 0] == want
     for i in range(3):
         for j in range(3):
             if (i, j) != (0, 0):
-                assert g.top_block[i][j].is_zero
+                assert (i, j) not in g.top_block
 
 
 def test_deformed_phi_added():
     phi00 = var(0, 3) * var(0, 3)
-    g = deformed_extension(flat_connection(3), Phi=[[phi00, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert g.top_block[0][0] == var(0, 6) * var(0, 6)
-    assert g.top_block[1][1].is_zero
+    g = deformed_extension(flat_connection(3), Phi={(0, 0): phi00, (1, 1): 0, (0, 1): 0})
+    assert g.top_block[0, 0] == var(0, 6) * var(0, 6)
+    assert (1, 1) not in g.top_block
 
 
 def test_modified_top_block_entries():
@@ -60,28 +60,29 @@ def test_modified_top_block_entries():
     # pure y_i y_j block over a flat base
     for i in range(2):
         for j in range(2):
-            assert g.top_block[i][j] == var(2 + i, 4) * var(2 + j, 4)
+            assert g.top_block[i, j] == var(2 + i, 4) * var(2 + j, 4)
 
 
 def test_metric_block_layout():
     g = deformed_extension(flat_connection(2))
     one = Polynomial.constant(1, 4)
     for i in range(2):
-        assert g.components[i][2 + i] == one
-        assert g.components[2 + i][i] == one
+        assert g.components[i, 2 + i] == one
+        assert g.components[2 + i, i] == one
         for j in range(2):
-            assert g.components[2 + i][2 + j].is_zero
+            assert (2 + i, 2 + j) not in g.components
 
 
 def test_metric_inverse_exact():
     g = deformed_extension(curvature_homogeneous_connection(2))
     inv = g.inverse()
     n = g.dim
+    zero = Polynomial.zero(n)
     for a in range(n):
         for b in range(n):
             total = Polynomial.zero(n)
             for c in range(n):
-                total = total + g.components[a][c] * inv[c][b]
+                total = total + g.components.get((a, c), zero) * inv.get((c, b), zero)
             want = Polynomial.constant(1 if a == b else 0, n)
             assert total == want
 
@@ -96,7 +97,19 @@ def test_metric_neutral_signature():
 
 def test_metric_symmetry_validation():
     with pytest.raises(ValueError):
-        PolyMetric(2, [[0, var(0, 4)], [0, 0]])
+        PolyMetric(2, {(0, 1): var(0, 4)})
+
+
+def test_metric_keeps_read_only_maps():
+    g = PolyMetric(1, {(0, 0): var(1, 2)})
+    assert dict(g.top_block) == {(0, 0): var(1, 2)}
+    one = Polynomial.constant(1, 2)
+    assert dict(g.components) == {(0, 0): var(1, 2), (0, 1): one, (1, 0): one}
+    assert dict(g.inverse()) == {(0, 1): one, (1, 0): one, (1, 1): -var(1, 2)}
+    with pytest.raises(TypeError):
+        g.components[1, 1] = one
+    with pytest.raises(ValueError, match="index 1 out of range"):
+        PolyMetric(1, {(0, 1): 1})
 
 
 def test_metric_immutable():
@@ -122,13 +135,14 @@ def test_levi_civita_metric_compatibility():
     g = modified_extension(flat_connection(2))
     C = levi_civita_block(g)
     n = g.dim
+    zero = Polynomial.zero(n)
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                lhs = g.components[b][c].diff(a)
+                lhs = g.components.get((b, c), zero).diff(a)
                 for d in range(n):
-                    lhs = lhs - C.gamma[a][b][d] * g.components[d][c]
-                    lhs = lhs - C.gamma[a][c][d] * g.components[b][d]
+                    lhs = lhs - C.christoffel(a, b, d) * g.components.get((d, c), zero)
+                    lhs = lhs - C.christoffel(a, c, d) * g.components.get((b, d), zero)
                 assert lhs.is_zero
 
 
@@ -141,7 +155,7 @@ def test_levi_civita_fiber_symbols_vanish():
     for a in range(m, 2 * m):
         for b in range(m, 2 * m):
             for k in range(2 * m):
-                assert C.gamma[a][b][k].is_zero
+                assert C.christoffel(a, b, k).is_zero
 
 
 # -- theorem checks -------------------------------------------------------
@@ -245,12 +259,12 @@ def test_bad_which():
 
 def test_modified_rejects_phi():
     with pytest.raises(ValueError):
-        check_extension_theorems(flat_connection(2), which="modified", Phi=[[1, 0], [0, 1]])
+        check_extension_theorems(flat_connection(2), which="modified", Phi={(0, 0): 1, (1, 1): 1})
 
 
 def test_phi_must_be_symmetric():
     with pytest.raises(ValueError):
-        deformed_extension(flat_connection(2), Phi=[[0, 1], [0, 0]])
+        deformed_extension(flat_connection(2), Phi={(0, 1): 1})
 
 
 def test_zero_vectors_is_no_evidence():
@@ -269,9 +283,9 @@ def test_metric_compatibility_check_still_raises(monkeypatch):
     from affinecurv import riemannian_extension
 
     def corrupted(n, table):
-        table = [[list(col) for col in row] for row in table]
-        bumped = table[0][1][2] + Fraction(1, 3)
-        table[0][1][2] = table[1][0][2] = bumped
+        table = dict(table)
+        bumped = table.get((0, 1, 2), Polynomial.zero(n)) + Fraction(1, 3)
+        table[0, 1, 2] = table[1, 0, 2] = bumped
         return PolyConnection(n, table)
 
     g = modified_extension(flat_connection(2))

@@ -263,8 +263,12 @@ def test_save_model_of_the_zero_model(tmp_path):
 def test_model_text_nests_as_json_dumps_does(depth):
     rng = np.random.default_rng(depth)
     e = np.where(rng.random((3,) * 4) < 0.3, rng.standard_normal((3,) * 4), 0.0)
+    # few distinct values, each with its negative, as realized models have
+    repeated = np.where(rng.random((4,) * 4) < 0.5,
+                        rng.choice([0.1, -0.1, 2.5, -2.5, 1e22, -1e-7, 3.0], (4,) * 4), 0.0)
     holder = "\0model"
-    for A in (CurvatureTensor(e), CurvatureTensor(np.zeros((2,) * 4))):
+    for A in (CurvatureTensor(e), CurvatureTensor(repeated),
+              CurvatureTensor(np.zeros((2,) * 4))):
         nested, placeheld = model_to_json_dict(A), holder
         for level in range(depth):
             nested = {"b": nested, "c": level}
