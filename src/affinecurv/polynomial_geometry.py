@@ -406,25 +406,12 @@ _BLOWUP_SPEED = 1e8
 # A step is retried at half size when the speed at one of its stages
 # exceeds this multiple of the speed at its start.
 _STEP_GROWTH = 2.0
-
-
-def _spray(C):
-    """spray[k]: the pairs (i, j) with G_ij^k != 0 in lexicographic order,
-    each as (i, j, start, terms).  The terms are (coeff, [(var, exp), ...])
-    in `Polynomial.terms()` order, which is the order `CompiledTable` sums
-    in, and the symbol's value is start + term + term + ...  `start` is 0.0
-    plus a leading term without variables, so a constant symbol needs no
-    work per call."""
-    spray = [[] for _ in range(C.dim)]
-    # gamma is in lexicographic key order, so each spray[k] is too
-    for (i, j, k), p in C.gamma.items():
-        terms = [(float(coeff), [(var, e) for var, e in enumerate(exps) if e])
-                 for exps, coeff in p.terms()]
-        start = 0.0
-        if not terms[0][1]:
-            start += terms.pop(0)[0]
-        spray[k].append((i, j, start, terms))
-    return spray
+# A run stops once its last _STALL_STEPS steps together advanced less than
+# one `step`: near a singularity the step can hover far above its floor.
+# The stop is a blow-up if the speed grew more than _STALL_GROWTH-fold over
+# those steps; a stiff but bounded run can nearly triple its speed there.
+_STALL_STEPS = 4096
+_STALL_GROWTH = 4.0
 
 
 def _norm_sq(w):
@@ -463,17 +450,18 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     within one step of the pole (in practice within 1 % of a step).  Where
     the speed grows by less than that factor within every step, as on
     bounded runs at a resolving step size, every step is one plain RK4
-    step of the given size.
+    step of the given size.  A run also stops once its last 4096 steps
+    together advanced t by less than `step`: as a blow-up at that time if
+    the speed more than quadrupled over them, else unblown short of t_max,
+    since the step no longer resolves the motion.
 
-    The loop runs on Python floats over the nonzero symbol terms only, so
-    a step costs O(terms), not O(m^3).  It does the float operations of a
-    numpy integrator built on `CompiledTable` and einsum in the same
-    order: powers as repeated products, each term as coeff times its
-    factors left to right, each symbol summed from 0.0, and
-    sum (G_ij^k v_i) v_j over (i, j) in lexicographic order.  Its results
-    are bit for bit those of that integrator.  The squared speeds of the
-    growth and blow-up tests are plain sums; within rounding of a tie
-    numpy's dot decides, as it did there.
+    The loop runs on Python floats over the values of the connection's
+    compiled symbols, `C._evaluator.values`, so a step costs O(terms), not
+    O(m^3).  The acceleration sums (G_ij^k v_i) v_j over (i, j) in
+    lexicographic order, as einsum does over `gamma_at`, so its results
+    are bit for bit those of a numpy integrator built on `gamma_at` and
+    einsum.  The squared speeds of the growth and blow-up tests are plain
+    sums; within rounding of a tie numpy's dot decides, as it did there.
     """
     m = C.dim
     x = np.asarray(x0, dtype=float)
@@ -483,26 +471,14 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     if not all(value > 0 and math.isfinite(value) for value in (t_max, step)):
         raise ValueError("t_max and step must be positive and finite")
 
-    spray = _spray(C)
-    degree = max((e for pairs in spray for _, _, _, terms in pairs
-                  for _, factors in terms for _, e in factors), default=0)
+    symbols = C._evaluator
 
     def accel(pos, vel):
-        powers = [[1.0, a] for a in pos]  # powers[var][e] = pos[var]^e
-        for _ in range(degree - 1):
-            for row in powers:
-                row.append(row[-1] * row[1])
-        out = []
-        for pairs in spray:
-            s = 0.0
-            for i, j, g, terms in pairs:
-                for coeff, factors in terms:
-                    for var, e in factors:
-                        coeff *= powers[var][e]
-                    g += coeff
-                s += g * vel[i] * vel[j]
-            out.append(-s)
-        return out
+        out = [0.0] * m
+        # keys ascend lexicographically, so each out[k] sums over (i, j) in order
+        for (i, j, k), g in symbols.values(pos):
+            out[k] += g * vel[i] * vel[j]
+        return [-s for s in out]
 
     def rk4(pos, vel, h):
         """One step, and whether no stage sped up past the growth limit
@@ -558,6 +534,11 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
                 else s >= speed_sq):
             blew_up = True
             blow_time = t
+            break
+        if (len(times) > _STALL_STEPS and t - times[-_STALL_STEPS - 1] < step
+                and t < t_max - 1e-15):
+            blew_up = s > _STALL_GROWTH**2 * _norm_sq(velocities[-_STALL_STEPS - 1])
+            blow_time = t if blew_up else None
             break
     return GeodesicResult(tuple(times), tuple(positions), tuple(velocities), blew_up, blow_time)
 

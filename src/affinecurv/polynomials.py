@@ -12,7 +12,6 @@ is in play, by ``y1..ym`` for the fiber directions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import add, sub
 
@@ -140,7 +139,8 @@ class Polynomial:
                 raise ValueError("mixed variable counts: %d vs %d" % (self.nvars, other.nvars))
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(other, self.nvars)
+            terms = {(0,) * self.nvars: Fraction(other)} if other else {}
+            return Polynomial._trusted(self.nvars, terms)
         return None
 
     def _combine(self, other, op):
@@ -250,46 +250,53 @@ class CompiledTable:
     """Float evaluator of a {index tuple: Polynomial} map in one ring, read
     as an array of the given shape that is zero at every absent key.
 
-    Over the nonzero terms of all entries it holds the flat output index of
-    each term, the exponent matrix (terms x nvars) and the coefficient
-    vector.  A call computes every term as coeff * x1^e1 * x2^e2 * ...,
-    left to right with powers as repeated products, and sums each entry's
-    terms in the order `Polynomial.__call__` does.  At points whose
-    coordinates are short dyadic fractions every step is exact.
+    `entries` holds (key, start, terms) for each nonzero entry in key
+    order.  The terms are (coeff, [(var, exp), ...]) in `Polynomial.terms()`
+    order, with float coefficients and only the nonzero exponents; `start`
+    is 0.0 plus a leading term without variables, so a constant entry needs
+    no work per call.  `values` gives each entry's value as start + term +
+    term + ..., left to right, each term coeff * x_var^exp * ... with
+    powers as repeated products; the call and the geodesic both read it.
+    At points whose coordinates are short dyadic fractions every step is
+    exact.
     """
 
-    __slots__ = ("nvars", "shape", "size", "index", "exponents", "coeffs", "degree")
+    __slots__ = ("nvars", "shape", "entries", "degree")
 
     def __init__(self, table, shape, nvars):
-        index, exponents, coeffs = [], [], []
-        for key, poly in table.items():
-            for exps, coeff in poly.terms():
-                index.append(key)
-                exponents.append(exps)
-                coeffs.append(float(coeff))
         self.nvars = nvars
         self.shape = tuple(shape)
-        self.size = math.prod(self.shape)
-        keys = np.array(index, dtype=np.intp).reshape(len(index), len(self.shape))
-        self.index = np.ravel_multi_index(keys.T, self.shape)
-        self.exponents = np.array(exponents, dtype=np.int64).reshape(len(index), nvars)
-        self.coeffs = np.array(coeffs, dtype=float)
-        self.degree = int(self.exponents.max(initial=0))
+        self.entries = []
+        for key, poly in table.items():
+            terms = [(float(coeff), [(var, e) for var, e in enumerate(exps) if e])
+                     for exps, coeff in poly.terms()]
+            start = 0.0 + terms.pop(0)[0] if terms and not terms[0][1] else 0.0
+            self.entries.append((key, start, terms))
+        self.degree = max((e for _, _, terms in self.entries for _, factors in terms
+                           for _, e in factors), default=0)
+
+    def values(self, point):
+        """(key, value) for each nonzero entry in key order, at a point
+        given as a sequence of nvars Python floats."""
+        powers = [[1.0, a] for a in point]  # powers[var][e] = point[var]^e
+        for _ in range(self.degree - 1):
+            for row in powers:
+                row.append(row[-1] * row[1])
+        for key, value, terms in self.entries:
+            for coeff, factors in terms:
+                for var, e in factors:
+                    coeff *= powers[var][e]
+                value += coeff
+            yield key, value
 
     def __call__(self, point):
         x = np.asarray(point, dtype=float)
         if x.shape != (self.nvars,):
             raise ValueError("point has %d components, expected %d" % (x.size, self.nvars))
-        powers = np.ones((self.degree + 1, self.nvars))  # powers[e, v] = x_v^e
-        powers[1:] = x
-        np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
-        factors = np.empty((len(self.coeffs), self.nvars + 1))
-        factors[:, 0] = self.coeffs
-        factors[:, 1:] = powers[self.exponents, np.arange(self.nvars)]
-        values = np.multiply.reduce(factors, axis=1)
-        out = np.bincount(self.index, weights=values, minlength=self.size)
-        # bincount gives ints when there are no terms at all
-        return out.astype(float, copy=False).reshape(self.shape)
+        out = np.zeros(self.shape)
+        for key, value in self.values(x.tolist()):
+            out[key] = value
+        return out
 
 
 # -- text form ------------------------------------------------------------

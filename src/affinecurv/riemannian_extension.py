@@ -27,8 +27,9 @@ G_int / G_den, and a probe vector xi (a float, hence a dyadic rational) is
 x / den with x integral.  Then J_xi = J_int / (D den^2), where J_int is the
 contraction of R_int with x (x) x, and since positive rescaling does not
 change nilpotency, J_xi is nilpotent exactly when J_int^(2^k) = 0 for the
-first 2^k >= 2m; repeated squaring decides that with no gcd.  Otherwise the
-unit operator J_xi / |<xi, xi>| equals J_int G_den / (D |q_int|) with
+first 2^k >= 2m; a nonzero trace of J_int rules that out at once, and
+else repeated squaring decides it with no gcd.  If it is not, the unit
+operator J_xi / |<xi, xi>| equals J_int G_den / (D |q_int|) with
 q_int = x G_int x, and its float entries are the correctly rounded
 quotients of those integers.
 
@@ -199,7 +200,7 @@ def levi_civita_block(metric):
     rows = conn.symbol_rows()
     for a in range(n):
         for b in range(n):
-            for c in range(n):
+            for c in range(b, n):  # g is symmetric, so (a, c, b) has the same defect
                 defect = dg.get((b, c, a), zero)
                 for d, gam in rows[a][b]:
                     if (d, c) in g:
@@ -227,7 +228,10 @@ def _clear_denominators(values):
 
 def _is_nilpotent(J):
     """Whether the n x n integer (object) matrix J has J^(2^k) = 0 for the
-    first 2^k >= n, by repeated squaring on Python ints."""
+    first 2^k >= n, by repeated squaring on Python ints.  A nonzero trace
+    answers False at once, since a nilpotent matrix has trace 0."""
+    if J.trace():
+        return False
     for _ in range((J.shape[0] - 1).bit_length()):
         if not any(J.flat):
             return True

@@ -243,10 +243,11 @@ def jordan_profile(M, eigenvalue, tol=1e-8):
     """Jordan block sizes at one eigenvalue, from the rank sequence of
     powers of (M - eigenvalue I).
 
-    Ranks are numerical: singular values below tol times the largest are
-    treated as zero.  This stays stable near defective eigenvalues where
-    the eigenvalues themselves scatter like the square root of machine
-    precision.
+    Ranks are numerical: singular values of N^k, N = M - eigenvalue I,
+    below max(tol ||N||, n eps ||M||) ||N||^(k-1) are treated as zero,
+    eps being the float64 machine epsilon.  This stays stable near
+    defective eigenvalues where the eigenvalues themselves scatter like the
+    square root of machine precision.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -254,17 +255,21 @@ def jordan_profile(M, eigenvalue, tol=1e-8):
     n = M.shape[0]
     lam = complex(eigenvalue)
     N = M.astype(complex) - lam * np.eye(n)
-    # The cutoff for N^k scales as ||N||^k: a power that vanishes in exact
-    # arithmetic only carries roundoff of that size, and judging each power
-    # by its own largest singular value would keep such noise at full rank.
+    # A power that vanishes in exact arithmetic only carries roundoff of
+    # size ||N||^k; judging it by its own largest singular value would keep
+    # such noise at full rank.  Forming N itself rounds at n eps ||M||,
+    # which floors the cutoff: for a multiple of the identity N is all
+    # roundoff, while a real coupling above that floor stays a Jordan block.
     scale = float(np.linalg.norm(N, 2))
+    floor = n * np.finfo(float).eps * float(np.linalg.norm(M, 2))
     ranks = [n]
     P = np.eye(n, dtype=complex)
-    cutoff = 1.0
+    power = 1.0
     for _ in range(n):
         P = P @ N
-        cutoff *= scale
-        r = _numerical_rank(P, tol * cutoff) if scale > 0.0 else 0
+        floor_k = floor * power
+        power *= scale  # ||N||^k
+        r = _numerical_rank(P, max(tol * power, floor_k))
         ranks.append(r)
         if r == ranks[-2]:
             break

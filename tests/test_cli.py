@@ -240,6 +240,21 @@ def test_geometry_jordan(capsys):
     assert profiles[0]["eigenvalue"]["re"] == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("eps", ["0", "1e-10"])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_geometry_jordan_at_small_eps(capsys, m, eps):
+    # at eps = 0 the reduced Jacobi operator is a multiple of the identity
+    # up to roundoff: m - 1 blocks of size 1.  At small eps > 0 one block of
+    # size 2 remains, its coupling far above that roundoff.
+    point = ",".join(["0.25", "-0.5", "0.75", "0.5", "-0.25", "1"][:m])
+    direction = ",".join(["1", "0.5", "-0.25", "0.75", "-1", "0.5"][:m])
+    code, out, _ = run_cli(capsys, "geometry", "--builtin", "homogeneous", "--m", str(m),
+                           "--eps", eps, "--at", point, "--jordan-at", direction)
+    assert code == 0
+    blocks = [1] * (m - 1) if eps == "0" else [2] + [1] * (m - 3)
+    assert [p["blocks"] for p in read_json(out)["jordan"]["profiles"]] == [blocks]
+
+
 def test_geometry_geodesic_blow_up(capsys):
     code, out, _ = run_cli(
         capsys, "geometry", "--builtin", "homogeneous", "--m", "3",
@@ -468,6 +483,26 @@ def test_geodesic_rejects_non_finite_parameters(flag, value):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "t_max and step must be positive and finite" in proc.stderr
+
+
+def test_creeping_geodesic_ends(tmp_path):
+    # near a singularity the growth test holds the step far above its
+    # floor while the speed creeps up; the stall check ends the run
+    path = tmp_path / "connection.json"
+    path.write_text(json.dumps({"dim": 4, "gamma": {
+        "0,1,3": "3*x2^2*x3^3*x4^2 + x2^3*x3^2 + 4/3*x1*x2*x3^2",
+        "1,1,0": "-2*x1^2*x2^2*x3*x4 - 3*x2^2*x3*x4^3",
+        "2,3,2": "-3*x1^2*x2*x3^3*x4^2"}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "affinecurv.cli", "geometry", "--file", str(path), "--geodesic",
+         " -1.4973005670799826,-1.3069600339183618,0.9739313559760587,0.39597624391917474",
+         "1.298713293925199,-0.9139850727796206,0.05099171416070947,0.22811792005572729",
+         "--t-max", "0.9173667632769464", "--step", "0.015116765276257528"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 0
+    g = json.loads(proc.stdout)["geodesic"]
+    assert g["blew_up"] and 0.78 < g["blow_up_time"] < 0.7886
 
 
 def test_parser_is_built_once_and_parses_afresh(capsys):

@@ -1,5 +1,6 @@
 """Polynomial connections: curvature, Ricci, surfaces, geodesics, files."""
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from affinecurv.classifier import NEITHER, PROJECTIVE, is_projective_affine_osserman
 from affinecurv.constructors import constant_curvature
 from affinecurv.polynomial_geometry import (
+    _STALL_STEPS,
     PolyConnection,
     _norm_sq,
     _within_growth,
@@ -651,6 +653,88 @@ def test_compiled_evaluator_matches_polynomial_call_at_float_points():
             np.testing.assert_allclose(evaluate(point), ref, rtol=1e-14, atol=1e-14 * scale)
 
 
+def numpy_table(table, shape, nvars):
+    """The float evaluator of a {key: Polynomial} table as it was written
+    with numpy: an exponent matrix over all nonzero terms, powers as
+    repeated products, each term from multiply.reduce over its coefficient
+    and powers, each entry summed by bincount.  `CompiledTable` must
+    reproduce it bit for bit."""
+    index, exponents, coeffs = [], [], []
+    for key, poly in table.items():
+        for exps, coeff in poly.terms():
+            index.append(key)
+            exponents.append(exps)
+            coeffs.append(float(coeff))
+    keys = np.array(index, dtype=np.intp).reshape(len(index), len(shape))
+    flat = np.ravel_multi_index(keys.T, shape)
+    exponents = np.array(exponents, dtype=np.int64).reshape(len(index), nvars)
+    coeffs = np.array(coeffs, dtype=float)
+    degree = int(exponents.max(initial=0))
+
+    def evaluate(point):
+        x = np.asarray(point, dtype=float)
+        powers = np.ones((degree + 1, nvars))  # powers[e, v] = x_v^e
+        powers[1:] = x
+        np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+        factors = np.empty((len(coeffs), nvars + 1))
+        factors[:, 0] = coeffs
+        factors[:, 1:] = powers[exponents, np.arange(nvars)]
+        values = np.multiply.reduce(factors, axis=1)
+        out = np.bincount(flat, weights=values, minlength=math.prod(shape))
+        # bincount gives ints when there are no terms at all
+        return out.astype(float, copy=False).reshape(shape)
+
+    return evaluate
+
+
+@st.composite
+def sparse_tables(draw):
+    """(table, shape, nvars): up to 6 nonzero entries of rank 1 to 4 over 1
+    to 6 variables, exponents up to 3, terms in drawn order."""
+    nvars = draw(st.integers(min_value=1, max_value=6))
+    shape = tuple(draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4)))
+    keys = draw(st.lists(st.tuples(*(st.integers(min_value=0, max_value=n - 1) for n in shape)),
+                         max_size=6, unique=True))
+    exps = st.tuples(*(st.integers(min_value=0, max_value=3),) * nvars)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool)
+    table = {key: Polynomial(nvars, draw(st.dictionaries(exps, coeff, min_size=1, max_size=4)))
+             for key in sorted(keys)}
+    return table, shape, nvars
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def tables_and_points(draw):
+    table, shape, nvars = draw(sparse_tables())
+    coords = st.one_of(st.floats(min_value=-3, max_value=3), _SPECIAL, st.floats())
+    return table, shape, nvars, draw(st.lists(coords, min_size=nvars, max_size=nvars))
+
+
+def _table_problem(nvars, entries, point):
+    """A one-entry table of the given {exps: coeff} terms, in that order."""
+    return {(0,): Polynomial(nvars, entries)}, (1,), nvars, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_points())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# each term summed from 0.0: 0.0 + (-0.0) is 0.0
+@example(_table_problem(1, {(1,): -1}, [0.0]))
+# the constant term first: (1 + a) + a != (a + a) + 1 at a = 2^-53
+@example(_table_problem(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}, [2.0**-53, 2.0**-53]))
+# powers as repeated products: x * x * x != x ** 3 at this x
+@example(_table_problem(1, {(3,): 1}, [1.2]))
+def test_compiled_table_is_the_numpy_evaluator_bit_for_bit(problem):
+    table, shape, nvars, point = problem
+    got = CompiledTable(table, shape, nvars)(point)
+    want = numpy_table(table, shape, nvars)(point)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_compiled_evaluator_checks_the_point():
     C = curvature_homogeneous_connection(3)
     with pytest.raises(ValueError):
@@ -702,13 +786,13 @@ def test_bounded_geodesic_takes_plain_steps():
 
 
 def numpy_geodesic_integrate(C, x0, v0, t_max, step=1e-3):
-    """The integrator as it was written with numpy: the symbols from a
-    CompiledTable, the acceleration from einsum over the full m^3 table.
-    The float integrator must reproduce it bit for bit."""
+    """The integrator as it was written with numpy: the symbols from the
+    numpy table evaluator, the acceleration from einsum over the full m^3
+    table.  The float integrator must reproduce it bit for bit."""
     m = C.dim
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
-    gamma_at = CompiledTable(C.gamma, (m,) * 3, m)
+    gamma_at = numpy_table(C.gamma, (m,) * 3, m)
 
     def accel(pos, vel):
         return -np.einsum("ijk,i,j->k", gamma_at(pos), vel, vel)
@@ -748,6 +832,12 @@ def numpy_geodesic_integrate(C, x0, v0, t_max, step=1e-3):
         if np.linalg.norm(v) >= 1e8:
             blew_up, blow_time = True, t
             break
+        # the last 4096 steps advanced less than one step: stop, as a
+        # blow-up if the speed more than quadrupled over them
+        if len(times) > 4096 and t - times[-4097] < step and t < t_max - 1e-15:
+            blew_up = _norm_sq(v) > 16.0 * _norm_sq(velocities[-4097])
+            blow_time = t if blew_up else None
+            break
     return times, positions, velocities, blew_up, blow_time
 
 
@@ -773,8 +863,22 @@ def geodesic_problems(draw):
     return C, x0, v0, t_max, step
 
 
+# Near a singularity at t ~ 0.7886 the growth test holds the step near
+# 5e-7 while the speed creeps up; only the stall check ends the run.
+_CREEPING_PROBLEM = (
+    connection_from_json_dict({"dim": 4, "gamma": {
+        "0,1,3": "3*x2^2*x3^3*x4^2 + x2^3*x3^2 + 4/3*x1*x2*x3^2",
+        "1,1,0": "-2*x1^2*x2^2*x3*x4 - 3*x2^2*x3*x4^3",
+        "2,3,2": "-3*x1^2*x2*x3^3*x4^2"}}),
+    [-1.4973005670799826, -1.3069600339183618, 0.9739313559760587, 0.39597624391917474],
+    [1.298713293925199, -0.9139850727796206, 0.05099171416070947, 0.22811792005572729],
+    0.9173667632769464, 0.015116765276257528,
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(geodesic_problems())
+@example(_CREEPING_PROBLEM)
 @example(_blow_up_problem(0.45, 0.5))
 @example(_blow_up_problem(0.5, 0.75))
 @example(_blow_up_problem(0.55, 0.9))
@@ -788,6 +892,47 @@ def test_geodesic_matches_numpy_reference_bit_for_bit(problem):
     assert _bits(res.velocities) == _bits(velocities)
     assert res.blew_up == blew_up
     assert res.blow_up_time == blow_time
+
+
+def test_creeping_geodesic_blows_up_when_the_step_stalls():
+    C, x0, v0, t_max, step = _CREEPING_PROBLEM
+    res = geodesic_integrate(C, x0, v0, t_max, step=step)
+    assert res.blew_up and res.blow_up_time == res.times[-1] < 0.7886
+    # the first time the last 4096 steps advanced less than one step
+    window = np.array(res.times[_STALL_STEPS:]) - np.array(res.times[:-_STALL_STEPS])
+    assert window[-1] < step and (window[:-1] >= step).all()
+    assert _norm_sq(res.velocities[-1]) > 16.0 * _norm_sq(res.velocities[-_STALL_STEPS - 1])
+    # the same steps up to a t_max at the last of them: the run ends there
+    again = geodesic_integrate(C, x0, v0, res.times[-1], step=step)
+    assert not again.blew_up and again.times == res.times
+
+
+def test_stiff_bounded_geodesic_stalls_without_blow_up():
+    # from t ~ 0.33 the step hovers near 2e-6 while the speed stays near 70;
+    # run on without the stall check it reaches t_max unblown after 20235
+    # steps, so the stall, with the speed up 2.8-fold over its window, is
+    # no blow-up
+    C = connection_from_json_dict({"dim": 4, "gamma": {
+        "0,2,0": "-x2^3*x3^3*x4^2 - 2*x2^3*x3^2*x4^2 + 5/2*x2^2*x3^2*x4",
+        "0,3,3": "-5/3*x1^3*x2*x3^3*x4^3 - 2*x1^3*x2*x3^2*x4",
+        "2,2,2": "3*x1^2*x2^2*x3*x4^2"}})
+    x0 = [0.0, 1.064376246598921, -1.3790469624021091, 1.3650895094169053]
+    v0 = [0.09872671272904476, 1.5, -1.1526970497707167, 1e-09]
+    res = geodesic_integrate(C, x0, v0, 0.4028877012163333, step=0.09396399641451238)
+    assert not res.blew_up and res.blow_up_time is None
+    assert 0.36 < res.times[-1] < 0.37 and len(res.times) < 4200
+    grown = _norm_sq(res.velocities[-1]) / _norm_sq(res.velocities[-_STALL_STEPS - 1])
+    assert 4.0 < grown < 16.0
+
+
+def test_under_resolved_oscillation_runs_to_t_max():
+    # x1'' = -1e4 x1: step * omega = 10 is outside RK4's stability range,
+    # so every step is cut to about step / 4, yet each 4096 of them
+    # advance ~1000 steps and the run goes on
+    C = connection_from_json_dict({"dim": 2, "gamma": {"1,1,0": "x1"}})
+    res = geodesic_integrate(C, [1.0, 0.0], [0.0, 100.0], 200.0, step=0.1)
+    assert not res.blew_up and res.times[-1] == pytest.approx(200.0, abs=1e-12)
+    assert (np.diff(res.times) < 0.1).all() and len(res.times) > _STALL_STEPS + 1
 
 
 def test_growth_test_decides_ties_as_numpy_does():

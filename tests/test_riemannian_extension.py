@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affinecurv.polynomial_geometry import (
@@ -357,16 +357,19 @@ rationals = st.builds(
 
 
 @st.composite
-def conjugated(draw, diagonal):
+def conjugated(draw, diagonal, trace_zero=False):
     """g (N + diag(d)) g^-1 with N strictly upper triangular, g rational
-    with odd denominators; diagonal=True adds a nonzero d."""
-    n = draw(st.integers(1, 6))
+    with odd denominators; diagonal=True adds a nonzero d, and trace_zero
+    then makes its last entry minus the sum of the others."""
+    n = draw(st.integers(2 if trace_zero else 1, 6))
     N = [[draw(rationals) if j > i else Fraction(0) for j in range(n)] for i in range(n)]
     if diagonal:
         for i in range(n):
             N[i][i] = draw(rationals)
-        k = draw(st.integers(0, n - 1))
+        k = draw(st.integers(0, n - 2 if trace_zero else n - 1))
         N[k][k] = draw(rationals.filter(bool))
+        if trace_zero:
+            N[n - 1][n - 1] = -sum(N[i][i] for i in range(n - 1))
     g = [[draw(rationals) for _ in range(n)] for _ in range(n)]
     g_inv = _inverse(g)
     if g_inv is None:  # fall back to a unit lower triangular g
@@ -382,8 +385,12 @@ def test_integer_kernel_certifies_conjugated_nilpotent_matrices(M):
     assert _integer_kernel(M)
 
 
-@settings(max_examples=80, deadline=None)
-@given(conjugated(diagonal=True))
+@settings(max_examples=120, deadline=None)
+# trace-zero matrices leave the answer to the squaring, not the trace
+@given(st.one_of(conjugated(diagonal=True), conjugated(diagonal=True, trace_zero=True)))
+@example([[Fraction(1), Fraction(0), Fraction(0)],
+          [Fraction(0), Fraction(-1), Fraction(0)],
+          [Fraction(0), Fraction(0), Fraction(0)]])
 def test_integer_kernel_rejects_matrices_with_a_nonzero_eigenvalue(M):
     assert not _is_nilpotent_reference(M)
     assert not _integer_kernel(M)

@@ -108,6 +108,21 @@ def test_jordan_small_coupling():
     assert prof.block_sizes == (2,) and prof.multiplicity == 2
 
 
+_NOISE = np.array([[0.0, 1e-17, -1e-17], [1e-17, 0.0, 1e-17], [-1e-17, 1e-17, 0.0]])
+
+
+@pytest.mark.parametrize("M, eigenvalue, blocks", [
+    # couplings of 1e-6 are far above the roundoff of forming M - 1e3 I
+    (np.array([[1e3, 1e-6], [0.0, 1e3]]), 1e3, (2,)),
+    (np.array([[1e3, 1e-6, 0.0], [0.0, 1e3, 1e-6], [0.0, 0.0, 1e3]]), 1e3, (3,)),
+    # N = M - 1.3125 I is all roundoff, so its own norm is no scale for it
+    (1.3125 * np.eye(3) + _NOISE, 1.3125, (1, 1, 1)),
+])
+def test_jordan_cutoff_is_floored_at_the_roundoff_of_n(M, eigenvalue, blocks):
+    prof = jordan_profile(M, eigenvalue)
+    assert prof.block_sizes == blocks and prof.multiplicity == len(M)
+
+
 def test_jordan_complex_eigenvalue():
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     prof = jordan_profile(R, 1j)
