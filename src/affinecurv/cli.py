@@ -162,7 +162,7 @@ def _cmd_realize(args):
         "command": "realize",
         "spec": spec.to_json_dict(),
         "dim": A.dim,
-        "nonzero_entries": len(A.nonzero()[1]),
+        "nonzero_entries": len(A._values),
         "notes": list(A.notes),
     }
     if args.out:

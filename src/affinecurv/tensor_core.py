@@ -45,8 +45,9 @@ class CurvatureTensor:
     """Immutable rank-4 tensor on R^m, stored only as its sorted nonzero
     entries: raveled C-order keys and their values, O(m^2) of them for
     every realized model.  `entries` is a read-only dense m x m x m x m
-    view, made on first read and kept, for the Jacobi matmul and
-    `evaluate`; a dense array given to the constructor is scanned once.
+    view, made on first read and kept, for callers that want the array;
+    nothing in the package reads it.  A dense array given to the
+    constructor is scanned once.
 
     `notes` carries non-fatal flags set by constructors (for example an
     empty spectral slot at the minimum admissible dimension).
@@ -98,7 +99,7 @@ class CurvatureTensor:
         raise AttributeError("CurvatureTensor is immutable")
 
     def __repr__(self):
-        return "CurvatureTensor(dim=%d, nonzero=%d)" % (self.dim, len(self.nonzero()[1]))
+        return "CurvatureTensor(dim=%d, nonzero=%d)" % (self.dim, len(self._values))
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,14 @@ def _check_vector(A, X, name="X"):
 
 
 def evaluate(A, X, Y, Z):
-    """Component vector of A(X, Y)Z."""
+    """Component vector of A(X, Y)Z: the sum over the nonzero entries of
+    v X^i Y^j Z^k into slot l."""
     X = _check_vector(A, X, "X")
     Y = _check_vector(A, Y, "Y")
     Z = _check_vector(A, Z, "Z")
-    return np.einsum("ijkl,i,j,k->l", A.entries, X, Y, Z)
+    i, j, k, l = np.unravel_index(A._keys, (A.dim,) * 4)
+    out = np.bincount(l, weights=A._values * X[i] * Y[j] * Z[k], minlength=A.dim)
+    return out.astype(float, copy=False)  # an empty list gives ints
 
 
 def check_affine_symmetries(A, tol=1e-10):
@@ -163,15 +167,27 @@ def _check_directions(A, X):
 def jacobi_batch(A, X):
     """Jacobi operators of the n directions in the rows of X, shape (n, m, m).
 
-    One matmul of the (n, m^2) outer products X (x) X against the entries
-    viewed as m stacked (m^2, m) blocks, A[i, (j, k), l]; the view is not
-    copied, so no O(m^4) temporary is made.
+    R[i] = (X (x) X) @ A[i, (j, k), l] for each slab i of the first index:
+    the slab's keys are the run [i m^3, (i + 1) m^3) of the sorted list,
+    scattered into one reused (m^2, m) block and cleared again after its
+    matmul.  Each slab is the gemm numpy's stacked matmul on the dense
+    view would make, so the bits are the same, with O(m^3) extra memory.
     """
     X = _check_directions(A, X)
     n, m = X.shape
     XX = (X[:, :, None] * X[:, None, :]).reshape(n, m * m)
+    slab = m ** 3
+    bounds = np.searchsorted(A._keys, np.arange(m + 1) * slab).tolist()
+    local = A._keys % slab
+    block = np.zeros((m * m, m))
+    flat = block.reshape(-1)
     # R[i, s, l] = sum_jk A[i, j, k, l] X_s^j X_s^k = J_s[l, i]
-    R = np.matmul(XX, A.entries.reshape(m, m * m, m))
+    R = np.empty((m, n, m))
+    for i in range(m):
+        keys = local[bounds[i]:bounds[i + 1]]
+        flat[keys] = A._values[bounds[i]:bounds[i + 1]]
+        np.matmul(XX, block, out=R[i])
+        flat[keys] = 0.0
     return R.transpose(1, 2, 0)
 
 
@@ -257,6 +273,10 @@ def model_to_json_dict(A):
     return {"dim": int(A.dim), "entries": rows}
 
 
+# the least integer that float() rounds past the largest float
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
 def _first_bad_row(bad, rows, problem):
     """Raise for the first row flagged in the boolean vector `bad`."""
     hits = np.flatnonzero(bad)
@@ -268,9 +288,9 @@ def _first_bad_row(bad, rows, problem):
 def model_from_json_dict(data):
     """Inverse of model_to_json_dict.  `dim` must be a positive JSON
     integer.  Every row must be five items [i, j, k, l, value] with
-    integer indices in range(dim), a numeric value and no (i, j, k, l)
-    repeated; the first row that breaks a rule is named in the
-    ValueError."""
+    integer indices in range(dim), a numeric value within float range and
+    no (i, j, k, l) repeated; the first row that breaks a rule is named in
+    the ValueError."""
     try:
         dim = data["dim"]
         rows = data["entries"]
@@ -294,6 +314,10 @@ def model_from_json_dict(data):
     _first_bad_row(np.any(kinds[:, :4] != int, axis=1), rows, "has a non-integer index")
     _first_bad_row((kinds[:, 4] != int) & (kinds[:, 4] != float), rows,
                    "has a non-numeric value")
+    whole = kinds[:, 4] == int
+    huge = np.zeros(n, dtype=bool)
+    huge[whole] = np.abs(cells[whole, 4]) >= _FLOAT_OVERFLOW
+    _first_bad_row(huge, rows, "has a value out of float range")
     _first_bad_row(np.any((cells[:, :4] < 0) | (cells[:, :4] >= dim), axis=1), rows,
                    "has an index out of range for dim=%d" % dim)
     keys = np.ravel_multi_index(cells[:, :4].astype(np.intp).T, (dim,) * 4)
@@ -310,25 +334,31 @@ def model_from_json_dict(data):
 def model_to_json_text(A, depth=0):
     """The text json.dumps(model_to_json_dict(A), sort_keys=True, indent=2)
     gives, nested `depth` levels deep in an indent=2 document (every line
-    after the first indented by 2 * depth more spaces), built from one row
-    template.  Values are written with float.__repr__, as the json module
-    does, once per distinct value; non-finite values, which JSON cannot
-    hold, raise ValueError."""
+    after the first indented by 2 * depth more spaces).  The rows are one
+    join of pieces from two small tables: the m^2 texts of an index pair,
+    used for (i, j) and for (k, l), and one row ending per distinct value,
+    written with float.__repr__ as the json module does.  Non-finite
+    values, which JSON cannot hold, raise ValueError."""
     pad = "  " * depth
-    idx, vals = A.nonzero()
+    m, vals = A.dim, A._values
     if not np.all(np.isfinite(vals)):
         raise ValueError("model has non-finite entries, which JSON cannot hold")
     if len(vals):
-        row = pad + "    [\n" + (pad + "      %s,\n") * 4 + pad + "      %s\n" + pad + "    ]"
-        cells = np.empty((len(vals), 5), dtype=object)
-        cells[:, :4] = np.array([str(v) for v in range(A.dim)], dtype=object)[idx]
+        line = pad + "      %d,\n"
+        pairs = np.array([line % a + line % b for a in range(m) for b in range(m)], dtype=object)
         distinct, which = np.unique(vals, return_inverse=True)
-        cells[:, 4] = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[which]
-        rows = ",\n".join([row] * len(vals)) % tuple(cells.ravel().tolist())
-        entries = "[\n%s\n%s  ]" % (rows, pad)
+        head = pad + "    [\n"
+        ends = [pad + "      " + text + "\n" + pad + "    ]"
+                for text in map(float.__repr__, distinct.tolist())]
+        # every row but the last ends with the separator and the next head
+        tails = np.array([end + ",\n" + head for end in ends], dtype=object)
+        ij, kl = np.divmod(A._keys, m * m)
+        pieces = np.stack([pairs[ij], pairs[kl], tails[which]], axis=1)
+        pieces[-1, 2] = ends[which[-1]]
+        entries = "[\n%s%s\n%s  ]" % (head, "".join(pieces.ravel().tolist()), pad)
     else:
         entries = "[]"
-    return '{\n%s  "dim": %d,\n%s  "entries": %s\n%s}' % (pad, A.dim, pad, entries, pad)
+    return '{\n%s  "dim": %d,\n%s  "entries": %s\n%s}' % (pad, m, pad, entries, pad)
 
 
 def save_model(A, path):

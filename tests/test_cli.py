@@ -150,6 +150,16 @@ def test_classify_names_a_non_integer_index(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["symm", "classify"])
+def test_model_commands_name_a_value_out_of_float_range(capsys, tmp_path, command):
+    path = tmp_path / "model.json"
+    path.write_text('{"dim": 2, "entries": [[0, 1, 0, 1, 1%s]]}' % ("0" * 400))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 3
+    assert out == ""
+    assert "entry row 0 [0, 1, 0, 1, 1000" in err and "has a value out of float range" in err
+
+
+@pytest.mark.parametrize("command", ["symm", "classify"])
 @pytest.mark.parametrize("dim", ["2.9", "true", '"3"'])
 def test_model_commands_reject_a_non_integer_dim(capsys, tmp_path, command, dim):
     path = tmp_path / "model.json"

@@ -13,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affinecurv.classifier import classify
-from affinecurv.constructors import StructureSpec, realize
+from affinecurv.cli import main
+from affinecurv.constructors import CASE_LABELS, StructureSpec, case_constraints, realize
 from affinecurv.tensor_core import (
     CurvatureTensor,
     check_affine_symmetries,
     evaluate,
     jacobi,
+    jacobi_batch,
     load_model,
     model_from_json_dict,
     model_to_json_dict,
@@ -209,6 +211,8 @@ def test_json_validation_rejects_a_non_integer_dim(dim):
     ({"i": 0}, r"not \[i, j, k, l, value\]"),
     (7, r"not \[i, j, k, l, value\]"),
     ([1, 0, 0, 1, -1.0], "repeats an earlier"),
+    ([0, 1, 1, 0, 10 ** 400], "value out of float range"),
+    ([0, 1, 1, 0, -2 ** 1024 + 2 ** 970], "value out of float range"),
 ])
 def test_json_validation_names_the_first_bad_row(bad_row, problem):
     good = [[0, 1, 0, 1, 1.0], [1, 0, 0, 1, -1.0]]
@@ -381,16 +385,100 @@ def test_symm_of_a_large_model_file_makes_no_dense_array(tmp_path):
     assert peak < 0.5 * m ** 4 * 8
 
 
-def test_classify_builds_the_dense_view_once_for_the_jacobi_matmul(monkeypatch):
+def test_classify_and_jordan_at_never_read_the_dense_view(monkeypatch, capsys):
     callers = []
     view = CurvatureTensor.entries.fget
 
     def entries(self):
-        if self._dense is None:
-            callers.append(sys._getframe(1).f_code.co_name)
+        callers.append(sys._getframe(1).f_code.co_name)
         return view(self)
 
     monkeypatch.setattr(CurvatureTensor, "entries", property(entries))
     A = load_model(Path(__file__).parent / "golden" / "realize_3-g_m8.model.json")
     assert classify(A, n_samples=16).verdict.status == "projective_affine_osserman"
-    assert callers == ["jacobi_batch"]
+    assert reduced_jacobi(A, np.arange(1.0, 9.0)).shape == (7, 7)
+    assert main(["geometry", "--builtin", "homogeneous", "--m", "3", "--eps", "1",
+                 "--jordan-at", "0.7071067811865476,0,0.7071067811865476"]) == 0
+    assert '"jordan"' in capsys.readouterr().out
+    assert callers == [] and A._dense is None
+
+
+def dense_jacobi(A, X):
+    """The Jacobi operators as one stacked matmul on the dense view."""
+    n, m = X.shape
+    XX = (X[:, :, None] * X[:, None, :]).reshape(n, m * m)
+    return np.matmul(XX, A.entries.reshape(m, m * m, m)).transpose(1, 2, 0)
+
+
+def label_spec(case, m):
+    """Distinct eigenvalues for every slot of a case at m."""
+    reals, pairs = case_constraints(case, m)
+    return StructureSpec(case, tuple(1.0 / 3.0 + k for k in range(len(reals))),
+                         tuple(complex(-0.5 + k, 2.0 / 7.0 + k) for k in range(len(pairs))))
+
+
+def odd_directions(rng, n, m):
+    """Gaussian rows, then one row each with an inf, a NaN and a huge entry."""
+    X = rng.standard_normal((n + 3, m))
+    X[n, 0], X[n + 1, -1], X[n + 2, m // 2] = np.inf, np.nan, 1e300
+    return X
+
+
+_LABEL_DIMS = {"1": (5, 9), "2": (6, 10), "3": (8, 12)}
+# inf and NaN in a direction overflow or cancel in X (x) X and the matmul
+_NON_FINITE = pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("case", CASE_LABELS)
+def test_jacobi_batch_is_the_dense_matmul_bit_for_bit_on_every_label(case):
+    rng = np.random.default_rng(len(case))
+    for m in _LABEL_DIMS[case[0]]:
+        A = realize(label_spec(case, m), m)
+        for X in (odd_directions(rng, 17, m), rng.standard_normal((1, m))):
+            assert np.array_equal(jacobi_batch(A, X), dense_jacobi(A, X), equal_nan=True)
+
+
+@_NON_FINITE
+def test_jacobi_batch_is_the_dense_matmul_with_empty_slabs():
+    """Slabs 0, 2 and 4 of the first index hold nothing."""
+    rng = np.random.default_rng(5)
+    e = np.zeros((6,) * 4)
+    e[1] = rng.standard_normal((6, 6, 6)) * (rng.random((6, 6, 6)) < 0.2)
+    e[3, 0, 5, 2], e[5, 5, 5, 5] = -2.0 / 3.0, 1e-17
+    A = CurvatureTensor(e)
+    for X in (odd_directions(rng, 9, 6), np.zeros((0, 6)), np.eye(6)):
+        assert np.array_equal(jacobi_batch(A, X), dense_jacobi(A, X), equal_nan=True)
+    assert jacobi_batch(CurvatureTensor(np.zeros((0,) * 4)), np.zeros((2, 0))).shape == (2, 0, 0)
+
+
+_DIRECTION_VALUES = st.one_of(st.floats(-4.0, 4.0),
+                              st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 1e300]))
+
+
+@_NON_FINITE
+@settings(max_examples=100, deadline=None)
+@given(sparse_models(), st.data())
+def test_jacobi_batch_is_the_dense_matmul_bit_for_bit_on_sparse_models(e, data):
+    A = CurvatureTensor(e)
+    m = A.dim
+    n = data.draw(st.integers(0, 4))
+    rows = st.lists(_DIRECTION_VALUES, min_size=m, max_size=m)
+    X = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), dtype=float).reshape(n, m)
+    assert np.array_equal(jacobi_batch(A, X), dense_jacobi(A, X), equal_nan=True)
+
+
+def test_classify_of_a_large_model_peaks_below_a_quarter_of_the_dense_tensor():
+    """3-g at m = 40 has 30,720 nonzeros; its dense tensor is 20 MB."""
+    m = 40
+    spec = StructureSpec("3-g", (1.0, 2.0, 3.0), (0.5 + 1j,))
+    A = realize(spec, m)
+    classify(realize(spec, 8), n_samples=16)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        verdict = classify(A, n_samples=16).verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == "projective_affine_osserman" and A._dense is None
+    assert peak < 0.25 * m ** 4 * 8
