@@ -174,8 +174,7 @@ class _Term:
                              [np.repeat(self.vals, count) * M[p[at], l[at]]])
 
     def tensor(self, notes=()):
-        keep = self.vals != 0.0
-        return CurvatureTensor._from_nonzero(self.m, self.keys[keep], self.vals[keep], notes)
+        return CurvatureTensor(self.m, self.keys, self.vals, notes)
 
 
 def _constant_curvature(m):

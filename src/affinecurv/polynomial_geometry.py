@@ -134,10 +134,20 @@ class PolyCurvature:
 
     @cached_property
     def _evaluator(self):
-        return CompiledTable(self.riemann, (self.dim,) * 4, self.dim)
+        """The entries keyed by their raveled C-order index, ascending:
+        `curvature` inserts R[i, j, k, l] next to R[j, i, k, l], out of
+        key order."""
+        m = self.dim
+        flat = {((i * m + j) * m + k) * m + l: p for (i, j, k, l), p in self.riemann.items()}
+        return CompiledTable(dict(sorted(flat.items())), (m ** 4,), m)
 
     def evaluate_at(self, point):
-        return CurvatureTensor(self._evaluator(point))
+        """The numeric curvature tensor at a point, made from the nonzero
+        list with no m^4 array."""
+        table = self._evaluator
+        values = dict(table.values(table.check_point(point)))
+        return CurvatureTensor(self.dim, np.fromiter(values, np.intp, len(values)),
+                               list(values.values()))
 
     def evaluate_exact(self, point):
         """{(i, j, k, l): Fraction} of the entries that are nonzero at an

@@ -289,12 +289,17 @@ class CompiledTable:
                 value += coeff
             yield key, value
 
-    def __call__(self, point):
+    def check_point(self, point):
+        """The point as a list of nvars Python floats; ValueError for any
+        other length."""
         x = np.asarray(point, dtype=float)
         if x.shape != (self.nvars,):
             raise ValueError("point has %d components, expected %d" % (x.size, self.nvars))
+        return x.tolist()
+
+    def __call__(self, point):
         out = np.zeros(self.shape)
-        for key, value in self.values(x.tolist()):
+        for key, value in self.values(self.check_point(point)):
             out[key] = value
         return out
 

@@ -2,7 +2,7 @@
 
 A model lives on R^m with the standard basis.  The array convention is
 
-    A(e_i, e_j) e_k = sum_l  entries[i, j, k, l] e_l,
+    A(e_i, e_j) e_k = sum_l  A[i, j, k, l] e_l,
 
 and a well-formed model satisfies the two curvature identities
 
@@ -44,51 +44,37 @@ __all__ = [
 class CurvatureTensor:
     """Immutable rank-4 tensor on R^m, stored only as its sorted nonzero
     entries: raveled C-order keys and their values, O(m^2) of them for
-    every realized model.  `entries` is a read-only dense m x m x m x m
-    view, made on first read and kept, for callers that want the array;
-    nothing in the package reads it.  A dense array given to the
-    constructor is scanned once.
+    every realized model.
+
+    The constructor takes such a list: 1-D integer keys, strictly
+    ascending, inside [0, dim^4), and as many float values.  It raises
+    ValueError for any other list, drops the exact zeros and keeps
+    read-only copies of the rest.
 
     `notes` carries non-fatal flags set by constructors (for example an
     empty spectral slot at the minimum admissible dimension).
     """
 
-    __slots__ = ("dim", "notes", "_dense", "_keys", "_values")
+    __slots__ = ("dim", "notes", "_keys", "_values")
 
-    def __init__(self, entries, notes=()):
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim != 4 or len(set(arr.shape)) != 1:
-            raise ValueError("entries must be an m x m x m x m array")
-        keys = np.flatnonzero(arr)
-        self._keep(dim=arr.shape[0], notes=tuple(notes), _dense=None, _keys=keys,
-                   _values=arr.flat[keys])
-
-    @classmethod
-    def _from_nonzero(cls, m, keys, values, notes=()):
-        """Take ownership of a nonzero list: raveled C-order keys into an
-        m x m x m x m array, sorted and unique, and the nonzero values."""
-        out = cls.__new__(cls)
-        out._keep(dim=m, notes=tuple(notes), _dense=None, _keys=keys, _values=values)
-        return out
-
-    def _keep(self, **fields):
-        """Set fields past the immutability guard, arrays read-only."""
+    def __init__(self, dim, keys, values, notes=()):
+        keys = np.asarray(keys)
+        values = np.asarray(values, dtype=float)
+        if keys.ndim != 1 or keys.dtype.kind not in "iu" or values.shape != keys.shape:
+            raise ValueError("a nonzero list needs 1-D integer keys and as many values")
+        if dim < 0 or keys.size and (keys[0] < 0 or keys[-1] >= dim ** 4
+                                     or np.any(keys[1:] <= keys[:-1])):
+            raise ValueError("keys must ascend strictly inside [0, dim^4), dim >= 0")
+        keep = values != 0.0
+        fields = {"dim": dim, "notes": tuple(notes),
+                  "_keys": keys[keep].astype(np.intp, copy=False), "_values": values[keep]}
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        return CurvatureTensor._from_nonzero, (self.dim, self._keys, self._values, self.notes)
-
-    @property
-    def entries(self):
-        """The dense array, entries[i, j, k, l]; read-only."""
-        if self._dense is None:
-            dense = np.zeros((self.dim,) * 4)
-            dense.reshape(-1)[self._keys] = self._values
-            self._keep(_dense=dense)
-        return self._dense
+        return CurvatureTensor, (self.dim, self._keys, self._values, self.notes)
 
     def nonzero(self):
         """Indices (n, 4) and values (n,) of the nonzero entries, in
@@ -170,8 +156,8 @@ def jacobi_batch(A, X):
     R[i] = (X (x) X) @ A[i, (j, k), l] for each slab i of the first index:
     the slab's keys are the run [i m^3, (i + 1) m^3) of the sorted list,
     scattered into one reused (m^2, m) block and cleared again after its
-    matmul.  Each slab is the gemm numpy's stacked matmul on the dense
-    view would make, so the bits are the same, with O(m^3) extra memory.
+    matmul.  Each slab is the gemm numpy's stacked matmul on the dense m^4
+    array would make, so the bits are the same, with O(m^3) extra memory.
     """
     X = _check_directions(A, X)
     n, m = X.shape
@@ -322,13 +308,11 @@ def model_from_json_dict(data):
                    "has an index out of range for dim=%d" % dim)
     keys = np.ravel_multi_index(cells[:, :4].astype(np.intp).T, (dim,) * 4)
     order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    keys = keys[order]
     repeated = np.zeros(n, dtype=bool)
-    repeated[repeats] = True
+    repeated[order[1:][keys[1:] == keys[:-1]]] = True
     _first_bad_row(repeated, rows, "repeats an earlier (i, j, k, l)")
-    values = cells[order, 4].astype(float)
-    keep = values != 0.0
-    return CurvatureTensor._from_nonzero(dim, keys[order][keep], values[keep])
+    return CurvatureTensor(dim, keys, cells[order, 4].astype(float))
 
 
 def model_to_json_text(A, depth=0):

@@ -24,7 +24,6 @@ from affinecurv.spectral import (
     spectrum_batch,
 )
 from affinecurv.tensor_core import (
-    CurvatureTensor,
     jacobi,
     jacobi_batch,
     perp_basis,
@@ -32,6 +31,8 @@ from affinecurv.tensor_core import (
     reduced_jacobi,
     reduced_jacobi_batch,
 )
+
+from dense import from_dense
 
 TOL = 1e-8
 N_SAMPLES = 24
@@ -64,7 +65,7 @@ def nilpotent_model(m=5, scale=1.0):
     e = np.zeros((m,) * 4)
     e[1, 0, 0, 2] = scale
     e[0, 1, 0, 2] = -scale
-    return CurvatureTensor(e)
+    return from_dense(e)
 
 
 def non_osserman_model(diag=(1.0, 1.5, 2.25, 3.0, 4.0, 3.5)):
@@ -76,7 +77,7 @@ def non_osserman_model(diag=(1.0, 1.5, 2.25, 3.0, 4.0, 3.5)):
         if i != j:
             e[i, j, j, i] += diag[i]
             e[j, i, j, i] -= diag[i]
-    return CurvatureTensor(e)
+    return from_dense(e)
 
 
 MODELS = [
@@ -228,4 +229,4 @@ def test_projective_verdict_is_scale_invariant(scale):
 
 def test_model_below_two_dimensions_is_rejected():
     with pytest.raises(ValueError, match="no reduced Jacobi operator"):
-        is_projective_affine_osserman(CurvatureTensor(np.zeros((1,) * 4)))
+        is_projective_affine_osserman(from_dense(np.zeros((1,) * 4)))

@@ -28,7 +28,9 @@ from affinecurv.constructors import (
     realize,
 )
 from affinecurv.spectral import spectrum
-from affinecurv.tensor_core import CurvatureTensor, reduced_jacobi
+from affinecurv.tensor_core import reduced_jacobi
+
+from dense import from_dense, to_dense
 
 
 def projection_tensor(m, rank):
@@ -36,7 +38,7 @@ def projection_tensor(m, rank):
     the kernel have nilpotent Jacobi operator, the rest do not."""
     P = np.diag([1.0] * rank + [0.0] * (m - rank))
     entries = np.einsum("jk,il->ijkl", P, P) - np.einsum("ik,jl->ijkl", P, P)
-    return CurvatureTensor(entries)
+    return from_dense(entries)
 
 
 def indefinite_surface_tensor():
@@ -47,7 +49,7 @@ def indefinite_surface_tensor():
     e[1, 0, 0, 1] = 1.0
     e[0, 1, 1, 0] = -2.0
     e[1, 0, 1, 0] = 2.0
-    return CurvatureTensor(e)
+    return from_dense(e)
 
 
 # -- sampling -------------------------------------------------------------
@@ -93,7 +95,7 @@ def test_constant_curvature_is_projective():
 
 
 def test_zero_tensor_is_affine_osserman():
-    verdict = is_projective_affine_osserman(CurvatureTensor(np.zeros((3,) * 4)))
+    verdict = is_projective_affine_osserman(from_dense(np.zeros((3,) * 4)))
     assert verdict.status == AFFINE
     assert verdict.mu.nilpotent
     assert verdict.mu.entries == (3,)
@@ -117,14 +119,14 @@ def test_symmetry_precheck():
     bad = np.zeros((3,) * 4)
     bad[0, 0, 0, 0] = 1.0  # breaks antisymmetry in the first two slots
     with pytest.raises(ValueError):
-        is_projective_affine_osserman(CurvatureTensor(bad))
+        is_projective_affine_osserman(from_dense(bad))
 
 
 def test_sample_count_is_checked_before_the_symmetries():
     bad = np.zeros((3,) * 4)
     bad[0, 0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="at least one random sample"):
-        is_projective_affine_osserman(CurvatureTensor(bad), n_samples=0)
+        is_projective_affine_osserman(from_dense(bad), n_samples=0)
 
 
 def rank_one_ricci_tensor():
@@ -136,7 +138,7 @@ def rank_one_ricci_tensor():
     entries = np.einsum("jk,il->ijkl", rho, delta) - np.einsum(
         "ik,jl->ijkl", rho, delta
     )
-    return CurvatureTensor(entries)
+    return from_dense(entries)
 
 
 def test_extra_directions_expose_hidden_collapse():
@@ -160,7 +162,7 @@ def test_extra_directions_validation():
 
 def test_verdict_scaling_invariance():
     A = realize(StructureSpec("2-c", (4.0,), (1 + 2j,)), 6)
-    B = CurvatureTensor(3.0 * A.entries)
+    B = from_dense(3.0 * to_dense(A))
     for T in (A, B):
         verdict = is_projective_affine_osserman(T, n_samples=16)
         assert verdict.status == PROJECTIVE
@@ -222,7 +224,7 @@ def test_duplicate_shapes_at_m4_report_the_first_listed_label(case, lams, nus, r
 
 def test_classify_structure_requires_projective():
     with pytest.raises(ValueError):
-        classify_structure(CurvatureTensor(np.zeros((3,) * 4)))
+        classify_structure(from_dense(np.zeros((3,) * 4)))
 
 
 def test_match_taxonomy_rejects_pairs_at_odd_m():

@@ -12,7 +12,9 @@ import pytest
 from affinecurv import __version__, cli, polynomial_geometry
 from affinecurv.cli import main
 from affinecurv.polynomial_geometry import curvature
-from affinecurv.tensor_core import CurvatureTensor, load_model, save_model
+from affinecurv.tensor_core import load_model, save_model
+
+from dense import from_dense
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -45,7 +47,7 @@ def projective_model(tmp_path, capsys):
 @pytest.fixture
 def affine_model(tmp_path):
     path = tmp_path / "zero.json"
-    save_model(CurvatureTensor(np.zeros((3,) * 4)), path)
+    save_model(from_dense(np.zeros((3,) * 4)), path)
     return path
 
 
@@ -54,7 +56,7 @@ def neither_model(tmp_path):
     P = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
     entries = np.einsum("jk,il->ijkl", P, P) - np.einsum("ik,jl->ijkl", P, P)
     path = tmp_path / "neither.json"
-    save_model(CurvatureTensor(entries), path)
+    save_model(from_dense(entries), path)
     return path
 
 

@@ -24,7 +24,6 @@ from affinecurv.constructors import (
 )
 from affinecurv.spectral import spectrum, spectrum_batch
 from affinecurv.tensor_core import (
-    CurvatureTensor,
     check_affine_symmetries,
     evaluate,
     jacobi,
@@ -32,6 +31,8 @@ from affinecurv.tensor_core import (
     reduced_jacobi,
     save_model,
 )
+
+from dense import from_dense, to_dense
 
 
 def unit(v):
@@ -89,7 +90,7 @@ def test_constant_curvature_entries():
             for k in range(3):
                 for l in range(3):
                     want = float(j == k and i == l) - float(i == k and j == l)
-                    assert A.entries[i, j, k, l] == want
+                    assert to_dense(A)[i, j, k, l] == want
 
 
 def test_constant_curvature_spectrum():
@@ -132,7 +133,7 @@ def test_complex_model_degenerate_skew_is_rescaled_constant():
     lam = 2.5
     A = complex_model(J, lam, lam, 0.0)
     B = constant_curvature(6)
-    assert np.max(np.abs(A.entries - lam * B.entries)) <= 1e-12
+    assert np.max(np.abs(to_dense(A) - lam * to_dense(B))) <= 1e-12
 
 
 def test_quaternion_model_jacobi_rows():
@@ -379,7 +380,7 @@ def einsum_complex_model(J, axis_value, perp_value, perp_skew):
     j_a0 = einsum_compose(Jm, a0t)
     jj_aj = einsum_compose(Jm, j_aj)
     entries = perp_value * a0t + perp_skew * (j_a0 - jj_aj) + (axis_value - perp_value) * j_aj
-    return CurvatureTensor(entries)
+    return from_dense(entries)
 
 
 def einsum_quaternion_model(Q, j1_value, j2_value, j3_value, perp_value, perp_skew,
@@ -395,7 +396,7 @@ def einsum_quaternion_model(Q, j1_value, j2_value, j3_value, perp_value, perp_sk
         + perp_skew * (einsum_compose(J1, a0t) - einsum_compose(J1, t1))
         + (plane_skew - perp_skew) * einsum_compose(J1, t2 + t3)
     )
-    return CurvatureTensor(entries)
+    return from_dense(entries)
 
 
 def einsum_realize(spec, m, monkeypatch):
@@ -405,7 +406,7 @@ def einsum_realize(spec, m, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(constructors, "complex_model", einsum_complex_model)
         patch.setattr(constructors, "quaternion_model", einsum_quaternion_model)
-        return realize(spec, m).entries
+        return to_dense(realize(spec, m))
 
 
 def awkward_spec(case, m, seed):
@@ -428,27 +429,26 @@ _TWO_DIMS = {"1": (5, 9), "2-a": (6, 10), "2-b": (6, 10), "2-c": (6, 10)}
 def test_slab_realize_matches_einsum_formulas(case, monkeypatch):
     for m in _TWO_DIMS.get(case, (8, 12)):
         spec = awkward_spec(case, m, seed=m)
-        assert np.array_equal(realize(spec, m).entries, einsum_realize(spec, m, monkeypatch))
+        assert np.array_equal(to_dense(realize(spec, m)), einsum_realize(spec, m, monkeypatch))
 
 
 def test_slab_building_blocks_match_einsum_formulas():
     Q = standard_quaternion_structure(8)
-    assert np.array_equal(constant_curvature(8).entries, einsum_constant_curvature(8))
+    assert np.array_equal(to_dense(constant_curvature(8)), einsum_constant_curvature(8))
     for Jm in (Q.j1.matrix, Q.j2.matrix, Q.j3.matrix):
         t = complex_structure_term(ComplexStructure(Jm))
-        assert np.array_equal(t.entries, einsum_complex_structure_term(Jm))
-        assert np.array_equal(compose_endomorphism(Jm, t).entries,
-                              einsum_compose(Jm, t.entries))
+        assert np.array_equal(to_dense(t), einsum_complex_structure_term(Jm))
+        assert np.array_equal(to_dense(compose_endomorphism(Jm, t)),
+                              einsum_compose(Jm, to_dense(t)))
     args = (0.3, -1.0 / 3.0, 2.0 / 7.0, 5.5, 1.25, -0.1)
-    assert np.array_equal(quaternion_model(Q, *args).entries,
-                          einsum_quaternion_model(Q, *args).entries)
+    assert np.array_equal(to_dense(quaternion_model(Q, *args)),
+                          to_dense(einsum_quaternion_model(Q, *args)))
     assert quaternion_model(standard_quaternion_structure(4), *args).notes
 
 
 def test_realize_peak_memory_stays_near_the_tensor():
-    """The peak stays below the m^4 output, which is made only when
-    `entries` is read; the dense einsum construction peaked at about 9
-    times it."""
+    """The peak stays below the m^4 dense tensor, which is never made; the
+    dense einsum construction peaked at about 9 times it."""
     m = 24
     spec = StructureSpec("3-g", (1.0, 2.0, 3.0), (0.5 + 1j,))
     realize(spec, 8)
@@ -458,8 +458,7 @@ def test_realize_peak_memory_stays_near_the_tensor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert A.entries.nbytes == m ** 4 * 8
-    assert peak <= 2.5 * A.entries.nbytes
+    assert peak <= 2.5 * m ** 4 * 8
 
 
 # -- sparse construction ----------------------------------------------------
@@ -473,7 +472,7 @@ def test_sparse_realize_matches_einsum_formulas_at_larger_m(case, monkeypatch):
     spec = awkward_spec(case, m, seed=m + 1)
     A = realize(spec, m)
     dense = einsum_realize(spec, m, monkeypatch)
-    assert np.array_equal(A.entries, dense)
+    assert np.array_equal(to_dense(A), dense)
     assert len(A.nonzero()[1]) == np.count_nonzero(dense)
 
 
@@ -492,7 +491,7 @@ def test_cancelling_terms_give_the_dense_nonzero_count(case, m, lams, nus, monke
     spec = StructureSpec(case, lams, nus)
     A = realize(spec, m)
     dense = einsum_realize(spec, m, monkeypatch)
-    assert np.array_equal(A.entries, dense)
+    assert np.array_equal(to_dense(A), dense)
     assert len(A.nonzero()[1]) == np.count_nonzero(dense)
 
 
@@ -501,7 +500,7 @@ def test_saved_sparse_model_is_byte_identical_to_the_scanned_one(case, tmp_path)
     m = _LARGER_DIMS.get(case, 12)
     A = realize(awkward_spec(case, m, seed=3), m)
     save_model(A, tmp_path / "sparse.json")
-    save_model(CurvatureTensor(A.entries.copy()), tmp_path / "dense.json")
+    save_model(from_dense(to_dense(A)), tmp_path / "dense.json")
     assert (tmp_path / "sparse.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
 
 
@@ -515,7 +514,7 @@ def rotated(J, g):
 
 
 def assert_close_relative(A, B):
-    assert np.max(np.abs(A.entries - B.entries)) <= 1e-12 * np.max(np.abs(B.entries))
+    assert np.max(np.abs(to_dense(A) - to_dense(B))) <= 1e-12 * np.max(np.abs(to_dense(B)))
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -529,12 +528,12 @@ def test_models_on_a_rotated_structure_match_einsum(seed):
     args = (0.3, -1.0 / 3.0, 2.0 / 7.0, 5.5, 1.25, -0.1)
     assert_close_relative(quaternion_model(Q, *args), einsum_quaternion_model(Q, *args))
     A = complex_structure_term(Q.j2)
-    assert_close_relative(A, CurvatureTensor(einsum_complex_structure_term(Q.j2.matrix)))
+    assert_close_relative(A, from_dense(einsum_complex_structure_term(Q.j2.matrix)))
 
 
 def test_realize_at_m44_stays_far_below_the_dense_tensor():
     """The nonzero list of 3-g at m = 44 holds 39,248 entries; the dense
-    tensor, made only when `entries` is read, is 30 MB."""
+    tensor would be 30 MB."""
     m = 44
     spec = StructureSpec("3-g", (1.0, 2.0, 3.0), (0.5 + 1j,))
     realize(spec, 8)
@@ -546,6 +545,4 @@ def test_realize_at_m44_stays_far_below_the_dense_tensor():
         tracemalloc.stop()
     assert len(A.nonzero()[1]) == 39248
     model_to_json_text(A)
-    assert A._dense is None  # writing the model made no dense view
-    assert A.entries.nbytes == m ** 4 * 8
-    assert peak < 0.1 * A.entries.nbytes
+    assert peak < 0.1 * m ** 4 * 8

@@ -1,6 +1,7 @@
 """Polynomial connections: curvature, Ricci, surfaces, geodesics, files."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -38,7 +39,9 @@ from affinecurv.riemannian_extension import (
     levi_civita_block,
     modified_extension,
 )
-from affinecurv.tensor_core import jacobi
+from affinecurv.tensor_core import jacobi, reduced_jacobi, save_model
+
+from dense import from_dense, to_dense
 
 
 def var(i, m):
@@ -149,13 +152,13 @@ def test_homogeneous_curvature_entries(m, eps):
     # entries are constant polynomials: evaluating anywhere gives the table
     for point in ([0.0] * m, [0.3, -1.2, 0.7, 2.0][:m]):
         got = P.evaluate_at(point)
-        assert np.max(np.abs(got.entries - want)) == 0.0
+        assert np.max(np.abs(to_dense(got) - want)) == 0.0
 
 
 def test_homogeneous_eps_zero_is_constant_curvature():
     A = curvature_at(curvature_homogeneous_connection(4), [0.0] * 4)
     B = constant_curvature(4)
-    assert np.array_equal(A.entries, B.entries)
+    assert np.array_equal(to_dense(A), to_dense(B))
 
 
 def test_homogeneous_validation():
@@ -620,7 +623,7 @@ def _tables():
     for C in conns:
         out.append((C.gamma_at, C.gamma, (C.dim,) * 3))
         P = curvature(C)
-        out.append((lambda x, P=P: P.evaluate_at(x).entries, P.riemann, (C.dim,) * 4))
+        out.append((lambda x, P=P: to_dense(P.evaluate_at(x)), P.riemann, (C.dim,) * 4))
     for g in _extension_metrics():
         out.append((g.gram_at, g.components, (g.dim, g.dim)))
     return out
@@ -741,6 +744,60 @@ def test_compiled_evaluator_checks_the_point():
         C.gamma_at([0.0, 0.0])
     G = flat_connection(2).gamma_at([1.0, 2.0])
     assert G.dtype == np.float64 and not G.any()
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_evaluate_at_checks_the_point(m):
+    C = curvature_homogeneous_connection(m)
+    for n in (m - 1, m + 1):
+        with pytest.raises(ValueError, match="point has %d components" % n):
+            curvature(C).evaluate_at([0.5] * n)
+        with pytest.raises(ValueError, match="point has %d components" % n):
+            curvature_at(C, [0.5] * n)
+
+
+def test_evaluate_at_lists_the_nonzero_entries_in_key_order(tmp_path):
+    """`curvature` inserts R[i, j, k, l] next to R[j, i, k, l], out of key
+    order, and a non-constant entry can vanish at a point; the tensor must
+    still be the sorted scan of the dense array, with no zero kept."""
+    # R[0, 2, 0, 1] = -x1 and R[0, 2, 0, 0] = x1 x3 (x2 + 1) vanish at these points
+    uneven = connection_from_symbols(3, {(0, 0, 1): parse_polynomial("x1*x3", 3),
+                                         (1, 2, 0): parse_polynomial("x2 + 1", 3)})
+    cases = [(curvature_homogeneous_connection(4, eps=Fraction(1, 2)), [[0.25, -1.5, 0.75, 2.0]]),
+             (curvature_homogeneous_connection(6), [[0.5, -0.25, 1.0, 0.0, -2.0, 0.125]]),
+             (uneven, [[0.0, 0.5, -1.25], [0.75, -1.0, 0.5]])]
+    for C, points in cases:
+        P = curvature(C)
+        assert list(P.riemann) != sorted(P.riemann)
+        for point in points:
+            # dyadic points: the float evaluation is exact
+            reference = _reference(P.riemann, (C.dim,) * 4, [Fraction(v) for v in point])
+            idx, vals = P.evaluate_at(point).nonzero()
+            assert np.array_equal(idx, np.argwhere(reference))
+            assert np.array_equal(vals, reference[tuple(idx.T)]) and np.all(vals != 0.0)
+            save_model(P.evaluate_at(point), tmp_path / "list.json")
+            save_model(from_dense(reference), tmp_path / "dense.json")
+            assert (tmp_path / "list.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+    assert len(curvature(uneven).evaluate_at([0.0, 0.5, -1.25]).nonzero()[1]) == 2
+
+
+def test_model_out_and_jordan_at_allocate_no_dense_tensor(tmp_path):
+    """What `geometry --model-out` and `--jordan-at` do at m = 16 (484
+    nonzeros) peaks below a quarter of the 524 KB dense tensor."""
+    m = 16
+    P = curvature(curvature_homogeneous_connection(m, 1))
+    point = np.linspace(-1.0, 1.0, m)
+    P.evaluate_at(point)  # compiles the evaluator outside the trace
+    tracemalloc.start()
+    try:
+        A = P.evaluate_at(point)
+        save_model(A, tmp_path / "model.json")
+        reduced_jacobi(A, np.arange(1.0, m + 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(A.nonzero()[1]) == 484
+    assert peak < 0.25 * m ** 4 * 8
 
 
 # -- one curvature per connection ------------------------------------------

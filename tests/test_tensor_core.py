@@ -3,7 +3,6 @@
 import copy
 import json
 import pickle
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -30,6 +29,8 @@ from affinecurv.tensor_core import (
     save_model,
 )
 
+from dense import from_dense, to_dense
+
 
 def sectional_tensor(m):
     """A(X, Y)Z = <Y,Z>X - <X,Z>Y written out with loops, as an oracle
@@ -42,18 +43,17 @@ def sectional_tensor(m):
                     e[i, j, k, l] = (1.0 if j == k and i == l else 0.0) - (
                         1.0 if i == k and j == l else 0.0
                     )
-    return CurvatureTensor(e)
+    return from_dense(e)
 
 
 def test_nonzero_list_and_dense_view_agree():
     A = sectional_tensor(3)
     idx, vals = A.nonzero()
-    assert np.array_equal(idx, np.argwhere(A.entries))
-    assert np.array_equal(vals, A.entries[tuple(idx.T)])
-    B = CurvatureTensor._from_nonzero(3, np.ravel_multi_index(idx.T, (3,) * 4), vals.copy())
-    assert B.entries is B.entries
-    assert np.array_equal(B.entries, A.entries)
-    assert not B.entries.flags.writeable and not B.nonzero()[1].flags.writeable
+    assert np.array_equal(idx, np.argwhere(to_dense(A)))
+    assert np.array_equal(vals, to_dense(A)[tuple(idx.T)])
+    B = CurvatureTensor(3, np.ravel_multi_index(idx.T, (3,) * 4), vals)
+    assert np.array_equal(to_dense(B), to_dense(A))
+    assert not B.nonzero()[1].flags.writeable
     assert repr(B) == repr(A) == "CurvatureTensor(dim=3, nonzero=%d)" % len(vals)
 
 
@@ -62,14 +62,29 @@ def test_tensor_is_immutable():
     with pytest.raises(AttributeError):
         A.dim = 5
     with pytest.raises(ValueError):
-        A.entries[0, 0, 0, 0] = 1.0  # read-only array
+        A.nonzero()[1][0] = 1.0  # read-only array
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        CurvatureTensor(np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError):
-        CurvatureTensor(np.zeros((2, 2, 2, 3)))
+    """The constructor takes 1-D integer keys, strictly ascending inside
+    [0, dim^4), and one value per key."""
+    for keys, values, problem in [
+        ([3, 1], [1.0, 2.0], "ascend"),
+        ([1, 1], [1.0, 2.0], "ascend"),
+        ([-1, 2], [1.0, 2.0], "ascend"),
+        ([2, 16], [1.0, 2.0], "ascend"),
+        ([1, 2], [1.0], "as many values"),
+        ([1, 2], [1.0, 2.0, 3.0], "as many values"),
+        ([1.0, 2.0], [1.0, 2.0], "integer keys"),
+        ([[1, 2]], [[1.0, 2.0]], "1-D"),
+    ]:
+        with pytest.raises(ValueError, match=problem):
+            CurvatureTensor(2, np.array(keys), values)
+    with pytest.raises(ValueError, match="dim >= 0"):
+        CurvatureTensor(-1, np.array([0]), [1.0])
+    A = CurvatureTensor(2, np.array([0, 5, 15]), [0.0, -0.0, 2.5])
+    assert np.array_equal(A.nonzero()[0], [[1, 1, 1, 1]]) and A.nonzero()[1].tolist() == [2.5]
+    assert repr(CurvatureTensor(0, np.array([], dtype=int), [])) == "CurvatureTensor(dim=0, nonzero=0)"
 
 
 def test_evaluate_against_inner_product_oracle():
@@ -91,7 +106,7 @@ def test_symmetry_check_exact_zero():
 def test_symmetry_check_flags_defects():
     e = np.zeros((2, 2, 2, 2))
     e[0, 1, 0, 1] = 1.0  # no antisymmetric partner
-    report = check_affine_symmetries(CurvatureTensor(e))
+    report = check_affine_symmetries(from_dense(e))
     assert report.antisymmetry_defect > 0
     assert not report.passed
 
@@ -170,12 +185,12 @@ def test_json_round_trip(tmp_path):
     assert quads == sorted(quads)
     assert all(row[4] != 0 for row in data["entries"])
     B = model_from_json_dict(data)
-    np.testing.assert_array_equal(A.entries, B.entries)
+    np.testing.assert_array_equal(to_dense(A), to_dense(B))
 
     path = tmp_path / "model.json"
     save_model(A, path)
     C = load_model(path)
-    np.testing.assert_array_equal(A.entries, C.entries)
+    np.testing.assert_array_equal(to_dense(A), to_dense(C))
 
 
 def test_json_validation():
@@ -223,15 +238,15 @@ def test_json_validation_names_the_first_bad_row(bad_row, problem):
 
 def test_json_loader_accepts_integer_values_and_reports_the_earliest_repeat():
     data = {"dim": 2, "entries": [[1, 1, 1, 1, 3], [0, 0, 0, 0, 2.5]]}
-    A = model_from_json_dict(data)
-    assert A.entries[1, 1, 1, 1] == 3.0 and A.entries[0, 0, 0, 0] == 2.5
-    assert np.count_nonzero(A.entries) == 2
+    e = to_dense(model_from_json_dict(data))
+    assert e[1, 1, 1, 1] == 3.0 and e[0, 0, 0, 0] == 2.5
+    assert np.count_nonzero(e) == 2
     rows = [[1, 1, 1, 1, 1.0], [0, 0, 0, 0, 1.0], [0, 0, 0, 0, 2.0], [1, 1, 1, 1, 2.0]]
     with pytest.raises(ValueError, match=r"entry row 2 "):
         model_from_json_dict({"dim": 2, "entries": rows})
     with pytest.raises(ValueError, match="list of rows"):
         model_from_json_dict({"dim": 2, "entries": {"0": [0, 0, 0, 0, 1.0]}})
-    assert not np.any(model_from_json_dict({"dim": 3, "entries": []}).entries)
+    assert not np.any(to_dense(model_from_json_dict({"dim": 3, "entries": []})))
 
 
 def _json_dump_text(A):
@@ -249,15 +264,15 @@ def test_save_model_writes_the_json_dump_layout(tmp_path, seed):
     e[mask] = (rng.standard_normal(e.shape) * scale)[mask]
     e[mask & (rng.random(e.shape) < 0.2)] = -0.0
     e.flat[0] = 1.0 / 3.0
-    A = CurvatureTensor(e)
+    A = from_dense(e)
     path = tmp_path / "model.json"
     save_model(A, path)
     assert path.read_text() == _json_dump_text(A)
-    np.testing.assert_array_equal(load_model(path).entries, A.entries)
+    np.testing.assert_array_equal(to_dense(load_model(path)), to_dense(A))
 
 
 def test_save_model_of_the_zero_model(tmp_path):
-    A = CurvatureTensor(np.zeros((3,) * 4))
+    A = from_dense(np.zeros((3,) * 4))
     path = tmp_path / "zero.json"
     save_model(A, path)
     assert path.read_text() == _json_dump_text(A) == '{\n  "dim": 3,\n  "entries": []\n}\n'
@@ -271,8 +286,8 @@ def test_model_text_nests_as_json_dumps_does(depth):
     repeated = np.where(rng.random((4,) * 4) < 0.5,
                         rng.choice([0.1, -0.1, 2.5, -2.5, 1e22, -1e-7, 3.0], (4,) * 4), 0.0)
     holder = "\0model"
-    for A in (CurvatureTensor(e), CurvatureTensor(repeated),
-              CurvatureTensor(np.zeros((2,) * 4))):
+    for A in (from_dense(e), from_dense(repeated),
+              from_dense(np.zeros((2,) * 4))):
         nested, placeheld = model_to_json_dict(A), holder
         for level in range(depth):
             nested = {"b": nested, "c": level}
@@ -288,7 +303,7 @@ def test_save_model_rejects_non_finite_entries(tmp_path, bad):
     e = np.zeros((2,) * 4)
     e[0, 1, 0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        save_model(CurvatureTensor(e), tmp_path / "bad.json")
+        save_model(from_dense(e), tmp_path / "bad.json")
 
 
 def test_symmetry_defects_equal_the_dense_formulas():
@@ -297,14 +312,14 @@ def test_symmetry_defects_equal_the_dense_formulas():
     rng = np.random.default_rng(3)
     for m in (1, 2, 5):
         e = rng.standard_normal((m,) * 4) / 3.0
-        report = check_affine_symmetries(CurvatureTensor(e))
+        report = check_affine_symmetries(from_dense(e))
         anti = np.max(np.abs(e + e.transpose(1, 0, 2, 3)))
         cyc = e + e.transpose(1, 2, 0, 3) + e.transpose(2, 0, 1, 3)
         assert report.antisymmetry_defect == anti
         assert report.bianchi_defect == np.max(np.abs(cyc))
     e[0, 1, 2, 3] = np.nan
-    assert np.isnan(check_affine_symmetries(CurvatureTensor(e)).bianchi_defect)
-    empty = check_affine_symmetries(CurvatureTensor(np.zeros((0,) * 4)))
+    assert np.isnan(check_affine_symmetries(from_dense(e)).bianchi_defect)
+    empty = check_affine_symmetries(from_dense(np.zeros((0,) * 4)))
     assert empty.antisymmetry_defect == 0.0 and empty.passed
 
 
@@ -343,7 +358,7 @@ def sparse_models(draw):
 @example(np.zeros((0,) * 4))
 @example(np.zeros((3,) * 4))
 def test_symmetry_defects_equal_the_dense_formulas_on_sparse_models(e):
-    report = check_affine_symmetries(CurvatureTensor(e))
+    report = check_affine_symmetries(from_dense(e))
     got = (report.antisymmetry_defect, report.bianchi_defect)
     assert np.array_equal(got, dense_defects(e), equal_nan=True)
 
@@ -352,21 +367,22 @@ def test_symmetry_defects_equal_the_dense_formulas_on_sparse_models(e):
                                         lambda A: pickle.loads(pickle.dumps(A))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_copy_and_pickle_keep_the_nonzero_list(round_trip):
-    A = CurvatureTensor(sectional_tensor(3).entries, notes=("a note",))
+    A = from_dense(to_dense(sectional_tensor(3)), notes=("a note",))
     B = round_trip(A)
     for got, want in zip(B.nonzero(), A.nonzero()):
         assert np.array_equal(got, want)
     assert (B.dim, B.notes) == (3, ("a note",))
-    assert not B.nonzero()[1].flags.writeable and not B.entries.flags.writeable
+    assert not B.nonzero()[1].flags.writeable
     with pytest.raises(AttributeError, match="immutable"):
         B.dim = 4
 
 
 def test_tensor_keeps_no_reference_to_the_given_array():
-    e = sectional_tensor(2).entries.copy()
-    A = CurvatureTensor(e)
-    e[0, 1, 0, 1] = 5.0
-    assert A.entries[0, 1, 0, 1] == -1.0 and A._dense is not e
+    keys, values = np.array([5, 9]), np.array([-1.0, 1.0])
+    A = CurvatureTensor(2, keys, values)
+    keys[0], values[0] = 6, 5.0
+    assert A.nonzero()[0][0].tolist() == [0, 1, 0, 1] and A.nonzero()[1][0] == -1.0
+    assert keys.flags.writeable and values.flags.writeable
 
 
 def test_symm_of_a_large_model_file_makes_no_dense_array(tmp_path):
@@ -381,33 +397,24 @@ def test_symm_of_a_large_model_file_makes_no_dense_array(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed and A._dense is None
+    assert report.passed
     assert peak < 0.5 * m ** 4 * 8
 
 
-def test_classify_and_jordan_at_never_read_the_dense_view(monkeypatch, capsys):
-    callers = []
-    view = CurvatureTensor.entries.fget
-
-    def entries(self):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return view(self)
-
-    monkeypatch.setattr(CurvatureTensor, "entries", property(entries))
+def test_classify_and_jordan_at_run_on_the_nonzero_list(capsys):
     A = load_model(Path(__file__).parent / "golden" / "realize_3-g_m8.model.json")
     assert classify(A, n_samples=16).verdict.status == "projective_affine_osserman"
     assert reduced_jacobi(A, np.arange(1.0, 9.0)).shape == (7, 7)
     assert main(["geometry", "--builtin", "homogeneous", "--m", "3", "--eps", "1",
                  "--jordan-at", "0.7071067811865476,0,0.7071067811865476"]) == 0
     assert '"jordan"' in capsys.readouterr().out
-    assert callers == [] and A._dense is None
 
 
 def dense_jacobi(A, X):
-    """The Jacobi operators as one stacked matmul on the dense view."""
+    """The Jacobi operators as one stacked matmul on the dense array."""
     n, m = X.shape
     XX = (X[:, :, None] * X[:, None, :]).reshape(n, m * m)
-    return np.matmul(XX, A.entries.reshape(m, m * m, m)).transpose(1, 2, 0)
+    return np.matmul(XX, to_dense(A).reshape(m, m * m, m)).transpose(1, 2, 0)
 
 
 def label_spec(case, m):
@@ -446,10 +453,10 @@ def test_jacobi_batch_is_the_dense_matmul_with_empty_slabs():
     e = np.zeros((6,) * 4)
     e[1] = rng.standard_normal((6, 6, 6)) * (rng.random((6, 6, 6)) < 0.2)
     e[3, 0, 5, 2], e[5, 5, 5, 5] = -2.0 / 3.0, 1e-17
-    A = CurvatureTensor(e)
+    A = from_dense(e)
     for X in (odd_directions(rng, 9, 6), np.zeros((0, 6)), np.eye(6)):
         assert np.array_equal(jacobi_batch(A, X), dense_jacobi(A, X), equal_nan=True)
-    assert jacobi_batch(CurvatureTensor(np.zeros((0,) * 4)), np.zeros((2, 0))).shape == (2, 0, 0)
+    assert jacobi_batch(from_dense(np.zeros((0,) * 4)), np.zeros((2, 0))).shape == (2, 0, 0)
 
 
 _DIRECTION_VALUES = st.one_of(st.floats(-4.0, 4.0),
@@ -460,7 +467,7 @@ _DIRECTION_VALUES = st.one_of(st.floats(-4.0, 4.0),
 @settings(max_examples=100, deadline=None)
 @given(sparse_models(), st.data())
 def test_jacobi_batch_is_the_dense_matmul_bit_for_bit_on_sparse_models(e, data):
-    A = CurvatureTensor(e)
+    A = from_dense(e)
     m = A.dim
     n = data.draw(st.integers(0, 4))
     rows = st.lists(_DIRECTION_VALUES, min_size=m, max_size=m)
@@ -480,5 +487,5 @@ def test_classify_of_a_large_model_peaks_below_a_quarter_of_the_dense_tensor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.status == "projective_affine_osserman" and A._dense is None
+    assert verdict.status == "projective_affine_osserman"
     assert peak < 0.25 * m ** 4 * 8
