@@ -93,9 +93,12 @@ def complex_eigenvalue(text):
 
 def coordinates(text):
     try:
-        return [float(part) for part in text.split(",")]
+        values = [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError("cannot parse %r as comma-separated numbers" % text)
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError("coordinates %r must all be finite" % text)
+    return values
 
 
 def _partition(text):

@@ -447,6 +447,79 @@ def _within_growth(w, vel, limit):
     return s <= limit
 
 
+def _step_source(table, m):
+    """Python source of `step(pos, vel, h)`: one RK4 step of
+    x'' + G(x)(x', x') = 0 for the symbols `table`, a CompiledTable over
+    (i, j, k) keys.  It returns the new position and velocity as tuples and
+    whether no stage sped up past the growth limit (false as well for a
+    non-finite stage) and the new position is finite.
+
+    The code is straight-line: the four stages unrolled over the m
+    components, powers as repeated products (x1_0_3 = x1_0_2 * x1_0), one
+    statement g = g + term per term, and o_k += g * v_i * v_j for each
+    entry in key order.  These are the float operations of `table.values`
+    and of the acceleration sum over (i, j) in lexicographic order, in the
+    same order, so every result has their bits.  Only generated names, the
+    growth helpers, `isfinite` and float.__repr__ literals appear in the
+    source.  The names: x<s>_<i> and v<s>_<i> are the position and
+    velocity at stage s, x<s>_<i>_<e> a power, a<s>_<i> the acceleration,
+    g a symbol's value, o<k> a sum, and y<i>, w<i> the new position and
+    velocity."""
+    def row(fmt):
+        """The m components as 'fmt % 0, fmt % 1, ...,', a tuple display."""
+        return "".join(fmt % i + ", " for i in range(m)).rstrip()
+
+    def power(s, var, e):
+        return "x%d_%d" % (s, var) + ("_%d" % e if e > 1 else "")
+
+    lines = ["def step(pos, vel, h):",
+             "    %s = pos" % row("x1_%d"),
+             "    %s = vel" % row("v1_%d"),
+             "    hh = 0.5 * h"]
+    put = lines.append
+    for s in (1, 2, 3, 4):
+        if s > 1:
+            # stage s starts from (x1, v1) along the slopes of stage s - 1
+            size = "hh" if s < 4 else "h"
+            for i in range(m):
+                put("    x%d_%d = x1_%d + %s * v%d_%d" % (s, i, i, size, s - 1, i))
+                put("    v%d_%d = v1_%d + %s * a%d_%d" % (s, i, i, size, s - 1, i))
+        for var in range(m):
+            for e in range(2, table.degree + 1):
+                put("    %s = %s * %s" % (power(s, var, e), power(s, var, e - 1),
+                                         power(s, var, 1)))
+        for k in range(m):
+            put("    o%d = 0.0" % k)
+        for (i, j, k), start, terms in table.entries:
+            g = repr(start)
+            for coeff, factors in terms:
+                put("    g = %s + %r%s" % (g, coeff, "".join(" * " + power(s, var, e)
+                                                          for var, e in factors)))
+                g = "g"
+            put("    o%d += %s * v%d_%d * v%d_%d" % (k, g, s, i, s, j))
+        for k in range(m):
+            put("    a%d_%d = -o%d" % (s, k, k))
+    put("    h6 = h / 6.0")
+    for i in range(m):
+        # left to right, as ((b + 2c) + 2d) + e
+        put("    y%d = x1_%d + h6 * (v1_%d + 2.0 * v2_%d + 2.0 * v3_%d + v4_%d)" % ((i,) * 6))
+        put("    w%d = v1_%d + h6 * (a1_%d + 2.0 * a2_%d + 2.0 * a3_%d + a4_%d)" % ((i,) * 6))
+    put("    limit = %r * _norm_sq(vel)" % _STEP_GROWTH**2)
+    put("    ok = %s" % " and ".join("_within_growth((%s), vel, limit)" % row(fmt)
+                                     for fmt in ("v2_%d", "v3_%d", "v4_%d", "w%d")))
+    put("    return (%s), (%s), ok and %s" % (
+        row("y%d"), row("w%d"), " and ".join("isfinite(y%d)" % i for i in range(m))))
+    return "\n".join(lines) + "\n"
+
+
+def _compile_step(C):
+    """The generated RK4 step of the connection C (see _step_source)."""
+    namespace = {"_norm_sq": _norm_sq, "_within_growth": _within_growth,
+                 "isfinite": math.isfinite}
+    exec(compile(_step_source(C._evaluator, C.dim), "<geodesic step>", "exec"), namespace)
+    return namespace["step"]
+
+
 def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     """Classical fourth-order Runge-Kutta for x'' + G(x)(x', x') = 0.
 
@@ -465,13 +538,17 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     the speed more than quadrupled over them, else unblown short of t_max,
     since the step no longer resolves the motion.
 
-    The loop runs on Python floats over the values of the connection's
-    compiled symbols, `C._evaluator.values`, so a step costs O(terms), not
-    O(m^3).  The acceleration sums (G_ij^k v_i) v_j over (i, j) in
-    lexicographic order, as einsum does over `gamma_at`, so its results
-    are bit for bit those of a numpy integrator built on `gamma_at` and
-    einsum.  The squared speeds of the growth and blow-up tests are plain
-    sums; within rounding of a tie numpy's dot decides, as it did there.
+    Each call compiles one step for the connection (`_step_source`): the
+    symbols `C._evaluator` and the four RK4 stages become one generated
+    straight-line Python function, so a step costs O(terms), not O(m^3),
+    and interprets no table.  Compiling costs about as much as a few hundred
+    evaluations through `CompiledTable.values`, which is why the one-shot
+    paths (`gamma_at`, `evaluate_at`, `gram_at`) are not compiled.  The
+    acceleration sums (G_ij^k v_i) v_j over (i, j) in lexicographic order,
+    as einsum does over `gamma_at`, so its results are bit for bit those
+    of a numpy integrator built on `gamma_at` and einsum.  The squared
+    speeds of the growth and blow-up tests are plain sums; within rounding
+    of a tie numpy's dot decides, as it did there.
     """
     m = C.dim
     x = np.asarray(x0, dtype=float)
@@ -480,36 +557,10 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
         raise ValueError("state must have %d components" % m)
     if not all(value > 0 and math.isfinite(value) for value in (t_max, step)):
         raise ValueError("t_max and step must be positive and finite")
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise ValueError("x0 and v0 must be finite")
 
-    symbols = C._evaluator
-
-    def accel(pos, vel):
-        out = [0.0] * m
-        # keys ascend lexicographically, so each out[k] sums over (i, j) in order
-        for (i, j, k), g in symbols.values(pos):
-            out[k] += g * vel[i] * vel[j]
-        return [-s for s in out]
-
-    def rk4(pos, vel, h):
-        """One step, and whether no stage sped up past the growth limit
-        (false as well for a non-finite stage)."""
-        hh = 0.5 * h
-        k1v = accel(pos, vel)
-        k2x = [a + hh * b for a, b in zip(vel, k1v)]
-        k2v = accel([a + hh * b for a, b in zip(pos, vel)], k2x)
-        k3x = [a + hh * b for a, b in zip(vel, k2v)]
-        k3v = accel([a + hh * b for a, b in zip(pos, k2x)], k3x)
-        k4x = [a + h * b for a, b in zip(vel, k3v)]
-        k4v = accel([a + h * b for a, b in zip(pos, k3x)], k4x)
-        h6 = h / 6.0
-        new_pos = [a + h6 * (((b + 2.0 * c) + 2.0 * d) + e)
-                   for a, b, c, d, e in zip(pos, vel, k2x, k3x, k4x)]
-        new_vel = [a + h6 * (((b + 2.0 * c) + 2.0 * d) + e)
-                   for a, b, c, d, e in zip(vel, k1v, k2v, k3v, k4v)]
-        limit = _STEP_GROWTH**2 * _norm_sq(vel)
-        ok = all(_within_growth(w, vel, limit) for w in (k2x, k3x, k4x, new_vel))
-        return new_pos, new_vel, ok and all(map(math.isfinite, new_pos))
-
+    rk4 = _compile_step(C)
     x = tuple(x.tolist())
     v = tuple(v.tolist())
     times = [0.0]
@@ -534,7 +585,7 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
                 break
         if blew_up:
             break
-        x, v = tuple(nx), tuple(nv)
+        x, v = nx, nv
         t += h
         times.append(t)
         positions.append(x)

@@ -256,9 +256,16 @@ class CompiledTable:
     is 0.0 plus a leading term without variables, so a constant entry needs
     no work per call.  `values` gives each entry's value as start + term +
     term + ..., left to right, each term coeff * x_var^exp * ... with
-    powers as repeated products; the call and the geodesic both read it.
-    At points whose coordinates are short dyadic fractions every step is
-    exact.
+    powers as repeated products.  At points whose coordinates are short
+    dyadic fractions every step is exact.
+
+    The one-shot evaluations (the call, behind `gamma_at` and `gram_at`,
+    and `evaluate_at`) read `values`.  The geodesic, which evaluates its
+    symbols four times per step for hundreds of steps, instead turns
+    `entries` into one generated straight-line RK4 step per run
+    (`polynomial_geometry._step_source`) with the same float operations in
+    the same order; compiling costs a few hundred `values` calls, more
+    than a one-shot evaluation could win back.
     """
 
     __slots__ = ("nvars", "shape", "entries", "degree")

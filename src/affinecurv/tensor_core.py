@@ -263,12 +263,13 @@ def model_to_json_dict(A):
 _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
 
-def _first_bad_row(bad, rows, problem):
-    """Raise for the first row flagged in the boolean vector `bad`."""
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        r = int(hits[0])
-        raise ValueError("entry row %d %r: %s" % (r, rows[r], problem))
+def _first_row(rows, is_bad):
+    """The index of the first row for which is_bad(row) holds."""
+    return next(r for r, row in enumerate(rows) if is_bad(row))
+
+
+def _bad_row(rows, r, problem):
+    return ValueError("entry row %d %r: %s" % (r, rows[r], problem))
 
 
 def model_from_json_dict(data):
@@ -276,7 +277,11 @@ def model_from_json_dict(data):
     integer.  Every row must be five items [i, j, k, l, value] with
     integer indices in range(dim), a numeric value within float range and
     no (i, j, k, l) repeated; the first row that breaks a rule is named in
-    the ValueError."""
+    the ValueError.
+
+    Each rule is one pass in C over the rows or their cells (a set of
+    types or lengths, an array conversion, an array comparison); only a
+    rule that fails walks the rows in Python, to name the first bad one."""
     try:
         dim = data["dim"]
         rows = data["entries"]
@@ -288,31 +293,42 @@ def model_from_json_dict(data):
         raise ValueError("dim must be positive")
     if not isinstance(rows, list):
         raise ValueError("model JSON 'entries' must be a list of rows")
-    n = len(rows)
-    is_list = np.fromiter(map(type, rows), dtype=object, count=n) == list
-    _first_bad_row(~is_list, rows, "is not [i, j, k, l, value]")
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
-    _first_bad_row(lengths != 5, rows, "is not [i, j, k, l, value]")
-    cells = np.fromiter(itertools.chain.from_iterable(rows), dtype=object, count=5 * n)
-    kinds = np.fromiter(map(type, cells), dtype=object, count=5 * n).reshape(n, 5)
-    cells = cells.reshape(n, 5)
+    shape = "is not [i, j, k, l, value]"
+    if set(map(type, rows)) - {list}:
+        raise _bad_row(rows, _first_row(rows, lambda row: type(row) is not list), shape)
+    if set(map(len, rows)) - {5}:
+        raise _bad_row(rows, _first_row(rows, lambda row: len(row) != 5), shape)
+    # the 5n cells row by row, then split: a list slice copies in C, where
+    # zip(*rows) slows down past about 10^5 rows
+    indices = list(itertools.chain.from_iterable(rows))
+    values = indices[4::5]
+    del indices[4::5]
     # bool is a subclass of int but not an index; type() tells them apart.
-    _first_bad_row(np.any(kinds[:, :4] != int, axis=1), rows, "has a non-integer index")
-    _first_bad_row((kinds[:, 4] != int) & (kinds[:, 4] != float), rows,
-                   "has a non-numeric value")
-    whole = kinds[:, 4] == int
-    huge = np.zeros(n, dtype=bool)
-    huge[whole] = np.abs(cells[whole, 4]) >= _FLOAT_OVERFLOW
-    _first_bad_row(huge, rows, "has a value out of float range")
-    _first_bad_row(np.any((cells[:, :4] < 0) | (cells[:, :4] >= dim), axis=1), rows,
-                   "has an index out of range for dim=%d" % dim)
-    keys = np.ravel_multi_index(cells[:, :4].astype(np.intp).T, (dim,) * 4)
+    if set(map(type, indices)) - {int}:
+        r = _first_row(rows, lambda row: set(map(type, row[:4])) - {int})
+        raise _bad_row(rows, r, "has a non-integer index")
+    if set(map(type, values)) - {int, float}:
+        r = _first_row(rows, lambda row: type(row[4]) not in (int, float))
+        raise _bad_row(rows, r, "has a non-numeric value")
+    try:
+        values = np.array(values, dtype=float)
+    except OverflowError:
+        r = _first_row(rows, lambda row: type(row[4]) is int and abs(row[4]) >= _FLOAT_OVERFLOW)
+        raise _bad_row(rows, r, "has a value out of float range") from None
+    try:
+        indices = np.array(indices, dtype=np.intp).reshape(len(rows), 4)
+    except OverflowError:  # an index past the intp range is out of range too
+        indices = None
+    if indices is None or indices.size and (indices.min() < 0 or indices.max() >= dim):
+        r = _first_row(rows, lambda row: min(row[:4]) < 0 or max(row[:4]) >= dim)
+        raise _bad_row(rows, r, "has an index out of range for dim=%d" % dim)
+    keys = np.ravel_multi_index(indices.T, (dim,) * 4)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    repeated = np.zeros(n, dtype=bool)
-    repeated[order[1:][keys[1:] == keys[:-1]]] = True
-    _first_bad_row(repeated, rows, "repeats an earlier (i, j, k, l)")
-    return CurvatureTensor(dim, keys, cells[order, 4].astype(float))
+    repeats = order[1:][keys[1:] == keys[:-1]]
+    if repeats.size:
+        raise _bad_row(rows, int(repeats.min()), "repeats an earlier (i, j, k, l)")
+    return CurvatureTensor(dim, keys, values[order])
 
 
 def model_to_json_text(A, depth=0):

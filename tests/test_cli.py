@@ -497,6 +497,25 @@ def test_geodesic_rejects_non_finite_parameters(flag, value):
     assert "t_max and step must be positive and finite" in proc.stderr
 
 
+# "-1e999" reads as -inf; argparse would take "-inf" for an option
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1e999"])
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--builtin", "homogeneous", "--m", "3", "--eps", "1",
+     "--geodesic", "{},0,0", "0,0,0", "--t-max", "1", "--step", "0.01"],
+    ["geometry", "--builtin", "homogeneous", "--m", "3", "--eps", "1",
+     "--geodesic", "0,0,0", "0,{},0", "--t-max", "1", "--step", "0.01"],
+    ["geometry", "--builtin", "homogeneous", "--m", "3", "--at={},0,0", "--jordan-at", "1,0,0"],
+    ["geometry", "--builtin", "homogeneous", "--m", "3", "--jordan-at=1,{},0"],
+    ["extend", "--builtin", "homogeneous", "--m", "3", "--vectors", "1",
+     "--point=0.5,0.25,{},1,0.5,0.25"],
+])
+def test_non_finite_coordinates_are_rejected(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *(arg.format(bad) for arg in argv))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "must all be finite" in err
+
+
 def test_creeping_geodesic_ends(tmp_path):
     # near a singularity the growth test holds the step far above its
     # floor while the speed creeps up; the stall check ends the run

@@ -1,6 +1,9 @@
 """Polynomial connections: curvature, Ricci, surfaces, geodesics, files."""
 
+import ast
+import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from types import MappingProxyType
@@ -16,6 +19,7 @@ from affinecurv.polynomial_geometry import (
     _STALL_STEPS,
     PolyConnection,
     _norm_sq,
+    _step_source,
     _within_growth,
     PolyCurvature,
     connection_from_json_dict,
@@ -365,6 +369,9 @@ def test_geodesic_validation():
                         (1.0, float("inf"))):
         with pytest.raises(ValueError, match="positive and finite"):
             geodesic_integrate(C, [0.0, 0.0], [1.0, 0.0], t_max, step=step)
+    for x0, v0 in (([math.nan, 0.0], [1.0, 0.0]), ([0.0, 0.0], [1.0, -math.inf])):
+        with pytest.raises(ValueError, match="x0 and v0 must be finite"):
+            geodesic_integrate(C, x0, v0, 1.0)
 
 
 def test_geodesic_json():
@@ -949,6 +956,90 @@ def test_geodesic_matches_numpy_reference_bit_for_bit(problem):
     assert _bits(res.velocities) == _bits(velocities)
     assert res.blew_up == blew_up
     assert res.blow_up_time == blow_time
+
+
+def _expect_numpy_bits(C, x0, v0, t_max, step):
+    res = geodesic_integrate(C, x0, v0, t_max, step=step)
+    times, positions, velocities, blew_up, blow_time = numpy_geodesic_integrate(
+        C, x0, v0, t_max, step=step)
+    assert [t.hex() for t in res.times] == [t.hex() for t in times]
+    assert _bits(res.positions) == _bits(positions)
+    assert _bits(res.velocities) == _bits(velocities)
+    assert (res.blew_up, res.blow_up_time) == (blew_up, blow_time)
+    return res
+
+
+def _long_symbol_connection():
+    """One symbol G_11^2 with 3,000 terms: every monomial of degree at most
+    25 in three variables, in order, until there are 3,000."""
+    exps = [(a, b, d - a - b) for d in range(26) for a in range(d + 1)
+            for b in range(d - a + 1)][:3000]
+    terms = {e: Fraction((n % 7) - 3 or 1, 1 + n % 5) for n, e in enumerate(exps)}
+    return connection_from_symbols(3, {(0, 0, 1): Polynomial(3, terms)})
+
+
+def _stated_connection(tmp_path):
+    """A connection written out as a file and read back."""
+    path = tmp_path / "conn.json"
+    path.write_text(json.dumps({"dim": 3, "gamma": {
+        "0,0,2": "x1^2*x3 - 5/7*x2", "0,1,2": "3*x1*x2*x3 + 1", "1,1,2": "-x3^4 + 2/3",
+        "1,2,2": "x2 - x1", "2,2,2": "1/5*x3^2", "2,2,0": "x1*x2 + 1/3"}}))
+    return load_connection(path)
+
+
+@pytest.mark.parametrize("case", ["long symbol", "degree 7", "m = 1", "flat", "thirds and tiny",
+                                  "loaded"])
+def test_compiled_step_matches_numpy_reference_bit_for_bit(case, tmp_path):
+    x, y = var(0, 2), var(1, 2)
+    C, x0, v0, t_max, step = {
+        "long symbol": lambda: (_long_symbol_connection(), [0.3, -0.2, 0.25],
+                                [0.2, 0.1, -0.3], 0.05, 0.01),
+        "degree 7": lambda: (connection_from_symbols(2, {
+            (0, 1, 0): x ** 7 - Fraction(2, 3) * x ** 3 * y ** 4, (1, 1, 1): y ** 6 + 2}),
+            [0.7, -0.9], [0.5, 0.4], 0.3, 0.01),
+        "m = 1": lambda: (PolyConnection(1, {(0, 0, 0): var(0, 1) ** 2 + 1}), [0.4], [-0.3],
+                          0.5, 0.05),
+        "flat": lambda: (flat_connection(3), [-0.0, 0.0, 1.5], [0.0, -0.0, -2.0], 0.1, 0.03),
+        "thirds and tiny": lambda: (connection_from_symbols(2, {
+            (0, 0, 1): Fraction(1, 3) * x + Fraction(1e-300) * y ** 2,
+            (0, 1, 1): Fraction(1, 3) + Fraction(1e-300) * x}), [0.1, 0.2], [1.0, -1.0],
+            0.2, 0.02),
+        # steps this large carry a last-bit change of one acceleration into
+        # the state, where small steps round it away
+        "loaded": lambda: (_stated_connection(tmp_path), [0.2, -0.4, 0.6], [-0.5, 0.3, 0.1],
+                           1.0, 0.2),
+    }[case]()
+    res = _expect_numpy_bits(C, x0, v0, t_max, step)
+    assert len(res.times) > 3
+    if case == "flat":
+        # the acceleration of no symbols is -0.0, which keeps a -0.0 velocity
+        assert math.copysign(1.0, res.velocities[-1][1]) < 0
+    if case == "thirds and tiny":
+        source = _step_source(C._evaluator, C.dim)
+        assert repr(1 / 3) in source and repr(1e-300) in source
+
+
+_HELPERS = {"_norm_sq", "_within_growth", "isfinite"}
+_GENERATED = re.compile(r"(x[1-4]_\d+(_\d+)?|[va][1-4]_\d+|[oyw]\d+|g|pos|vel|h|hh|h6|limit|ok)$")
+
+
+def test_compiled_step_holds_only_generated_names_and_float_constants():
+    C = connection_from_json_dict({"dim": 3, "gamma": {
+        "0,1,2": " x1^3 * x3  -  5/7*x2 ", "2,2,0": "3*x1*x2*x3 + 1/3", "1,1,1": "-x3^4"}})
+    tree = ast.parse(_step_source(C._evaluator, C.dim))
+    allowed = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.AugAssign,
+               ast.Return, ast.Tuple, ast.Name, ast.Load, ast.Store, ast.Constant, ast.BinOp,
+               ast.UnaryOp, ast.BoolOp, ast.Call, ast.Add, ast.Mult, ast.Div, ast.USub, ast.And)
+    for node in ast.walk(tree):
+        assert isinstance(node, allowed), ast.dump(node)
+        if isinstance(node, ast.Name):
+            assert node.id in _HELPERS or _GENERATED.match(node.id), node.id
+        if isinstance(node, ast.Call):
+            assert node.func.id in _HELPERS
+        if isinstance(node, ast.Constant):
+            assert type(node.value) is float
+    [step] = tree.body
+    assert [a.arg for a in step.args.args] == ["pos", "vel", "h"]
 
 
 def test_creeping_geodesic_blows_up_when_the_step_stalls():

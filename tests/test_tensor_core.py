@@ -236,6 +236,18 @@ def test_json_validation_names_the_first_bad_row(bad_row, problem):
         model_from_json_dict(data)
 
 
+@pytest.mark.parametrize("index", [10 ** 30, -2 ** 63 - 1, 2 ** 63 - 1, -2 ** 63])
+def test_json_validation_names_an_index_past_the_integer_range(index):
+    good = [[0, 1, 0, 1, 1.0], [1, 0, 0, 1, -1.0]]
+    data = {"dim": 2, "entries": good + [[0, 1, index, 0, 1.0], [1, 1, 1, 1, 3]]}
+    with pytest.raises(ValueError, match=r"entry row 2 .*out of range for dim=2"):
+        model_from_json_dict(data)
+    # the value rule comes first, on every row
+    data["entries"][3][4] = 10 ** 400
+    with pytest.raises(ValueError, match=r"entry row 3 .*value out of float range"):
+        model_from_json_dict(data)
+
+
 def test_json_loader_accepts_integer_values_and_reports_the_earliest_repeat():
     data = {"dim": 2, "entries": [[1, 1, 1, 1, 3], [0, 0, 0, 0, 2.5]]}
     e = to_dense(model_from_json_dict(data))
