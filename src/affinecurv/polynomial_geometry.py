@@ -431,43 +431,34 @@ def _norm_sq(w):
     return s
 
 
-def _near(a, b):
-    """Whether a and b are close enough that numpy's dot, whose summation
-    may fuse multiply-adds, could order them the other way."""
-    return abs(a - b) <= 1e-9 * max(a, b)
-
-
-def _within_growth(w, vel, limit):
-    """w @ w <= _STEP_GROWTH^2 (vel @ vel) as numpy decides it, where
-    `limit` is the right-hand side from plain sums."""
-    s = _norm_sq(w)
-    if _near(s, limit):
-        w, vel = np.asarray(w), np.asarray(vel)
-        return bool(w @ w <= _STEP_GROWTH**2 * (vel @ vel))
-    return s <= limit
-
-
 def _step_source(table, m):
     """Python source of `step(pos, vel, h)`: one RK4 step of
     x'' + G(x)(x', x') = 0 for the symbols `table`, a CompiledTable over
-    (i, j, k) keys.  It returns the new position and velocity as tuples and
-    whether no stage sped up past the growth limit (false as well for a
-    non-finite stage) and the new position is finite.
+    (i, j, k) keys.  It returns the new position and velocity as tuples,
+    the new velocity's squared speed, and whether no stage sped up past
+    the growth limit (false as well for a non-finite stage) and the new
+    position is finite.
 
     The code is straight-line: the four stages unrolled over the m
     components, powers as repeated products (x1_0_3 = x1_0_2 * x1_0), one
     statement g = g + term per term, and o_k += g * v_i * v_j for each
     entry in key order.  These are the float operations of `table.values`
     and of the acceleration sum over (i, j) in lexicographic order, in the
-    same order, so every result has their bits.  Only generated names, the
-    growth helpers, `isfinite` and float.__repr__ literals appear in the
-    source.  The names: x<s>_<i> and v<s>_<i> are the position and
-    velocity at stage s, x<s>_<i>_<e> a power, a<s>_<i> the acceleration,
-    g a symbol's value, o<k> a sum, and y<i>, w<i> the new position and
-    velocity."""
+    same order, so every result has their bits.  The squared speeds of the
+    growth test are plain sums 0.0 + c_0 * c_0 + ..., left to right,
+    written out like the rest.  Only generated names, `isfinite` and
+    float.__repr__ literals appear in the source.  The names: x<s>_<i> and
+    v<s>_<i> are the position and velocity at stage s, x<s>_<i>_<e> a
+    power, a<s>_<i> the acceleration, g a symbol's value, o<k> a sum,
+    y<i>, w<i> the new position and velocity, s the new squared speed and
+    limit the largest squared speed a stage may reach."""
     def row(fmt):
         """The m components as 'fmt % 0, fmt % 1, ...,', a tuple display."""
         return "".join(fmt % i + ", " for i in range(m)).rstrip()
+
+    def norm_sq(fmt):
+        """The plain sum 0.0 + c_0 * c_0 + c_1 * c_1 + ..., left to right."""
+        return "0.0" + "".join(" + %s * %s" % (fmt % i, fmt % i) for i in range(m))
 
     def power(s, var, e):
         return "x%d_%d" % (s, var) + ("_%d" % e if e > 1 else "")
@@ -504,18 +495,18 @@ def _step_source(table, m):
         # left to right, as ((b + 2c) + 2d) + e
         put("    y%d = x1_%d + h6 * (v1_%d + 2.0 * v2_%d + 2.0 * v3_%d + v4_%d)" % ((i,) * 6))
         put("    w%d = v1_%d + h6 * (a1_%d + 2.0 * a2_%d + 2.0 * a3_%d + a4_%d)" % ((i,) * 6))
-    put("    limit = %r * _norm_sq(vel)" % _STEP_GROWTH**2)
-    put("    ok = %s" % " and ".join("_within_growth((%s), vel, limit)" % row(fmt)
-                                     for fmt in ("v2_%d", "v3_%d", "v4_%d", "w%d")))
-    put("    return (%s), (%s), ok and %s" % (
-        row("y%d"), row("w%d"), " and ".join("isfinite(y%d)" % i for i in range(m))))
+    put("    limit = %r * (%s)" % (_STEP_GROWTH**2, norm_sq("v1_%d")))
+    put("    s = %s" % norm_sq("w%d"))
+    put("    ok = %s" % " and ".join(
+        ["(%s) <= limit" % norm_sq(fmt) for fmt in ("v2_%d", "v3_%d", "v4_%d")]
+        + ["s <= limit"] + ["isfinite(y%d)" % i for i in range(m)]))
+    put("    return (%s), (%s), s, ok" % (row("y%d"), row("w%d")))
     return "\n".join(lines) + "\n"
 
 
 def _compile_step(C):
     """The generated RK4 step of the connection C (see _step_source)."""
-    namespace = {"_norm_sq": _norm_sq, "_within_growth": _within_growth,
-                 "isfinite": math.isfinite}
+    namespace = {"isfinite": math.isfinite}
     exec(compile(_step_source(C._evaluator, C.dim), "<geodesic step>", "exec"), namespace)
     return namespace["step"]
 
@@ -547,8 +538,9 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     acceleration sums (G_ij^k v_i) v_j over (i, j) in lexicographic order,
     as einsum does over `gamma_at`, so its results are bit for bit those
     of a numpy integrator built on `gamma_at` and einsum.  The squared
-    speeds of the growth and blow-up tests are plain sums; within rounding
-    of a tie numpy's dot decides, as it did there.
+    speeds of the growth and blow-up tests are plain left-to-right sums
+    written into the step, which also returns the new velocity's for the
+    blow-up test; a step calls no helper but `isfinite`.
     """
     m = C.dim
     x = np.asarray(x0, dtype=float)
@@ -575,7 +567,7 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
     while t < t_max - 1e-15:
         h = min(step, 2.0 * h, t_max - t)
         while True:
-            nx, nv, ok = rk4(x, v, h)
+            nx, nv, s, ok = rk4(x, v, h)
             if ok:
                 break
             h *= 0.5
@@ -590,9 +582,7 @@ def geodesic_integrate(C, x0, v0, t_max, step=1e-3):
         times.append(t)
         positions.append(x)
         velocities.append(v)
-        s = _norm_sq(v)
-        if (np.linalg.norm(v) >= _BLOWUP_SPEED if _near(s, speed_sq)
-                else s >= speed_sq):
+        if s >= speed_sq:
             blew_up = True
             blow_time = t
             break

@@ -264,8 +264,9 @@ class CompiledTable:
     symbols four times per step for hundreds of steps, instead turns
     `entries` into one generated straight-line RK4 step per run
     (`polynomial_geometry._step_source`) with the same float operations in
-    the same order; compiling costs a few hundred `values` calls, more
-    than a one-shot evaluation could win back.
+    the same order, and with its speed tests written in as plain sums;
+    compiling costs a few hundred `values` calls, more than a one-shot
+    evaluation could win back.
     """
 
     __slots__ = ("nvars", "shape", "entries", "degree")
