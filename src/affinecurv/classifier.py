@@ -211,7 +211,7 @@ def classify(A, n_samples=64, seed=0, tol=1e-8):
     verdict, S = _sampled_verdict(A, n_samples, seed, tol)
     if verdict.status != PROJECTIVE:
         return Classification(verdict, S)
-    structure = match_taxonomy(S, A.dim, tol)
+    structure = match_taxonomy(S, A.dim)
     partition = bundle_partition(S, A.dim)
     return Classification(verdict, S, structure, partition, adams_admissible(A.dim, partition))
 
@@ -241,7 +241,7 @@ def _in_slot_order(want, found):
     return tuple(out)
 
 
-def match_taxonomy(S, m, tol=1e-8):
+def match_taxonomy(S, m):
     """Match a reduced Jacobi spectrum against the eigenvalue-structure
     taxonomy for dimension m.  Returns a StructureSpec or "unlisted".
 

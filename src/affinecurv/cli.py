@@ -258,7 +258,7 @@ def _cmd_geometry(args):
     # one symbolic curvature serves every option that needs it
     if (args.curvature or args.nabla_r or args.ricci or args.model_out
             or args.jordan_at is not None):
-        R = curvature(C, with_nabla=args.nabla_r)
+        R = curvature(C)
     if args.curvature:
         report["curvature"] = _table_json(R.riemann)
     if args.nabla_r:
@@ -365,6 +365,11 @@ def _build_parser():
     tol = _Parser(add_help=False)
     tol.add_argument("--tol", type=float, default=None,
                      help="numerical tolerance (per-command default)")
+    source = _Parser(add_help=False)
+    source.add_argument("--builtin", choices=("homogeneous", "planewave", "flat"))
+    source.add_argument("--file", help="connection JSON file")
+    source.add_argument("--m", type=int, help="dimension for --builtin")
+    source.add_argument("--eps", type=float, default=0.0, help="perturbation for homogeneous")
 
     parser = _Parser(prog="affinecurv", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -393,12 +398,8 @@ def _build_parser():
                    help="comma list of bundle ranks; suffix c marks a conjugate-pair bundle")
     p.set_defaults(func=_cmd_adams)
 
-    p = sub.add_parser("geometry", parents=[common, tol],
+    p = sub.add_parser("geometry", parents=[common, tol, source],
                        help="curvature data of a polynomial connection")
-    p.add_argument("--builtin", choices=("homogeneous", "planewave", "flat"))
-    p.add_argument("--file", help="connection JSON file")
-    p.add_argument("--m", type=int, help="dimension for --builtin")
-    p.add_argument("--eps", type=float, default=0.0, help="perturbation for homogeneous")
     p.add_argument("--at", type=coordinates, metavar="X1,...",
                    help="evaluation point (default origin)")
     p.add_argument("--curvature", action="store_true", help="emit curvature polynomials")
@@ -413,12 +414,8 @@ def _build_parser():
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(func=_cmd_geometry)
 
-    p = sub.add_parser("extend", parents=[common, seed, tol],
+    p = sub.add_parser("extend", parents=[common, seed, tol, source],
                        help="cotangent-metric checks over an affine base")
-    p.add_argument("--builtin", choices=("homogeneous", "planewave", "flat"))
-    p.add_argument("--file", help="connection JSON file")
-    p.add_argument("--m", type=int, help="dimension for --builtin")
-    p.add_argument("--eps", type=float, default=0.0, help="perturbation for homogeneous")
     p.add_argument("--kind", choices=("deformed", "modified"), default="deformed")
     p.add_argument("--point", type=coordinates, metavar="X1,...,Y1,...",
                    help="evaluation point on the cotangent bundle (2m components)")

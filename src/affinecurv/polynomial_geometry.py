@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -30,7 +30,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import classifier
-from .polynomials import CompiledTable, Polynomial, parse_polynomial, polynomial_to_string
+from .polynomials import (CompiledTable, Polynomial, exact_values, nonzero_map,
+                          parse_polynomial, polynomial_to_string)
 from .tensor_core import CurvatureTensor
 
 __all__ = [
@@ -62,26 +63,11 @@ class PolyConnection:
     `symbols` is a {(i, j, k): Polynomial | rational} map; zero values are
     dropped and (j, i, k) must hold the same symbol as (i, j, k)."""
 
-    __slots__ = ("dim", "gamma", "_evaluator")
-
     def __init__(self, dim, symbols):
         dim = int(dim)
         if dim < 1:
             raise ValueError("need dim >= 1")
-        gamma = {}
-        for (i, j, k), p in sorted(symbols.items()):
-            for idx in (i, j, k):
-                if not 0 <= idx < dim:
-                    raise ValueError("index %d out of range in key %r" % (idx, (i, j, k)))
-            if not isinstance(p, Polynomial):
-                p = Polynomial.constant(p, dim)
-            if p.nvars != dim:
-                raise ValueError(
-                    "symbol (%d,%d,%d) has %d variables, expected %d"
-                    % (i, j, k, p.nvars, dim)
-                )
-            if p:
-                gamma[i, j, k] = p
+        gamma = nonzero_map(symbols, dim, dim)
         bad = [(min(i, j), max(i, j), k) for (i, j, k), p in gamma.items()
                if gamma.get((j, i, k)) != p]
         if bad:
@@ -91,10 +77,13 @@ class PolyConnection:
             )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gamma", MappingProxyType(gamma))
-        object.__setattr__(self, "_evaluator", CompiledTable(gamma, (dim,) * 3, dim))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyConnection is immutable")
+
+    @cached_property
+    def _evaluator(self):
+        return CompiledTable(self.gamma, (self.dim,) * 3, self.dim)
 
     def christoffel(self, i, j, k):
         return self.gamma.get((i, j, k), Polynomial.zero(self.dim))
@@ -122,12 +111,11 @@ def connection_from_symbols(dim, symbols):
 
 @dataclass(frozen=True)
 class PolyCurvature:
-    """Rank-4 polynomial curvature map riemann[i, j, k, l], optionally with
-    its covariant derivative nabla[i, j, k, n, l] attached (see nabla_R)."""
+    """Rank-4 polynomial curvature map riemann[i, j, k, l] of `connection`."""
 
     dim: int
     riemann: MappingProxyType
-    nabla: MappingProxyType | None = None
+    connection: PolyConnection = field(repr=False, compare=False)
 
     def entry(self, i, j, k, l):
         return self.riemann.get((i, j, k, l), Polynomial.zero(self.dim))
@@ -152,14 +140,15 @@ class PolyCurvature:
     def evaluate_exact(self, point):
         """{(i, j, k, l): Fraction} of the entries that are nonzero at an
         exact rational point."""
-        point = [Fraction(v) for v in point]
-        if len(point) != self.dim:
-            raise ValueError("point has %d components, expected %d" % (len(point), self.dim))
-        values = ((key, p(point)) for key, p in self.riemann.items())
-        return MappingProxyType({key: v for key, v in values if v})
+        return MappingProxyType(exact_values(self.riemann, point, self.dim))
+
+    @cached_property
+    def nabla(self):
+        """The covariant derivative nabla[i, j, k, n, l] (see nabla_R)."""
+        return _covariant_derivative(self.connection, self.riemann)
 
 
-def curvature(C, with_nabla=False):
+def curvature(C):
     """Exact polynomial curvature of a torsion-free connection.
 
     Antisymmetry in the first two slots and the cyclic identity are
@@ -202,8 +191,7 @@ def curvature(C, with_nabla=False):
                         raise RuntimeError(
                             "cyclic identity violated at (%d,%d,%d,%d)" % (i, j, k, l)
                         )
-    nabla = _covariant_derivative(C, R) if with_nabla else None
-    return PolyCurvature(m, MappingProxyType(R), nabla)
+    return PolyCurvature(m, MappingProxyType(R), C)
 
 
 def _covariant_derivative(C, R):
@@ -246,7 +234,7 @@ def _covariant_derivative(C, R):
 def nabla_R(C):
     """Rank-5 map nabla[i, j, k, n, l] of the covariant derivative of the
     curvature: the l-component of (grad_{d_n} R)(d_i, d_j) d_k."""
-    return curvature(C, with_nabla=True).nabla
+    return curvature(C).nabla
 
 
 def curvature_at(C, point):
@@ -318,9 +306,8 @@ def surface_projective_osserman(source, point, n_samples=64, seed=0, tol=1e-8):
         raise ValueError("the Ricci criterion is for surfaces (dim 2)")
     curv = _as_curvature(source)
     sym, _ = ricci_split(curv)
-    pt = [Fraction(v) for v in point]
-    vals = [[sym[j, k](pt) if (j, k) in sym else Fraction(0) for k in range(2)]
-            for j in range(2)]
+    exact = exact_values(sym, point, 2)
+    vals = [[exact.get((j, k), Fraction(0)) for k in range(2)] for j in range(2)]
     det = vals[0][0] * vals[1][1] - vals[0][1] * vals[1][0]
     definite = det > 0
     extra = ()
@@ -332,7 +319,7 @@ def surface_projective_osserman(source, point, n_samples=64, seed=0, tol=1e-8):
             # det == 0 with a == 0 forces b == 0, so e1 is null
             extra = ((1.0, 0.0),)
     verdict = classifier.is_projective_affine_osserman(
-        curv.evaluate_at([float(v) for v in pt]), n_samples=n_samples, seed=seed,
+        curv.evaluate_at([float(Fraction(v)) for v in point]), n_samples=n_samples, seed=seed,
         tol=tol, extra_directions=extra,
     )
     agrees = definite == (verdict.status == classifier.PROJECTIVE)

@@ -21,6 +21,8 @@ __all__ = [
     "CompiledTable",
     "Polynomial",
     "PolynomialParseError",
+    "exact_values",
+    "nonzero_map",
     "parse_polynomial",
     "polynomial_to_string",
     "variable_names",
@@ -243,7 +245,34 @@ class Polynomial:
         return "Polynomial(%d, %r)" % (self.nvars, dict(self._terms))
 
 
-# -- float evaluation of tables -------------------------------------------
+# -- tables of polynomials ------------------------------------------------
+
+
+def nonzero_map(entries, dim, nvars):
+    """The nonzero values of a {index tuple: Polynomial | rational} map, in
+    key order.  Every index must lie in range(dim) and every polynomial
+    have nvars variables; a rational is read as a constant."""
+    out = {}
+    for key, p in sorted(entries.items()):
+        for idx in key:
+            if not 0 <= idx < dim:
+                raise ValueError("index %d out of range in key %r" % (idx, key))
+        if not isinstance(p, Polynomial):
+            p = Polynomial.constant(p, nvars)
+        if p.nvars != nvars:
+            raise ValueError("entry %r has %d variables, expected %d" % (key, p.nvars, nvars))
+        if p:
+            out[key] = p
+    return out
+
+
+def exact_values(table, point, nvars):
+    """{key: Fraction} of the entries of a {key: Polynomial} table that are nonzero
+    at a rational point of nvars coordinates; ValueError for a point of another length."""
+    point = [Fraction(v) for v in point]
+    if len(point) != nvars:
+        raise ValueError("point has %d components, expected %d" % (len(point), nvars))
+    return {key: v for key, p in table.items() if (v := p(point))}
 
 
 class CompiledTable:

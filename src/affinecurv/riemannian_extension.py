@@ -48,13 +48,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from . import classifier, spectral
 from .polynomial_geometry import PolyConnection, curvature, curvature_at
-from .polynomials import CompiledTable, Polynomial
+from .polynomials import CompiledTable, Polynomial, exact_values, nonzero_map
 
 __all__ = [
     "PolyMetric",
@@ -72,22 +73,10 @@ class PolyMetric:
     `top_block` maps (i, j) to those of the m x m matrix B, which the
     constructor takes as a {(i, j): Polynomial | rational} map."""
 
-    __slots__ = ("m", "dim", "components", "top_block", "_evaluator")
-
     def __init__(self, m, top_block):
         m = int(m)
         n = 2 * m
-        B = {}
-        for (i, j), p in top_block.items():
-            for idx in (i, j):
-                if not 0 <= idx < m:
-                    raise ValueError("index %d out of range in key %r" % (idx, (i, j)))
-            if not isinstance(p, Polynomial):
-                p = Polynomial.constant(p, n)
-            if p.nvars != n:
-                raise ValueError("top block entries must live in %d variables" % n)
-            if p:
-                B[i, j] = p
+        B = nonzero_map(top_block, m, n)
         bad = [(min(i, j), max(i, j)) for (i, j), p in B.items() if B.get((j, i)) != p]
         if bad:
             raise ValueError("top block is not symmetric at (%d, %d)" % min(bad))
@@ -99,19 +88,19 @@ class PolyMetric:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "components", MappingProxyType(comp))
         object.__setattr__(self, "top_block", MappingProxyType(B))
-        object.__setattr__(self, "_evaluator", CompiledTable(comp, (n, n), n))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMetric is immutable")
 
+    @cached_property
+    def _evaluator(self):
+        return CompiledTable(self.components, (self.dim, self.dim), self.dim)
+
     def inverse(self):
         """Exact polynomial inverse [[0, Id], [Id, -B]], keys in
         lexicographic order."""
-        m, n = self.m, self.dim
-        one = Polynomial.constant(1, n)
-        inv = {}
-        for i in range(m):
-            inv[i, m + i] = inv[m + i, i] = one
+        m = self.m
+        inv = {key: p for key, p in self.components.items() if key not in self.top_block}
         for (i, j), p in self.top_block.items():
             inv[m + i, m + j] = -p
         return MappingProxyType(dict(sorted(inv.items())))
@@ -121,11 +110,7 @@ class PolyMetric:
         return self._evaluator(point)
 
     def gram_exact(self, point):
-        point = [Fraction(v) for v in point]
-        gram = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for (a, b), p in self.components.items():
-            gram[a][b] = p(point)
-        return gram
+        return exact_values(self.components, point, self.dim)
 
 
 def deformed_extension(C, Phi=None):
@@ -357,8 +342,9 @@ def check_extension_theorems(
     # and G = G_int / G_den.
     values, D = _clear_denominators(R.values())
     R_int = list(zip(R, values.tolist()))  # ((i, j, k, l), integer) pairs
-    G_int, G_den = _clear_denominators([v for row in metric.gram_exact(point) for v in row])
-    G_int = G_int.reshape(n, n)
+    G = metric.gram_exact(point)
+    G_int = np.zeros((n, n), dtype=object)
+    G_int[tuple(zip(*G))], G_den = _clear_denominators(G.values())
 
     float_point = [float(v) for v in point]
     base_point = float_point[:m]

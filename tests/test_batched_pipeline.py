@@ -136,7 +136,7 @@ def test_batched_pipeline_matches_per_direction(make):
     assert verdict.mu == mu
     assert same_spectrum(result.reduced_spectrum, reduced_e1, TOL)
     if status == PROJECTIVE:
-        want = match_taxonomy(reduced_e1, A.dim, TOL)
+        want = match_taxonomy(reduced_e1, A.dim)
         got = result.structure
         assert got.case == want.case and got.m == want.m
         np.testing.assert_allclose(got.lambdas, want.lambdas, atol=TOL)

@@ -36,7 +36,7 @@ from affinecurv.polynomial_geometry import (
     save_connection,
     surface_projective_osserman,
 )
-from affinecurv.polynomials import CompiledTable, Polynomial, parse_polynomial
+from affinecurv.polynomials import CompiledTable, Polynomial, exact_values, parse_polynomial
 from affinecurv.riemannian_extension import (
     deformed_extension,
     levi_civita_block,
@@ -487,7 +487,7 @@ def sparse_connections(draw, max_m=4, max_exp=2):
 def test_sparse_curvature_matches_dense_reference(C):
     m = C.dim
     R, NR = dense_curvature(C)
-    P = curvature(C, with_nabla=True)
+    P = curvature(C)
     for (i, j, k, l), want in R.items():
         assert P.entry(i, j, k, l) == want
     for (i, j, k, n, l), want in NR.items():
@@ -510,7 +510,7 @@ def test_every_table_is_the_map_of_its_nonzero_entries(C, modified):
     assert isinstance(C.gamma, MappingProxyType) and all(C.gamma.values())
     assert all(C.gamma[i, j, k] == C.gamma.get((j, i, k)) for i, j, k in C.gamma)
     R, NR = dense_curvature(C)
-    P = curvature(C, with_nabla=True)
+    P = curvature(C)
     _expect_nonzero_map(P.riemann, R)
     _expect_nonzero_map(P.nabla, NR)
     # Ricci: rho_jk = sum_l R_ljk^l, split into halves
@@ -709,6 +709,21 @@ def sparse_tables(draw):
     table = {key: Polynomial(nvars, draw(st.dictionaries(exps, coeff, min_size=1, max_size=4)))
              for key in sorted(keys)}
     return table, shape, nvars
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_tables(), st.data())
+def test_exact_values_are_the_nonzero_entries_evaluated(problem, data):
+    table, _, nvars = problem
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    pt = data.draw(st.lists(rationals, min_size=nvars, max_size=nvars))
+    values = exact_values(table, pt, nvars)
+    assert values == {key: p(pt) for key, p in table.items() if p(pt)}
+    assert list(values) == [key for key in table if key in values]
+    for bad in (pt[1:], pt + [Fraction(1)]):
+        for t in (table, {}):
+            with pytest.raises(ValueError, match="point has"):
+                exact_values(t, bad, nvars)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])

@@ -16,7 +16,7 @@ from affinecurv.polynomial_geometry import (
     flat_connection,
     plane_wave_connection,
 )
-from affinecurv.polynomials import Polynomial
+from affinecurv.polynomials import Polynomial, exact_values
 from affinecurv.riemannian_extension import (
     PolyMetric,
     _clear_denominators,
@@ -120,10 +120,35 @@ def test_metric_immutable():
 
 def test_gram_exact_rational():
     g = modified_extension(flat_connection(2))
-    G = g.gram_exact([0, 0, Fraction(1, 2), Fraction(1, 3)])
-    assert G[0][0] == Fraction(1, 4)
-    assert G[0][1] == Fraction(1, 6)
-    assert G[0][2] == 1
+    pt = [0, 0, Fraction(1, 2), Fraction(1, 3)]
+    G = exact_values(g.components, pt, 4)
+    assert G[0, 0] == Fraction(1, 4)
+    assert G[0, 1] == Fraction(1, 6)
+    assert G[0, 2] == 1
+    assert g.gram_exact(pt) == G
+
+
+def _dense(values, shape):
+    out = np.zeros(shape)
+    for key, v in values.items():
+        out[key] = float(v)
+    return out
+
+
+def test_float_evaluators_are_built_on_first_use():
+    # at a point of short dyadic coordinates the float evaluators are exact
+    pt = [0.5, -0.25, 1.5, 0.75, -1.0, 0.125]
+    g = modified_extension(curvature_homogeneous_connection(3, eps=1))
+    fresh = PolyMetric(g.m, g.top_block)
+    lc = levi_civita_block(g)
+    for obj in (fresh, lc):
+        assert "_evaluator" not in vars(obj)
+    np.testing.assert_array_equal(fresh.gram_at(pt),
+                                  _dense(exact_values(g.components, pt, 6), (6, 6)))
+    np.testing.assert_array_equal(lc.gamma_at(pt),
+                                  _dense(exact_values(lc.gamma, pt, 6), (6, 6, 6)))
+    for obj in (fresh, lc):
+        assert "_evaluator" in vars(obj)
 
 
 # -- Levi-Civita ----------------------------------------------------------
