@@ -30,8 +30,9 @@ from types import MappingProxyType
 import numpy as np
 
 from . import classifier
-from .polynomials import (CompiledTable, Polynomial, exact_values, nonzero_map,
-                          parse_polynomial, polynomial_to_string)
+from .polynomials import (CompiledTable, Polynomial, add_product, add_to, derivative,
+                          exact_values, nonzero_map, parse_polynomial, polynomial_to_string,
+                          table_numerators)
 from .tensor_core import CurvatureTensor
 
 __all__ = [
@@ -93,11 +94,14 @@ class PolyConnection:
         return self._evaluator(point)
 
     def symbol_rows(self):
-        """rows[i][j]: the pairs (k, G_ij^k) with a nonzero symbol, k ascending."""
+        """(rows, den): rows[i][j] holds the pairs (k, numerators of G_ij^k)
+        with a nonzero symbol, k ascending, every symbol over the one
+        denominator den (see polynomials.table_numerators)."""
+        numerators, den = table_numerators(self.gamma)
         rows = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
-        for (i, j, k), p in self.gamma.items():
+        for (i, j, k), p in numerators.items():
             rows[i][j].append((k, p))
-        return rows
+        return rows, den
 
 
 def connection_from_symbols(dim, symbols):
@@ -152,42 +156,52 @@ def curvature(C):
     """Exact polynomial curvature of a torsion-free connection.
 
     Antisymmetry in the first two slots and the cyclic identity are
-    verified as exact zero polynomials before returning.
+    verified as exact zero polynomials before returning.  With the symbols
+    over one denominator D, every entry is accumulated in place as integer
+    numerators over D^2 (see polynomials.add_product).
     """
     m = C.dim
-    rows = C.symbol_rows()
-    zero = Polynomial.zero(m)
+    rows, D = C.symbol_rows()
     R = {}
+    numerators = {}  # (i, j, k) -> {l: numerators of R_ijk^l over D^2}, i < j
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(m):
+                if not (rows[j][k] or rows[i][k]):
+                    continue  # every sum below runs over one of them
                 # d_i G_jk^l - d_j G_ik^l over the nonzero symbols only
-                acc = [zero] * m
+                acc = [{} for _ in range(m)]
                 for l, p in rows[j][k]:
-                    acc[l] = p.diff(i)
+                    add_to(acc[l], derivative(p, i), D)
                 for l, p in rows[i][k]:
-                    acc[l] = acc[l] - p.diff(j)
+                    add_to(acc[l], derivative(p, j), -D)
                 # sum_n G_in^l G_jk^n - G_jn^l G_ik^n over nonzero pairs only
                 for n, b in rows[j][k]:
                     for l, a in rows[i][n]:
-                        acc[l] = acc[l] + a * b
+                        add_product(acc[l], a, b, 1)
                 for n, b in rows[i][k]:
                     for l, a in rows[j][n]:
-                        acc[l] = acc[l] - a * b
+                        add_product(acc[l], a, b, -1)
+                row = numerators[i, j, k] = {}
                 for l, p in enumerate(acc):
                     if p:
-                        R[i, j, k, l] = p
-                        R[j, i, k, l] = -p
+                        row[l] = p
+                        R[i, j, k, l] = r = Polynomial.from_numerators(m, p, D * D)
+                        R[j, i, k, l] = -r
     # R[j, i] = -R[i, j] and R[i, i] = 0 exactly, so the cyclic sum is
     # invariant under rotation, changes sign under a swap and vanishes when
-    # two indices coincide: i < j < k covers every (i, j, k).
+    # two indices coincide: i < j < k covers every (i, j, k), and
+    # R_kij^l = -R_ikj^l.
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
-                for l in range(m):
-                    cyc = (R.get((i, j, k, l), zero) + R.get((j, k, i, l), zero)
-                           + R.get((k, i, j, l), zero))
-                    if not cyc.is_zero:
+                terms = ((numerators.get((i, j, k), {}), 1), (numerators.get((j, k, i), {}), 1),
+                         (numerators.get((i, k, j), {}), -1))
+                for l in sorted(set().union(*(row for row, _ in terms))):  # else all zero
+                    cyc = {}
+                    for row, sign in terms:
+                        add_to(cyc, row.get(l, {}), sign)
+                    if cyc:
                         raise RuntimeError(
                             "cyclic identity violated at (%d,%d,%d,%d)" % (i, j, k, l)
                         )
@@ -197,37 +211,42 @@ def curvature(C):
 def _covariant_derivative(C, R):
     """nabla[i, j, k, n, l] = d_n R_ijk^l + G_np^l R_ijk^p - G_ni^p R_pjk^l
     - G_nj^p R_ipk^l - G_nk^p R_ijp^l, summed over the nonzero pairs.  It is
-    antisymmetric in (i, j) because R is, so only i < j is computed."""
+    antisymmetric in (i, j) because R is, so only i < j is computed.  With
+    the symbols over D and R over E, the entries are accumulated as integer
+    numerators over D E."""
     m = C.dim
-    rows = C.symbol_rows()
+    rows, D = C.symbol_rows()
+    numerators, E = table_numerators(R)
     Rrows = {}  # (i, j, k) -> [(l, R_ijk^l), ...], l ascending as curvature stores it
-    for (i, j, k, l), r in R.items():
+    for (i, j, k, l), r in numerators.items():
         Rrows.setdefault((i, j, k), []).append((l, r))
-    zero = Polynomial.zero(m)
     NR = {}
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(m):
+                own = Rrows.get((i, j, k), ())
                 for n in range(m):
-                    acc = [zero] * m
-                    for l, r in Rrows.get((i, j, k), ()):
-                        acc[l] = r.diff(n)
-                    for p, r in Rrows.get((i, j, k), ()):
+                    if not (own or rows[n][i] or rows[n][j] or rows[n][k]):
+                        continue  # every sum below runs over one of them
+                    acc = [{} for _ in range(m)]
+                    for l, r in own:
+                        add_to(acc[l], derivative(r, n), D)
+                    for p, r in own:
                         for l, a in rows[n][p]:
-                            acc[l] = acc[l] + a * r
+                            add_product(acc[l], a, r, 1)
                     for p, a in rows[n][i]:
                         for l, r in Rrows.get((p, j, k), ()):
-                            acc[l] = acc[l] - a * r
+                            add_product(acc[l], a, r, -1)
                     for p, a in rows[n][j]:
                         for l, r in Rrows.get((i, p, k), ()):
-                            acc[l] = acc[l] - a * r
+                            add_product(acc[l], a, r, -1)
                     for p, a in rows[n][k]:
                         for l, r in Rrows.get((i, j, p), ()):
-                            acc[l] = acc[l] - a * r
+                            add_product(acc[l], a, r, -1)
                     for l, q in enumerate(acc):
                         if q:
-                            NR[i, j, k, n, l] = q
-                            NR[j, i, k, n, l] = -q
+                            NR[i, j, k, n, l] = nr = Polynomial.from_numerators(m, q, D * E)
+                            NR[j, i, k, n, l] = -nr
     return MappingProxyType(NR)
 
 

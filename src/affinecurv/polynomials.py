@@ -1,9 +1,32 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction`, so sums, products and partial
-derivatives are exact.  Identities asserted elsewhere in the package
-(curvature symmetries, metric compatibility, vanishing loci) are checked as
-literal zero polynomials, never up to a floating tolerance.
+A `Polynomial` stores integer numerators over one denominator: a dict from
+packed monomial to nonzero int, and one positive int `den`, reduced so
+that the numerators and `den` have gcd 1.  Each stored form is therefore
+canonical, which `__eq__` and `__hash__` rely on.  A monomial
+x1^e1 x2^e2 ... is packed by Kronecker substitution into the one int
+e1 + e2 * 2^16 + e3 * 2^32 + ...: a 16-bit field per variable, variable i
+in bits 16 i to 16 i + 15, so embedding in more variables keeps every key.
+An exponent stays below 2^15, so the top bit of a field is a guard: the
+monomial of a product of two stored terms is the sum of their keys, which
+never carries into the next field, and an exponent of 2^15 or more shows
+as a guard bit and raises ValueError instead of wrapping.
+
+All arithmetic runs on one integer kernel over {packed monomial: int}
+dicts: `add_to` (acc += scale * x^shift * terms), `add_product`
+(acc += scale * a * b) and `derivative`.  The `Polynomial` operators are
+thin wrappers over it.  The symbolic loops of the geometry modules bring
+each table to one common denominator (`table_numerators`), accumulate
+their sums of products in place and make one `Polynomial` per finished
+entry (`Polynomial.from_numerators`).  Every result keeps its terms in
+the order in which the arithmetic first formed them, and `terms()`
+unpacks them in that order, since the float evaluator sums terms in that
+order.  Exact evaluation (`integer_values`) is integer arithmetic over
+the common denominator of the point.
+
+Identities asserted elsewhere in the package (curvature symmetries,
+metric compatibility, vanishing loci) are checked as literal zero
+polynomials, never up to a floating tolerance.
 
 Variables are positional, indexed ``0 .. nvars-1``.  For parsing and
 display they are named ``x1..xm`` followed, when a cotangent-bundle split
@@ -12,8 +35,11 @@ is in play, by ``y1..ym`` for the fiber directions.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
-from operator import add, sub
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -22,11 +48,16 @@ __all__ = [
     "Polynomial",
     "PolynomialParseError",
     "exact_values",
+    "integer_values",
     "nonzero_map",
     "parse_polynomial",
     "polynomial_to_string",
     "variable_names",
 ]
+
+_BITS = 16  # bits per variable field of a packed monomial
+_MASK = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)  # exponents stay below this; the field's top bit is a guard
 
 
 class PolynomialParseError(ValueError):
@@ -47,10 +78,82 @@ def _as_fraction(value):
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
-class Polynomial:
-    """Immutable sparse polynomial: exponent multi-index -> Fraction."""
+def _unpack(key, nvars):
+    """The exponent tuple: the nvars 16-bit fields read as unsigned shorts."""
+    return tuple(memoryview(key.to_bytes(2 * nvars, sys.byteorder)).cast("H"))
 
-    __slots__ = ("nvars", "_terms")
+
+def _guards(nvars):
+    """The top bit of each of the nvars fields."""
+    return ((1 << nvars * _BITS) - 1) // _MASK << (_BITS - 1)
+
+
+def _too_large(exponent):
+    return ValueError("exponent %d exceeds %d, the largest a polynomial may hold"
+                      % (exponent, _LIMIT - 1))
+
+
+# -- the integer kernel ---------------------------------------------------
+#
+# Terms are {packed monomial: int numerator} dicts over a denominator the
+# caller keeps.  An accumulator never stores a zero: a sum that reaches
+# zero is deleted, and a key that comes back is appended at the end.
+
+
+def add_to(acc, terms, scale, shift=0):
+    """acc += scale * x^shift * terms in place, for a packed monomial shift,
+    key by key in the order of terms."""
+    get = acc.get
+    for key, c in terms.items():
+        key += shift
+        c = get(key, 0) + scale * c
+        if c:
+            acc[key] = c
+        elif key in acc:
+            del acc[key]
+
+
+def add_product(acc, a, b, scale):
+    """acc += scale * a * b in place.  The product is formed first, a's terms
+    outer and b's inner, and then added, so acc ends in the order it would
+    have after adding the product polynomial.  A factor with one term needs
+    no product dict: the other's terms times it are distinct and nonzero."""
+    if len(a) == 1 or len(b) == 1:
+        ((key, c),) = (a if len(a) == 1 else b).items()
+        add_to(acc, b if len(a) == 1 else a, scale * c, key)
+        return
+    product = {}
+    get = product.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            product[k] = get(k, 0) + ca * cb
+    add_to(acc, product, scale)
+
+
+def derivative(terms, index):
+    """The terms of the partial derivative along variable `index`."""
+    shift = index * _BITS
+    unit = 1 << shift
+    return {key - unit: c * e for key, c in terms.items() if (e := (key >> shift) & _MASK)}
+
+
+def table_numerators(table):
+    """({key: terms}, den): the entries of a {key: Polynomial} table as
+    numerators over their one least common denominator.  An entry already
+    over den shares its stored dict, so read it and do not change it."""
+    den = math.lcm(*(p.den for p in table.values()))
+    return {key: p.numerators if p.den == den else
+            {k: c * (den // p.den) for k, c in p.numerators.items()}
+            for key, p in table.items()}, den
+
+
+class Polynomial:
+    """Immutable sparse polynomial: `numerators` maps packed monomials to
+    nonzero ints, all over the one positive int `den` (see the module
+    docstring)."""
+
+    __slots__ = ("nvars", "numerators", "den")
 
     def __init__(self, nvars, terms=None):
         if nvars < 0:
@@ -62,23 +165,43 @@ class Polynomial:
                 raise ValueError("exponent tuple %r does not match nvars=%d" % (exps, nvars))
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent in %r" % (exps,))
+            if max(exps, default=0) >= _LIMIT:
+                raise _too_large(max(exps))
             coeff = _as_fraction(coeff)
             if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if not clean[exps]:
-                    del clean[exps]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+                key = sum(e << (v * _BITS) for v, e in enumerate(exps))
+                clean[key] = clean.get(key, Fraction(0)) + coeff
+                if not clean[key]:
+                    del clean[key]
+        # over the lcm of reduced denominators the numerators have gcd 1
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.nvars = nvars
+        self.numerators = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self.den = den
 
     @classmethod
-    def _trusted(cls, nvars, terms):
-        """Wrap a term dict already in canonical form: exponent tuples of
-        length nvars, nonzero Fraction coefficients.  Arithmetic results
-        come from here, so they skip the validation of __init__."""
+    def _wrap(cls, nvars, numerators, den):
+        """Wrap numerators already in the stored form."""
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly._terms = terms
+        poly.numerators = numerators
+        poly.den = den
         return poly
+
+    @classmethod
+    def from_numerators(cls, nvars, numerators, den):
+        """The polynomial numerators / den, for a kernel dict of nonzero
+        ints, which it takes over, and a positive int den: reduced by the
+        gcd, and ValueError if an exponent reached the guard bit of its
+        field."""
+        if numerators and reduce(or_, numerators) & _guards(nvars):
+            raise _too_large(max(max(_unpack(k, nvars)) for k in numerators))
+        if den != 1:
+            g = math.gcd(den, *numerators.values())
+            if g != 1:
+                numerators = {k: c // g for k, c in numerators.items()}
+                den //= g
+        return cls._wrap(nvars, numerators, den)
 
     # -- constructors -----------------------------------------------------
 
@@ -94,46 +217,43 @@ class Polynomial:
     def variable(cls, index, nvars):
         if not 0 <= index < nvars:
             raise ValueError("variable index %d out of range for nvars=%d" % (index, nvars))
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls._wrap(nvars, {1 << (index * _BITS): 1}, 1)
 
     # -- inspection -------------------------------------------------------
 
     def terms(self):
-        """Iterate (exponent tuple, Fraction coefficient), unordered."""
-        return self._terms.items()
+        """A list of (exponent tuple, Fraction coefficient), in the order the
+        arithmetic formed the terms."""
+        nvars, den = self.nvars, self.den
+        return [(_unpack(k, nvars), Fraction(c, den) if den != 1 else Fraction(c))
+                for k, c in self.numerators.items()]
 
     @property
     def is_zero(self):
-        return not self._terms
+        return not self.numerators
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return max((sum(_unpack(k, self.nvars)) for k in self.numerators), default=-1)
 
     def constant_term(self):
-        return self._terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.numerators.get(0, 0), self.den)
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.numerators)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.nvars == other.nvars and self._terms == other._terms
+            return (self.nvars == other.nvars and self.den == other.den
+                    and self.numerators == other.numerators)
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(other, self.nvars)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self._terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.numerators.items())))
 
-    # -- arithmetic -------------------------------------------------------
-    #
-    # Every result keeps the canonical form that __eq__ and __hash__ rely
-    # on: no zero coefficient is stored.
+    # -- arithmetic: thin wrappers over the kernel ---------------------------
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -141,41 +261,38 @@ class Polynomial:
                 raise ValueError("mixed variable counts: %d vs %d" % (self.nvars, other.nvars))
             return other
         if isinstance(other, (int, Fraction)):
-            terms = {(0,) * self.nvars: Fraction(other)} if other else {}
-            return Polynomial._trusted(self.nvars, terms)
+            return Polynomial.constant(other, self.nvars)
         return None
 
-    def _combine(self, other, op):
-        """op(self, other) for a coerced other; op is operator.add or sub."""
-        if not other._terms:
+    def _combine(self, other, sign):
+        """self + sign * other for a coerced other and sign +1 or -1."""
+        if not other.numerators:
             return self
-        if not self._terms:
-            return other if op is add else -other
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            total = op(terms.get(exps, 0), coeff)
-            if total:
-                terms[exps] = total
-            else:
-                del terms[exps]
-        return Polynomial._trusted(self.nvars, terms)
+        if not self.numerators:
+            return other if sign > 0 else -other
+        den = math.lcm(self.den, other.den)
+        scale = den // self.den
+        acc = {k: c * scale for k, c in self.numerators.items()}
+        add_to(acc, other.numerators, sign * (den // other.den))
+        return Polynomial.from_numerators(self.nvars, acc, den)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._combine(other, add)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._trusted(self.nvars, {e: -c for e, c in self._terms.items()})
+        return Polynomial._wrap(self.nvars, {k: -c for k, c in self.numerators.items()},
+                                self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._combine(other, sub)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -184,21 +301,19 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return Polynomial._trusted(self.nvars, {})
-        terms = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(map(add, e1, e2))
-                prev = terms.get(exps)
-                terms[exps] = c1 * c2 if prev is None else prev + c1 * c2
-        return Polynomial._trusted(self.nvars, {e: c for e, c in terms.items() if c})
+        acc = {}
+        add_product(acc, self.numerators, other.numerators, 1)
+        return Polynomial.from_numerators(self.nvars, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if n > 1 and self.numerators:
+            top = n * max(max(_unpack(k, self.nvars)) for k in self.numerators)
+            if top >= _LIMIT:
+                raise _too_large(top)
         out = Polynomial.constant(1, self.nvars)
         for _ in range(n):
             out = out * self
@@ -208,41 +323,21 @@ class Polynomial:
         """Exact partial derivative with respect to variable `index`."""
         if not 0 <= index < self.nvars:
             raise ValueError("variable index %d out of range" % index)
-        terms = {}
-        for exps, coeff in self._terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[index] = e - 1
-            terms[tuple(new)] = coeff * e
-        return Polynomial._trusted(self.nvars, terms)
+        return Polynomial.from_numerators(self.nvars, derivative(self.numerators, index),
+                                          self.den)
 
     def embed(self, nvars):
         """Reinterpret in a larger variable ring (indices are preserved)."""
         if nvars < self.nvars:
             raise ValueError("cannot shrink from %d to %d variables" % (self.nvars, nvars))
-        pad = (0,) * (nvars - self.nvars)
-        return Polynomial._trusted(nvars, {e + pad: c for e, c in self._terms.items()})
+        return Polynomial._wrap(nvars, self.numerators, self.den)
 
     def __call__(self, values):
-        """Evaluate at a point.  Fraction inputs give an exact Fraction."""
-        values = list(values)
-        if len(values) != self.nvars:
-            raise ValueError("point has %d components, expected %d" % (len(values), self.nvars))
-        total = None
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v**e
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
+        """The exact value at a rational point, a Fraction (see exact_values)."""
+        return exact_values({(): self}, values, self.nvars).get((), Fraction(0))
 
     def __repr__(self):
-        return "Polynomial(%d, %r)" % (self.nvars, dict(self._terms))
+        return "Polynomial(%d, %r)" % (self.nvars, dict(self.terms()))
 
 
 # -- tables of polynomials ------------------------------------------------
@@ -266,13 +361,45 @@ def nonzero_map(entries, dim, nvars):
     return out
 
 
-def exact_values(table, point, nvars):
-    """{key: Fraction} of the entries of a {key: Polynomial} table that are nonzero
-    at a rational point of nvars coordinates; ValueError for a point of another length."""
+def integer_values(table, point, nvars):
+    """({key: int}, den) for the entries of a {key: Polynomial} table that are
+    nonzero at a rational point of nvars coordinates: entry key has the value
+    values[key] / den, with one positive den for the whole table.  A point
+    of another length raises ValueError.
+
+    With the point as integers x over their common denominator q, a term
+    c / d * x^e of total degree t contributes c * (D / d) * x^e * q^(top - t)
+    to the numerator over D * q^top, where D is the table's common
+    denominator and top its largest total degree.  Each distinct monomial
+    is evaluated once per call."""
     point = [Fraction(v) for v in point]
     if len(point) != nvars:
         raise ValueError("point has %d components, expected %d" % (len(point), nvars))
-    return {key: v for key, p in table.items() if (v := p(point))}
+    q = math.lcm(*(v.denominator for v in point))
+    xs = [v.numerator * (q // v.denominator) for v in point]
+    exponents = {k: _unpack(k, nvars)
+                 for k in dict.fromkeys(k for p in table.values() for k in p.numerators)}
+    top = max(map(sum, exponents.values()), default=0)
+    monomials = {k: math.prod(x ** e for x, e in zip(xs, exps) if e) * q ** (top - sum(exps))
+                 for k, exps in exponents.items()}
+    den = math.lcm(*(p.den for p in table.values()))
+    values = {}
+    for key, p in table.items():
+        value = sum(c * monomials[k] for k, c in p.numerators.items()) * (den // p.den)
+        if value:
+            values[key] = value
+    den *= q ** top
+    g = math.gcd(den, *values.values())
+    if g != 1:
+        values = {key: value // g for key, value in values.items()}
+    return values, den // g
+
+
+def exact_values(table, point, nvars):
+    """{key: Fraction} of the entries of a {key: Polynomial} table that are nonzero
+    at a rational point of nvars coordinates; ValueError for a point of another length."""
+    values, den = integer_values(table, point, nvars)
+    return {key: Fraction(value, den) for key, value in values.items()}
 
 
 class CompiledTable:
@@ -305,8 +432,9 @@ class CompiledTable:
         self.shape = tuple(shape)
         self.entries = []
         for key, poly in table.items():
-            terms = [(float(coeff), [(var, e) for var, e in enumerate(exps) if e])
-                     for exps, coeff in poly.terms()]
+            # c / den rounds the exact quotient once, as Fraction.__float__ does
+            terms = [(c / poly.den, [(var, e) for var, e in enumerate(_unpack(k, nvars)) if e])
+                     for k, c in poly.numerators.items()]
             start = 0.0 + terms.pop(0)[0] if terms and not terms[0][1] else 0.0
             self.entries.append((key, start, terms))
         self.degree = max((e for _, _, terms in self.entries for _, factors in terms

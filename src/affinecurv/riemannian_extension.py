@@ -21,17 +21,17 @@ timelike) Jacobi spectra are projectively constant.  The modified metric
 over such a nilpotent base has unit spacelike spectrum {0, 1, 1/4} with
 multiplicities (1, 1, 2m-2) and the negatives for timelike vectors.
 
-Nilpotency is decided exactly, on Python ints.  Denominators are cleared
-once per call: the curvature at the point is R_int / D and the Gram matrix
-G_int / G_den, and a probe vector xi (a float, hence a dyadic rational) is
-x / den with x integral.  Then J_xi = J_int / (D den^2), where J_int is the
-contraction of R_int with x (x) x, and since positive rescaling does not
-change nilpotency, J_xi is nilpotent exactly when J_int^(2^k) = 0 for the
-first 2^k >= 2m; a nonzero trace of J_int rules that out at once, and
-else repeated squaring decides it with no gcd.  If it is not, the unit
-operator J_xi / |<xi, xi>| equals J_int G_den / (D |q_int|) with
-q_int = x G_int x, and its float entries are the correctly rounded
-quotients of those integers.
+Nilpotency is decided exactly, on Python ints.  The integer evaluator
+gives the curvature at the point as R_int / D and the Gram matrix as
+G_int / G_den (`polynomials.integer_values`), and a probe vector xi (a
+float, hence a dyadic rational) is x / den with x integral.  Then
+J_xi = J_int / (D den^2), where J_int is the contraction of R_int with
+x (x) x, and since positive rescaling does not change nilpotency, J_xi is
+nilpotent exactly when J_int^(2^k) = 0 for the first 2^k >= 2m; a nonzero
+trace of J_int rules that out at once, and else repeated squaring decides
+it with no gcd.  If it is not, the unit operator J_xi / |<xi, xi>| equals
+J_int G_den / (D |q_int|) with q_int = x G_int x, and its float entries
+are the correctly rounded quotients of those integers.
 
 Each clause is one batched projective match per causal character.  The
 deformed clauses match every spectrum against the first one, since
@@ -55,7 +55,8 @@ import numpy as np
 
 from . import classifier, spectral
 from .polynomial_geometry import PolyConnection, curvature, curvature_at
-from .polynomials import CompiledTable, Polynomial, exact_values, nonzero_map
+from .polynomials import (CompiledTable, Polynomial, add_product, add_to, derivative,
+                          exact_values, integer_values, nonzero_map, table_numerators)
 
 __all__ = [
     "PolyMetric",
@@ -154,46 +155,52 @@ def levi_civita_block(metric):
     """Levi-Civita symbols of a block cotangent metric, exactly.
 
     G_ab^c = (1/2) ginv^cd (d_a g_bd + d_b g_ad - d_d g_ab); the result is
-    verified to be metric-compatible as an exact polynomial identity.
+    verified to be metric-compatible as an exact polynomial identity.  With
+    g over one denominator D and its inverse over E, the symbols are
+    accumulated in place as integer numerators over 2 D E.
     """
     n = metric.dim
-    g = metric.components
+    g, D = table_numerators(metric.components)
+    inverse, E = table_numerators(metric.inverse())
     ginv = [[] for _ in range(n)]  # ginv[c]: the pairs (d, ginv^cd), d ascending
-    for (c, d), p in metric.inverse().items():
+    for (c, d), p in inverse.items():
         ginv[c].append((d, p))
-    half = Fraction(1, 2)
-    zero = Polynomial.zero(n)
-    # dg[a, b, c] = d_c g_ab, nonzero ones only
-    dg = {(a, b, c): d for (a, b), p in g.items() for c in range(n) if (d := p.diff(c))}
+    # dg[a, b, c] = d_c g_ab over D, nonzero ones only
+    dg = {(a, b, c): d for (a, b), p in g.items() for c in range(n) if (d := derivative(p, c))}
     table = {}
     for a in range(n):
         for b in range(a, n):
             brackets = {}
             for d in range(n):
-                bracket = (dg.get((b, d, a), zero) + dg.get((a, d, b), zero)
-                           - dg.get((a, b, d), zero))
+                bracket = {}
+                for key, sign in (((b, d, a), 1), ((a, d, b), 1), ((a, b, d), -1)):
+                    add_to(bracket, dg.get(key, {}), sign)
                 if bracket:
                     brackets[d] = bracket
             for c in range(n):
-                total = zero
+                total = {}
                 for d, inv in ginv[c]:
                     if d in brackets:
-                        total = total + inv * brackets[d]
-                table[a, b, c] = table[b, a, c] = half * total
+                        add_product(total, inv, brackets[d], 1)
+                if total:
+                    table[a, b, c] = table[b, a, c] = Polynomial.from_numerators(
+                        n, total, 2 * D * E)
     conn = PolyConnection(n, table)
-    # d_a g_bc = G_ab^d g_dc + G_ac^d g_bd, over the nonzero products only
-    rows = conn.symbol_rows()
+    # d_a g_bc = G_ab^d g_dc + G_ac^d g_bd, over the nonzero products only;
+    # with the symbols over F the defect is over D F
+    rows, F = conn.symbol_rows()
     for a in range(n):
         for b in range(n):
             for c in range(b, n):  # g is symmetric, so (a, c, b) has the same defect
-                defect = dg.get((b, c, a), zero)
+                defect = {}
+                add_to(defect, dg.get((b, c, a), {}), F)
                 for d, gam in rows[a][b]:
                     if (d, c) in g:
-                        defect = defect - gam * g[d, c]
+                        add_product(defect, gam, g[d, c], -1)
                 for d, gam in rows[a][c]:
                     if (b, d) in g:
-                        defect = defect - gam * g[b, d]
-                if not defect.is_zero:
+                        add_product(defect, gam, g[b, d], -1)
+                if defect:
                     raise RuntimeError("metric compatibility fails at (%d,%d,%d)" % (a, b, c))
     return conn
 
@@ -204,7 +211,8 @@ def levi_civita_block(metric):
 def _clear_denominators(values):
     """Integers x (object array) and one integer den > 0 with values = x / den.
 
-    Takes ints, floats and Fractions; a float's den is a power of two.
+    Takes ints, floats and Fractions; a float's den is a power of two.  It
+    clears the sampled vectors xi.
     """
     ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*(d for _, d in ratios))
@@ -336,15 +344,14 @@ def check_extension_theorems(
 
     metric = deformed_extension(C, Phi) if which == "deformed" else modified_extension(C)
     lc = levi_civita_block(metric)
-    R = curvature(lc).evaluate_exact(point)
     n = 2 * m
-    # Denominators are cleared once, over the nonzero entries: R = R_int / D
-    # and G = G_int / G_den.
-    values, D = _clear_denominators(R.values())
-    R_int = list(zip(R, values.tolist()))  # ((i, j, k, l), integer) pairs
-    G = metric.gram_exact(point)
+    # The nonzero entries at the point, as integers over one denominator
+    # each: R = R_int / D and G = G_int / G_den.
+    R, D = integer_values(curvature(lc).riemann, point, n)
+    R_int = list(R.items())  # ((i, j, k, l), integer) pairs
+    G, G_den = integer_values(metric.components, point, n)
     G_int = np.zeros((n, n), dtype=object)
-    G_int[tuple(zip(*G))], G_den = _clear_denominators(G.values())
+    G_int[tuple(zip(*G))] = list(G.values())
 
     float_point = [float(v) for v in point]
     base_point = float_point[:m]

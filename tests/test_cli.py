@@ -316,6 +316,16 @@ def test_geometry_rejects_a_malformed_connection_file(capsys, tmp_path, text, me
     assert message in err
 
 
+def test_geometry_rejects_an_exponent_past_its_field(capsys, tmp_path):
+    # exponents are held up to 2^15 - 1 (see polynomials.py)
+    path = tmp_path / "connection.json"
+    path.write_text('{"dim": 2, "gamma": {"0,0,1": "x1^32768 + x2"}}')
+    code, out, err = run_cli(capsys, "geometry", "--file", str(path), "--curvature")
+    assert code == 3
+    assert out == ""
+    assert "exponent 32768 exceeds 32767" in err
+
+
 def test_geometry_at_length(capsys):
     code, _, _ = run_cli(
         capsys, "geometry", "--builtin", "flat", "--m", "3", "--at", "1,2"

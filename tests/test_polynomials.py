@@ -211,3 +211,54 @@ def test_public_constructor_still_validates():
         Polynomial(2, {(1, -1): 1})
     with pytest.raises(TypeError):
         Polynomial(2, {(1, 0): 0.5})
+
+
+# -- exponent fields ------------------------------------------------------
+#
+# A packed monomial gives each variable a 16-bit field whose top bit is a
+# guard, so exponents up to 2^15 - 1 are held and anything larger raises
+# ValueError instead of carrying into the next variable's field.
+
+TOP = 2**15 - 1
+
+
+def test_the_largest_exponent_is_held():
+    p = Polynomial(2, {(TOP, 0): Fraction(1, 3)})
+    assert p.terms() == [((TOP, 0), Fraction(1, 3))]
+    assert p.degree() == TOP
+    x1 = Polynomial.variable(0, 2)
+    assert Polynomial(2, {(TOP - 1, 0): Fraction(1, 3)}) * x1 == p
+    assert (p * Polynomial.variable(1, 2)).terms() == [((TOP, 1), Fraction(1, 3))]
+    assert parse_polynomial("x2^%d" % TOP, 2) == Polynomial(2, {(0, TOP): 1})
+
+
+def test_one_past_the_largest_exponent_raises_value_error():
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    top = Polynomial(2, {(TOP, 0): 1})
+    with pytest.raises(ValueError, match="exponent 32768 exceeds 32767"):
+        Polynomial(2, {(TOP + 1, 0): 1})
+    with pytest.raises(ValueError, match="exponent 32768 exceeds"):
+        top * x1  # a silent carry would give x2
+    with pytest.raises(ValueError, match="exponent 32768 exceeds"):
+        (x2 + 1) * top * (x1 - x2)
+    with pytest.raises(ValueError, match="exponent 65534 exceeds"):
+        top ** 2
+    with pytest.raises(ValueError, match="exponent 32768 exceeds"):
+        x1 ** (TOP + 1)
+    with pytest.raises(ValueError, match="exponent 32768 exceeds"):
+        parse_polynomial("x1^32768", 2)
+    with pytest.raises(ValueError, match="exponent 1000000 exceeds"):
+        parse_polynomial("3*x2^1000000", 2)
+
+
+def test_diff_and_embed_at_the_top_field():
+    # the last variable's field is the top one of the packed int
+    p = Polynomial(3, {(1, 0, TOP): Fraction(2, 3), (0, 0, 1): 1})
+    assert p.diff(2) == Polynomial(3, {(1, 0, TOP - 1): Fraction(2 * TOP, 3), (0, 0, 0): 1})
+    assert p.diff(0) == Polynomial(3, {(0, 0, TOP): Fraction(2, 3)})
+    q = p.embed(5)
+    assert dict(q.terms()) == {(1, 0, TOP, 0, 0): Fraction(2, 3), (0, 0, 1, 0, 0): 1}
+    assert q.diff(2) == p.diff(2).embed(5)
+    assert (q * Polynomial.variable(3, 5)).diff(3) == q
+    with pytest.raises(ValueError, match="exponent 32768 exceeds"):
+        q * Polynomial.variable(2, 5)
