@@ -308,12 +308,19 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n.  A one-term base takes its power directly, c^n / den^n at
+        key * n; any other is multiplied out n times, which keeps the term
+        order of the repeated product (repeated squaring would not)."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if n > 1 and self.numerators:
+            # every field times n stays below its guard bit, so key * n cannot carry
             top = n * max(max(_unpack(k, self.nvars)) for k in self.numerators)
             if top >= _LIMIT:
                 raise _too_large(top)
+        if n and len(self.numerators) == 1:
+            ((key, c),) = self.numerators.items()
+            return Polynomial._wrap(self.nvars, {key * n: c ** n}, self.den ** n)
         out = Polynomial.constant(1, self.nvars)
         for _ in range(n):
             out = out * self

@@ -16,8 +16,11 @@ works with, since J_X X = 0 always.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +264,8 @@ def model_to_json_dict(A):
 
 # the least integer that float() rounds past the largest float
 _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+# the largest index numpy can hold; dim^4 may not pass it
+_KEY_MAX = int(np.iinfo(np.intp).max)
 
 
 def _first_row(rows, is_bad):
@@ -274,10 +279,10 @@ def _bad_row(rows, r, problem):
 
 def model_from_json_dict(data):
     """Inverse of model_to_json_dict.  `dim` must be a positive JSON
-    integer.  Every row must be five items [i, j, k, l, value] with
-    integer indices in range(dim), a numeric value within float range and
-    no (i, j, k, l) repeated; the first row that breaks a rule is named in
-    the ValueError.
+    integer whose fourth power fits the index range.  Every row must be
+    five items [i, j, k, l, value] with integer indices in range(dim), a
+    finite numeric value and no (i, j, k, l) repeated; the first row that
+    breaks a rule is named in the ValueError.
 
     Each rule is one pass in C over the rows or their cells (a set of
     types or lengths, an array conversion, an array comparison); only a
@@ -291,6 +296,9 @@ def model_from_json_dict(data):
         raise ValueError("model JSON 'dim' must be an integer, got %r" % (dim,))
     if dim <= 0:
         raise ValueError("dim must be positive")
+    if dim ** 4 > _KEY_MAX:
+        raise ValueError("dim=%d is too large: dim^4 must fit the index range [0, %d]"
+                         % (dim, _KEY_MAX))
     if not isinstance(rows, list):
         raise ValueError("model JSON 'entries' must be a list of rows")
     shape = "is not [i, j, k, l, value]"
@@ -315,6 +323,9 @@ def model_from_json_dict(data):
     except OverflowError:
         r = _first_row(rows, lambda row: type(row[4]) is int and abs(row[4]) >= _FLOAT_OVERFLOW)
         raise _bad_row(rows, r, "has a value out of float range") from None
+    if not np.isfinite(values).all():  # json reads 1e400, NaN and Infinity as floats
+        r = _first_row(rows, lambda row: not math.isfinite(row[4]))
+        raise _bad_row(rows, r, "has a non-finite value")
     try:
         indices = np.array(indices, dtype=np.intp).reshape(len(rows), 4)
     except OverflowError:  # an index past the intp range is out of range too
@@ -331,45 +342,156 @@ def model_from_json_dict(data):
     return CurvatureTensor(dim, keys, values[order])
 
 
+# rows per chunk of the writer: about 300 KB of text at m = 44
+_CHUNK_ROWS = 4096
+
+
+def _model_chunks(A, depth=0):
+    """The text of model_to_json_text(A, depth) as an iterator of chunks:
+    the head, the rows _CHUNK_ROWS at a time, and the closing lines.
+    Every row is five pieces from two small tables: the m index lines,
+    used for i, j, k and l, and one row ending per distinct value, written
+    with float.__repr__ as the json module does.  So the work grows with
+    the rows and m, not with m^2, and a file with a large dim and few rows
+    is cheap to write and to check.  Non-finite values, which JSON cannot
+    hold, raise ValueError here, before any chunk is made."""
+    pad = "  " * depth
+    m, keys, vals = A.dim, A._keys, A._values
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("model has non-finite entries, which JSON cannot hold")
+    if not len(vals):
+        return iter(['{\n%s  "dim": %d,\n%s  "entries": []\n%s}' % (pad, m, pad, pad)])
+    line = np.array([pad + "      %d,\n" % a for a in range(m)], dtype=object)
+    distinct, which = np.unique(vals, return_inverse=True)
+    head = pad + "    [\n"
+    ends = [pad + "      " + text + "\n" + pad + "    ]"
+            for text in map(float.__repr__, distinct.tolist())]
+    # every row but the last ends with the separator and the next head
+    tails = np.array([end + ",\n" + head for end in ends], dtype=object)
+
+    def rows(start):
+        stop = start + _CHUNK_ROWS
+        index = np.unravel_index(keys[start:stop], (m,) * 4)
+        pieces = np.stack([line[i] for i in index] + [tails[which[start:stop]]], axis=1)
+        if stop >= len(keys):
+            pieces[-1, 4] = ends[which[-1]]
+        return "".join(pieces.ravel().tolist())
+
+    return itertools.chain(
+        ['{\n%s  "dim": %d,\n%s  "entries": [\n%s' % (pad, m, pad, head)],
+        map(rows, range(0, len(keys), _CHUNK_ROWS)),
+        ["\n%s  ]\n%s}" % (pad, pad)])
+
+
 def model_to_json_text(A, depth=0):
     """The text json.dumps(model_to_json_dict(A), sort_keys=True, indent=2)
     gives, nested `depth` levels deep in an indent=2 document (every line
-    after the first indented by 2 * depth more spaces).  The rows are one
-    join of pieces from two small tables: the m^2 texts of an index pair,
-    used for (i, j) and for (k, l), and one row ending per distinct value,
-    written with float.__repr__ as the json module does.  Non-finite
-    values, which JSON cannot hold, raise ValueError."""
-    pad = "  " * depth
-    m, vals = A.dim, A._values
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("model has non-finite entries, which JSON cannot hold")
-    if len(vals):
-        line = pad + "      %d,\n"
-        pairs = np.array([line % a + line % b for a in range(m) for b in range(m)], dtype=object)
-        distinct, which = np.unique(vals, return_inverse=True)
-        head = pad + "    [\n"
-        ends = [pad + "      " + text + "\n" + pad + "    ]"
-                for text in map(float.__repr__, distinct.tolist())]
-        # every row but the last ends with the separator and the next head
-        tails = np.array([end + ",\n" + head for end in ends], dtype=object)
-        ij, kl = np.divmod(A._keys, m * m)
-        pieces = np.stack([pairs[ij], pairs[kl], tails[which]], axis=1)
-        pieces[-1, 2] = ends[which[-1]]
-        entries = "[\n%s%s\n%s  ]" % (head, "".join(pieces.ravel().tolist()), pad)
-    else:
-        entries = "[]"
-    return '{\n%s  "dim": %d,\n%s  "entries": %s\n%s}' % (pad, m, pad, entries, pad)
+    after the first indented by 2 * depth more spaces): the chunks of the
+    one model writer, joined.  Non-finite values, which JSON cannot hold,
+    raise ValueError."""
+    return "".join(_model_chunks(A, depth))
 
 
 def save_model(A, path):
-    """Write model_to_json_text(A) plus a newline: the text of
-    json.dump(model_to_json_dict(A), fh, sort_keys=True, indent=2)."""
-    text = model_to_json_text(A)
+    """Write the text of json.dump(model_to_json_dict(A), fh, sort_keys=True,
+    indent=2) plus a newline, chunk by chunk from the one model writer, so
+    the whole text is never held.  A model the writer refuses (a
+    non-finite value) raises ValueError before the file is opened."""
+    chunks = _model_chunks(A)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
         fh.write("\n")
 
 
+# the three head lines and the closing lines of a nonempty
+# save_model text; a dim of six digits would be past _KEY_MAX anyway
+_HEAD = re.compile(rb'{\n  "dim": ([1-9][0-9]{0,4}),\n  "entries": \[\n')
+_TAIL = b"\n  ]\n}\n"
+# the value of each byte as a decimal digit; any other byte reads as 0
+_DIGIT = np.zeros(256, dtype=np.intp)
+_DIGIT[48:58] = np.arange(10)
+# the longest float.__repr__, as in -2.2250738585072014e-308
+_TOKEN_MAX = 24
+# the masks of the low 0 to 8 bytes of a word, and an odd multiplier
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _floats(data, start, stop):
+    """float(data[a:b]) for the tokens [start, stop) of 1 to _TOKEN_MAX
+    bytes, called once per distinct token.  Each token is read as three
+    little-endian 8-byte words, its bytes past the end masked out, and the
+    words are hashed into one key per token.  A collision would give two
+    tokens one value, which the caller's byte comparison rejects."""
+    length = stop - start
+    if length.min() < 1 or length.max() > _TOKEN_MAX:
+        raise ValueError("a value token is empty or longer than any float repr")
+    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # 8 bytes from each offset
+    key = np.zeros(len(start), dtype=np.uint64)
+    for w in range(0, _TOKEN_MAX, 8):
+        # a word past the token is masked to 0, so its offset may be clipped
+        word = words[np.minimum(start + w, len(words) - 1)]
+        key = key * _MIX + (word & _LOW_BYTES[np.clip(length - w, 0, 8)])
+    _, row, inverse = np.unique(key, return_index=True, return_inverse=True)
+    distinct = [float(data[a:b]) for a, b in zip(start[row].tolist(), stop[row].tolist())]
+    return np.array(distinct, dtype=float)[inverse]
+
+
+def _load_written(data):
+    """The tensor whose save_model text is the bytes `data`, or None when
+    they are not such a text.  The layout is found in array passes: the
+    newlines (three for the head, seven per row for "[", the four indices,
+    the value and "]", two for the tail), the index digits read right to
+    left from the columns before each comma, and the value tokens.  The
+    writer's chunks for the tensor so built are then compared with the
+    bytes in place: only equal bytes accept it, so no layout rule needs a
+    check of its own."""
+    head = _HEAD.match(data)
+    if head is None or not data.endswith(_TAIL):
+        return None
+    m = int(head[1])
+    if m ** 4 > _KEY_MAX:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(buf == 10)
+    n, extra = divmod(len(newlines) - 5, 7)
+    if extra or n <= 0:
+        return None
+    ends = newlines[3:-2].reshape(n, 7)  # the newline that ends each line of a row
+    # index lines are "      %d,": digits right to left from the comma
+    places = range(len(str(m - 1)))
+    keys = np.zeros(n, dtype=np.intp)
+    for line in range(1, 5):
+        comma = ends[:, line] - 1
+        keys = keys * m + sum(_DIGIT[buf[comma - 1 - p]] * 10 ** p for p in places)
+    # the value line is "      %r"
+    start, stop = ends[:, 4] + 7, ends[:, 5].copy()
+    del newlines, ends  # the line index (8 bytes a line) is not needed past here
+    try:
+        A = CurvatureTensor(m, keys, _floats(data, start, stop))
+        chunks = _model_chunks(A)
+    except ValueError:  # no float token, keys not ascending in range, or not finite
+        return None
+    at = 0
+    for chunk in chunks:
+        chunk = chunk.encode()
+        if not data.startswith(chunk, at):
+            return None
+        at += len(chunk)
+    return A if at == len(data) - 1 else None
+
+
 def load_model(path):
-    with open(path) as fh:
-        return model_from_json_dict(json.load(fh))
+    """Read a model file once.  A text that save_model wrote is parsed in
+    array passes and accepted only if the writer's chunks for the parsed
+    tensor equal it byte for byte (_load_written).  Any other text is
+    decoded as open(path) would and goes through
+    model_from_json_dict(json.loads(text)), which names what is wrong."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    A = _load_written(data)
+    if A is not None:
+        return A
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
+    del data  # the bytes need not live beside the json tree
+    return model_from_json_dict(json.loads(text))

@@ -162,6 +162,17 @@ def test_model_commands_name_a_value_out_of_float_range(capsys, tmp_path, comman
 
 
 @pytest.mark.parametrize("command", ["symm", "classify"])
+@pytest.mark.parametrize("value,shown", [("1e400", "inf"), ("-1e400", "-inf"),
+                                         ("NaN", "nan"), ("-Infinity", "-inf")])
+def test_model_commands_reject_a_non_finite_value(capsys, tmp_path, command, value, shown):
+    path = tmp_path / "model.json"
+    path.write_text('{"dim": 2, "entries": [[0,1,0,1,%s],[1,0,0,1,-1.0]]}' % value)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: entry row 0 [0, 1, 0, 1, %s]: has a non-finite value\n" % shown
+
+
+@pytest.mark.parametrize("command", ["symm", "classify"])
 @pytest.mark.parametrize("dim", ["2.9", "true", '"3"'])
 def test_model_commands_reject_a_non_integer_dim(capsys, tmp_path, command, dim):
     path = tmp_path / "model.json"

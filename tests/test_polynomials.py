@@ -251,6 +251,35 @@ def test_one_past_the_largest_exponent_raises_value_error():
         parse_polynomial("3*x2^1000000", 2)
 
 
+@pytest.mark.parametrize("term", [
+    Polynomial(3, {(1, 0, 2): Fraction(-2, 3)}),
+    Polynomial(3, {(0, 5, 0): 7}),
+    Polynomial.constant(Fraction(-5, 4), 3),
+    Polynomial.variable(2, 3),
+])
+def test_a_one_term_power_is_the_repeated_product(term):
+    product = Polynomial.constant(1, 3)
+    for n in range(7):
+        power = term ** n
+        assert power == product and hash(power) == hash(product)
+        assert power.terms() == product.terms() and power.den == product.den
+        product = product * term
+
+
+def test_a_one_term_power_checks_every_field_before_packing():
+    p = Polynomial(3, {(1, TOP // 3, 2): Fraction(1, 2)})
+    assert (p ** 3).terms() == [((3, TOP - 1, 6), Fraction(1, 8))]
+    with pytest.raises(ValueError, match="exponent 43688 exceeds 32767"):
+        p ** 4
+    # key * 7 would carry from the middle field into the last one
+    with pytest.raises(ValueError, match="exponent 76454 exceeds 32767"):
+        p ** 7
+    x1 = Polynomial.variable(0, 2)
+    assert x1 ** TOP == Polynomial(2, {(TOP, 0): 1})
+    with pytest.raises(ValueError, match="exponent 32768 exceeds"):
+        (Fraction(1, 3) * x1) ** (TOP + 1)
+
+
 def test_diff_and_embed_at_the_top_field():
     # the last variable's field is the top one of the packed int
     p = Polynomial(3, {(1, 0, TOP): Fraction(2, 3), (0, 0, 1): 1})

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from affinecurv import tensor_core
 from affinecurv.classifier import classify
 from affinecurv.cli import main
 from affinecurv.constructors import CASE_LABELS, StructureSpec, case_constraints, realize
@@ -228,6 +229,10 @@ def test_json_validation_rejects_a_non_integer_dim(dim):
     ([1, 0, 0, 1, -1.0], "repeats an earlier"),
     ([0, 1, 1, 0, 10 ** 400], "value out of float range"),
     ([0, 1, 1, 0, -2 ** 1024 + 2 ** 970], "value out of float range"),
+    ([0, 1, 1, 0, json.loads("1e400")], "non-finite value"),
+    ([0, 1, 1, 0, json.loads("-1e400")], "non-finite value"),
+    ([0, 1, 1, 0, float("nan")], "non-finite value"),
+    ([0, 1, 1, 0, float("-inf")], "non-finite value"),
 ])
 def test_json_validation_names_the_first_bad_row(bad_row, problem):
     good = [[0, 1, 0, 1, 1.0], [1, 0, 0, 1, -1.0]]
@@ -316,6 +321,183 @@ def test_save_model_rejects_non_finite_entries(tmp_path, bad):
     e[0, 1, 0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         save_model(from_dense(e), tmp_path / "bad.json")
+
+
+def test_json_validation_names_a_dim_past_the_index_range():
+    rows = [[0, 1, 0, 1, 1.0], [1, 0, 0, 1, -1.0]]
+    for dim in (55109, 100000, 10 ** 30):
+        with pytest.raises(ValueError, match=r"dim=%d is too large: dim\^4 must fit" % dim):
+            model_from_json_dict({"dim": dim, "entries": rows})
+    # 55108^4 is the last fourth power below 2^63
+    assert model_from_json_dict({"dim": 55108, "entries": rows}).dim == 55108
+
+
+# -- the writer's chunks, and the loader's array passes -------------------
+
+
+def _large_model():
+    """3-g at m = 44: 39,248 rows, a 2.86 MB file."""
+    return realize(StructureSpec("3-g", (1.0, 2.0, 3.0), (0.5 + 1j,)), 44)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_model_holds_less_than_the_text_it_writes(tmp_path):
+    A = _large_model()
+    path = tmp_path / "model.json"
+    peak = _traced_peak(lambda: save_model(A, path))
+    assert peak < path.stat().st_size
+    assert path.read_text() == _json_dump_text(A)
+
+
+def test_load_model_of_a_written_file_holds_under_three_times_its_text(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(_large_model(), path)
+    assert _traced_peak(lambda: load_model(path)) < 3 * path.stat().st_size
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_chunks_of_any_size_join_to_the_json_dump_layout(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(tensor_core, "_CHUNK_ROWS", rows)
+    rng = np.random.default_rng(rows)
+    for n in range(1, 3 * rows + 2):
+        keys = np.sort(rng.choice(3 ** 4, size=n, replace=False))
+        A = CurvatureTensor(3, keys, rng.standard_normal(n))
+        path = tmp_path / "model.json"
+        save_model(A, path)
+        assert path.read_text() == _json_dump_text(A) == model_to_json_text(A) + "\n"
+        assert np.array_equal(load_model(path).nonzero()[1], A.nonzero()[1])
+
+
+def _no_json(text):
+    raise AssertionError("a written model went through json.loads")
+
+
+_FILE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -2.2250738585072014e-308, 1e300, -1e300, 3.0, -2.0, 1e22,
+                     2.0 ** 53, -0.0, 1.0 / 3.0]))
+
+
+@st.composite
+def written_models(draw):
+    """A nonzero list on 1 to 12 dimensions; -0.0 values are dropped."""
+    m = draw(st.integers(1, 12))
+    keys = sorted(draw(st.sets(st.integers(0, m ** 4 - 1), min_size=1, max_size=60)))
+    values = draw(st.lists(_FILE_VALUES, min_size=len(keys), max_size=len(keys))
+                  .filter(lambda vs: any(vs)))
+    return CurvatureTensor(m, keys, values)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(written_models())
+def test_a_written_model_loads_without_the_json_module(tmp_path, A):
+    path = tmp_path / "model.json"
+    save_model(A, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json, "loads", _no_json)
+        B = load_model(path)
+    (keys, values), (got_keys, got_values) = A.nonzero(), B.nonzero()
+    assert B.dim == A.dim and np.array_equal(got_keys, keys)
+    assert np.array_equal(got_values.view(np.uint64), values.view(np.uint64))
+
+
+def test_a_large_dim_with_few_rows_writes_and_loads_through_the_array_path(tmp_path):
+    """The writer's tables grow with m, not m^2 (2.5e9 texts here)."""
+    m = 50000
+    A = CurvatureTensor(m, np.ravel_multi_index(([0, 49999], [1, 2], [0, 49998], [1, 7]),
+                                                (m,) * 4), [2.5, -1e-300])
+    path = tmp_path / "model.json"
+    save_model(A, path)
+    assert path.read_text() == _json_dump_text(A)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json, "loads", _no_json)
+        B = load_model(path)
+    assert B.dim == m and all(np.array_equal(b, a) for a, b in zip(A.nonzero(), B.nonzero()))
+    assert check_affine_symmetries(B).antisymmetry_defect == 2.5
+
+
+def _through_json(path):
+    """The reference: model_from_json_dict of the json module's tree."""
+    with open(path) as fh:
+        return model_from_json_dict(json.load(fh))
+
+
+def _outcome(load, path):
+    try:
+        A = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    keys, values = A.nonzero()
+    return A.dim, keys.tolist(), values.view(np.uint64).tolist()
+
+
+_CANONICAL = model_to_json_text(CurvatureTensor(
+    12, np.ravel_multi_index(([0, 1, 2, 11], [1, 0, 11, 11], [0, 0, 10, 11], [1, 1, 3, 11]),
+                             (12,) * 4),
+    [1.25, -1.25, 0.1, -2.2250738585072014e-308])) + "\n"
+_LINES = _CANONICAL.split("\n")  # three head lines, seven a row, two closing ones
+
+
+def _edited(row, line, new):
+    """The canonical text with one line of a row replaced."""
+    lines = list(_LINES)
+    lines[3 + 7 * row + line] = new
+    return "\n".join(lines)
+
+
+def _with_rows(order):
+    """The canonical text with its rows in this order."""
+    rows = ["\n".join(_LINES[3 + 7 * r:9 + 7 * r]) + "\n    ]" for r in order]
+    return "\n".join(_LINES[:3] + [",\n".join(rows)] + _LINES[-3:])
+
+
+_VARIANTS = {
+    "canonical": _CANONICAL,
+    "flipped index digit": _edited(2, 2, "      10,"),
+    "flipped value digit": _edited(0, 5, "      1.35"),
+    "extra space": _edited(1, 5, "      -1.25 "),
+    "CRLF": _CANONICAL.replace("\n", "\r\n"),
+    "BOM": "\ufeff" + _CANONICAL,
+    "not UTF-8": _edited(0, 5, "      1.2\udcff5"),
+    "two rows swapped": _with_rows([1, 0, 2, 3]),
+    "repeated row": _with_rows([0, 1, 1, 2, 3]),
+    "zero value": _edited(2, 5, "      0.0"),
+    "negative zero value": _edited(2, 5, "      -0.0"),
+    "index equal to dim": _edited(3, 4, "      12,"),
+    "true as an index": _edited(0, 1, "      true,"),
+    "1e400": _edited(3, 5, "      1e400"),
+    "NaN": _edited(1, 5, "      NaN"),
+    "integer value": _edited(1, 5, "      -2"),
+    "long value": _edited(0, 5, "      1.2500000000000000000000000"),
+    "leading zero index": _edited(3, 1, "      011,"),
+    "extra key": _CANONICAL.replace('"dim": 12,', '"dim": 12,\n  "notes": [],'),
+    "keys reordered": json.dumps({"entries": json.loads(_CANONICAL)["entries"], "dim": 12},
+                                 indent=2) + "\n",
+    "no final newline": _CANONICAL[:-1],
+    "compact": json.dumps(json.loads(_CANONICAL)) + "\n",
+    "larger dim": _CANONICAL.replace('"dim": 12,', '"dim": 13,'),
+    "dim past the index range": _CANONICAL.replace('"dim": 12,', '"dim": 99999,'),
+    "empty": '{\n  "dim": 12,\n  "entries": []\n}\n',
+    "truncated": _CANONICAL[:len(_CANONICAL) // 2],
+}
+
+
+@pytest.mark.parametrize("name", _VARIANTS)
+def test_load_model_agrees_with_the_json_module_on_one_edit_variants(tmp_path, name):
+    assert _with_rows(range(4)) == _CANONICAL
+    assert (_VARIANTS[name] == _CANONICAL) == (name == "canonical")
+    path = tmp_path / "model.json"
+    path.write_bytes(_VARIANTS[name].encode("utf-8", "surrogateescape"))
+    assert _outcome(load_model, path) == _outcome(_through_json, path)
 
 
 def test_symmetry_defects_equal_the_dense_formulas():
