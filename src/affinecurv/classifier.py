@@ -10,10 +10,12 @@ transitive, so each spectrum is compared with one reference, the spectrum
 at e1.  The multiplicity vector is then matched against the known
 taxonomy of eigenvalue structures for the residue class of m.
 
-The whole sample goes through one batched pipeline: one matmul builds
-every Jacobi operator, Householder reflectors give the complements, one
-eigensolve and one vectorized clustering give the spectra, and one pass
-matches them against the reference.  The model is first divided by the
+The whole sample goes through one batched pipeline: one fixed-order sum
+over the model's nonzero list builds every Jacobi operator, with the
+same bits for a direction whatever the batch or the BLAS kernel,
+Householder reflectors give the complements, one eigensolve and one
+vectorized clustering give the spectra, and one pass matches them
+against the reference.  The model is first divided by the
 power of two nearest its largest entry, so that the verdict does not
 depend on the model's scale; reported eigenvalues, tolerances and
 residuals are multiplied back.

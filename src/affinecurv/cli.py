@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -48,9 +49,9 @@ from .polynomials import polynomial_to_string
 from .riemannian_extension import check_extension_theorems, default_point
 from .spectral import jordan_profile, spectrum
 from .tensor_core import (
+    _model_chunks,
     check_affine_symmetries,
     load_model,
-    model_to_json_text,
     reduced_jacobi,
     save_model,
 )
@@ -123,17 +124,38 @@ def _partition(text):
 _MODEL = "\0model"
 
 
+def _strict(report):
+    """The report with every non-finite float replaced by None."""
+    if isinstance(report, float):
+        return report if math.isfinite(report) else None
+    if isinstance(report, dict):
+        return {key: _strict(value) for key, value in report.items()}
+    if isinstance(report, (list, tuple)):
+        return [_strict(value) for value in report]
+    return report
+
+
 def _emit(report, args, model=None):
-    """Write the report as json.dumps(report, indent=2, sort_keys=True).
-    A `model` given here sits under report["model"] = _MODEL and is written
-    by the model-file writer, which gives the same text faster."""
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if model is not None:
-        text = text.replace(json.dumps(_MODEL), model_to_json_text(model, depth=1), 1)
-    sys.stdout.write(text)
+    """Write json.dumps(report, indent=2, sort_keys=True) and a newline to
+    stdout, and again to --json-out, with each non-finite float as null:
+    JSON (RFC 8259) has no token for Infinity or NaN.  A `model` given here
+    sits under report["model"] = _MODEL: the text before that placeholder,
+    the model file writer's chunks and the text after it are written in
+    turn, which gives the text json.dumps would without holding it whole."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite float: only then is the report walked
+        text = json.dumps(_strict(report), indent=2, sort_keys=True) + "\n"
+    head, _, tail = text.partition(json.dumps(_MODEL))
+
+    def write(fh):
+        chunks = _model_chunks(model, depth=1) if model is not None else ()
+        fh.writelines(itertools.chain([head], chunks, [tail]))
+
+    write(sys.stdout)
     if args.json_out:
         with open(args.json_out, "w") as fh:
-            fh.write(text)
+            write(fh)
 
 
 def _pretty(args, lines):

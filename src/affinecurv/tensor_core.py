@@ -11,7 +11,11 @@ and a well-formed model satisfies the two curvature identities
 
 The Jacobi operator of a direction X is the matrix of Y -> A(Y, X)X; its
 reduction to the quotient by the line through X is what classification
-works with, since J_X X = 0 always.
+works with, since J_X X = 0 always.  It is one documented sum over the
+nonzero list, J_X[l, i] = 0.0 + the terms (X_j X_k) A[i, j, k, l] in key
+order, so its bits depend only on the model and X: not on the other
+directions of a batch, nor on the BLAS or SIMD kernel, NaN payloads
+aside (jacobi_batch).
 """
 
 from __future__ import annotations
@@ -154,30 +158,82 @@ def _check_directions(A, X):
 
 
 def jacobi_batch(A, X):
-    """Jacobi operators of the n directions in the rows of X, shape (n, m, m).
+    """Jacobi operators of the n directions in the rows of X, shape (n, m, m):
 
-    R[i] = (X (x) X) @ A[i, (j, k), l] for each slab i of the first index:
-    the slab's keys are the run [i m^3, (i + 1) m^3) of the sorted list,
-    scattered into one reused (m^2, m) block and cleared again after its
-    matmul.  Each slab is the gemm numpy's stacked matmul on the dense m^4
-    array would make, so the bits are the same, with O(m^3) extra memory.
+        J_X[l, i] = 0.0 + sum of (X_j X_k) A[i, j, k, l] over the nonzero list,
+
+    the terms of each (i, l) added left to right in key order, that is
+    (j, k) ascending, by one IEEE multiply and add at a time.  A term whose
+    X_j X_k is 0 is skipped; for finite entries that changes no bit, since
+    a sum begun at +0.0 never becomes -0.0.  No BLAS call and no numpy
+    reduction, whose order can change with the length and the CPU, takes
+    part, so each row's bits depend on the model and that row only: not
+    on the batch, the row's place in it, or the BLAS kernel (a NaN's sign
+    and payload aside, which IEEE 754 leaves open).
+
+    A row with one nonzero entry X_a, its square finite and nonzero, has
+    at most one term per (i, l), X_a^2 A[i, a, a, l], gathered from its
+    runs of keys.  The other rows are summed together by jagged diagonals:
+    the (i, l) ranked by their number of terms, step p adds the p-th term
+    of each (i, l) having more than p, a prefix of the ranks, as one
+    (terms x rows) block.
     """
     X = _check_directions(A, X)
     n, m = X.shape
-    XX = (X[:, :, None] * X[:, None, :]).reshape(n, m * m)
-    slab = m ** 3
-    bounds = np.searchsorted(A._keys, np.arange(m + 1) * slab).tolist()
-    local = A._keys % slab
-    block = np.zeros((m * m, m))
-    flat = block.reshape(-1)
-    # R[i, s, l] = sum_jk A[i, j, k, l] X_s^j X_s^k = J_s[l, i]
-    R = np.empty((m, n, m))
-    for i in range(m):
-        keys = local[bounds[i]:bounds[i + 1]]
-        flat[keys] = A._values[bounds[i]:bounds[i + 1]]
-        np.matmul(XX, block, out=R[i])
-        flat[keys] = 0.0
-    return R.transpose(1, 2, 0)
+    keys = A._keys
+    jk, v, offset, width, place = _jagged_diagonals(A)
+    out = np.zeros((n, m * m))  # J[l, i] is cell l m + i of a row
+    square = (X * X).max(axis=1, initial=0.0)
+    one = ((X != 0.0).sum(axis=1) == 1) & np.isfinite(square) & (square != 0.0)
+    many, one = np.flatnonzero(~one), np.flatnonzero(one)
+    a = np.nonzero(X[one])[1]
+    # their terms X_a^2 A[i, a, a, l] are the keys (i, a, a, 0) to (i, a, a, m - 1)
+    first = (np.arange(m)[:, None] * m ** 3 + a * (m + 1) * m).ravel()
+    start, stop = np.searchsorted(keys, [first, first + m])
+    run = stop - start
+    at = np.repeat(start - np.cumsum(run) + run, run) + np.arange(run.sum())
+    rows = np.repeat(np.tile(one, m), run)
+    out[rows, keys[at] % m * m + keys[at] // m ** 3] = square[rows] * A._values[at] + 0.0
+
+    XXt = np.ascontiguousarray(X[many].T)
+    XXt = (XXt[:, None, :] * XXt[None, :, :]).reshape(m * m, len(many))
+    finite = np.isfinite(v).all()
+    acc = np.zeros((len(place), len(many)))
+    for p, q in zip(offset.tolist(), (offset + width).tolist()):
+        term = XXt[jk[p:q]]
+        term *= v[p:q]
+        if not finite:  # 0 times a non-finite entry is a skipped term
+            term[XXt[jk[p:q]] == 0.0] = 0.0
+        acc[:q - p] += term
+    out[many] = acc[place].T
+    return out.reshape(n, m, m)
+
+
+def _jagged_diagonals(A):
+    """The nonzero list in the order of the sums of jacobi_batch: (jk, v,
+    offset, width, place), with the entries' j m + k and values in steps,
+    step p the entries offset[p] to offset[p] + width[p], the p-th of each
+    cell l m + i with more than p entries, cells ranked by their number of
+    entries; place[cell] is the cell's rank."""
+    m, keys = A.dim, A._keys
+    jk = keys // m  # (i m + j) m + k for now
+    l = keys - jk * m
+    # a stable sort by l keeps the key order (i, j, k) within each l, so it
+    # sorts by the cell l m + i and then (j, k); l < m fits 16 bits, which
+    # numpy sorts by radix
+    order = np.argsort(l.astype(np.min_scalar_type(m)), kind="stable")
+    size = np.bincount(l * m + jk // (m * m), minlength=m * m)
+    jk %= m * m
+    rank = np.argsort(-size, kind="stable")
+    width = np.cumsum(np.bincount(size)[::-1])[::-1][1:]  # the cells with more than p
+    offset = np.cumsum(width) - width
+    place = np.empty_like(rank)
+    place[rank] = np.arange(len(rank))
+    # entry e, the p-th of its cell, goes to step p at the cell's rank
+    at = np.empty_like(order)
+    at[offset[np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)]
+       + np.repeat(place, size)] = order
+    return jk[at], A._values[at, None], offset, width, place
 
 
 def jacobi(A, X):
@@ -349,12 +405,13 @@ _CHUNK_ROWS = 4096
 def _model_chunks(A, depth=0):
     """The text of model_to_json_text(A, depth) as an iterator of chunks:
     the head, the rows _CHUNK_ROWS at a time, and the closing lines.
-    Every row is five pieces from two small tables: the m index lines,
-    used for i, j, k and l, and one row ending per distinct value, written
-    with float.__repr__ as the json module does.  So the work grows with
-    the rows and m, not with m^2, and a file with a large dim and few rows
-    is cheap to write and to check.  Non-finite values, which JSON cannot
-    hold, raise ValueError here, before any chunk is made."""
+    Every row is three pieces from one small table: the index line pairs
+    "i,\n j,\n", used for (i, j) and for (k, l), then one row ending per
+    distinct value, written with float.__repr__ as the json module does.
+    The pairs are all m^2 of them when there are no more than rows, else
+    only those in use, so a file with a large dim and few rows is cheap
+    to write and to check.  Non-finite values, which JSON cannot hold,
+    raise ValueError here, before any chunk is made."""
     pad = "  " * depth
     m, keys, vals = A.dim, A._keys, A._values
     if not np.all(np.isfinite(vals)):
@@ -362,19 +419,25 @@ def _model_chunks(A, depth=0):
     if not len(vals):
         return iter(['{\n%s  "dim": %d,\n%s  "entries": []\n%s}' % (pad, m, pad, pad)])
     line = np.array([pad + "      %d,\n" % a for a in range(m)], dtype=object)
+    if m * m <= len(keys):
+        pairs, where = np.arange(m * m), np.divmod(keys, m * m)
+    else:
+        pairs, where = np.unique(np.divmod(keys, m * m), return_inverse=True)
+        where = where.reshape(2, -1)
     distinct, which = np.unique(vals, return_inverse=True)
     head = pad + "    [\n"
     ends = [pad + "      " + text + "\n" + pad + "    ]"
             for text in map(float.__repr__, distinct.tolist())]
     # every row but the last ends with the separator and the next head
-    tails = np.array([end + ",\n" + head for end in ends], dtype=object)
+    table = np.concatenate([line[pairs // m] + line[pairs % m],
+                            np.array([end + ",\n" + head for end in ends], dtype=object)])
 
     def rows(start):
         stop = start + _CHUNK_ROWS
-        index = np.unravel_index(keys[start:stop], (m,) * 4)
-        pieces = np.stack([line[i] for i in index] + [tails[which[start:stop]]], axis=1)
+        pieces = table[np.stack([where[0][start:stop], where[1][start:stop],
+                                 which[start:stop] + len(pairs)], axis=1)]
         if stop >= len(keys):
-            pieces[-1, 4] = ends[which[-1]]
+            pieces[-1, 2] = ends[which[-1]]
         return "".join(pieces.ravel().tolist())
 
     return itertools.chain(

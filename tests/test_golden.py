@@ -24,6 +24,7 @@ holds the model file, so that the report's "out" is "model.json":
     mv model.json realize_2-c_m6.model.json
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -171,3 +172,13 @@ def test_classify_report_of_a_realized_model_matches_golden_file(name, capsys, t
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / (name + ".json")).read_bytes()
+
+
+def _no_constant(name):
+    raise ValueError("%s is not a JSON value" % name)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.name)
+def test_golden_files_are_strict_json(path):
+    """RFC 8259 has no Infinity or NaN: a non-finite float prints as null."""
+    json.loads(path.read_text(), parse_constant=_no_constant)

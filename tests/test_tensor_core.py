@@ -2,8 +2,12 @@
 
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -605,10 +609,79 @@ def test_classify_and_jordan_at_run_on_the_nonzero_list(capsys):
 
 
 def dense_jacobi(A, X):
-    """The Jacobi operators as one stacked matmul on the dense array."""
-    n, m = X.shape
-    XX = (X[:, :, None] * X[:, None, :]).reshape(n, m * m)
-    return np.matmul(XX, to_dense(A).reshape(m, m * m, m)).transpose(1, 2, 0)
+    """The Jacobi operators as the matrix products (X (x) X) A[i, (j, k), l]
+    over the dense array, each entry summed by a plain Python loop in index
+    order from 0.0, a term skipped when a factor, A[i, j, k, l] or X_j X_k
+    (a product of Python floats), is 0: the documented sum."""
+    e = to_dense(A)
+    index = np.nonzero(e)
+    entries = list(zip(zip(*(a.tolist() for a in index)), e[index].tolist()))
+    J = np.zeros((len(X), A.dim, A.dim))
+    for x, out in zip(X.tolist(), J):
+        sums = {}
+        for (i, j, k, l), value in entries:
+            p = x[j] * x[k]
+            if p != 0.0:
+                sums[l, i] = sums.get((l, i), 0.0) + p * value
+        for cell, total in sums.items():
+            out[cell] = total
+    return J
+
+
+def same_bits(a, b):
+    """Equal bytes, NaNs aside: IEEE 754 leaves open which NaN an operation
+    on two passes on, and numpy's loops and CPython's floats differ there."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and (np.isnan(b) == nan).all()
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def assert_rows_stand_alone(A, X, J, rng):
+    """Each row of J again alone, in a random sub-batch and in a random
+    order of the whole batch."""
+    for s in range(len(X)):
+        assert same_bits(jacobi_batch(A, X[s:s + 1]), J[s:s + 1])
+    for rows in (rng.permutation(len(X)), rng.choice(len(X), len(X) // 2, replace=False)):
+        assert same_bits(jacobi_batch(A, X[rows]), J[rows])
+
+
+_U = Fraction(1, 2 ** 53)
+_ETA = Fraction(1, 2 ** 1075)  # half the least subnormal: a product's underflow error
+
+
+def assert_within_the_error_bound(A, X, J):
+    """For each row with finite X and J: |J[l, i] - S| <= gamma_{k+1} sum |t|
+    + 2 eta sum (|v| + 1) over the k terms t = X_j X_k v of the cell with
+    X_j X_k != 0 in exact arithmetic, S their exact sum (the recursive sum
+    of two-multiply products, Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 2.2 and 3.1, with the eta term for
+    products that underflow).  A model with a non-finite entry has no
+    exact sum to compare with."""
+    index, values = A.nonzero()
+    if not np.isfinite(values).all():
+        return
+    entries = [(cell, Fraction(v)) for cell, v in zip(index.tolist(), values.tolist())]
+    for x, out in zip(X.tolist(), J):
+        if not (np.isfinite(x).all() and np.isfinite(out).all()):
+            continue
+        x = [Fraction(c) for c in x]
+        cells = {}
+        for (i, j, k, l), v in entries:
+            if x[j] and x[k]:
+                t = x[j] * x[k] * v
+                exact, size, k_terms, slack = cells.get((l, i), (0, 0, 0, 0))
+                cells[l, i] = (exact + t, size + abs(t), k_terms + 1, slack + abs(v) + 1)
+        for (l, i), (exact, size, k_terms, slack) in cells.items():
+            gamma = (k_terms + 1) * _U / (1 - (k_terms + 1) * _U)
+            assert abs(Fraction(out[l, i]) - exact) <= gamma * size + 2 * _ETA * slack
+        assert all(out[cell] == 0.0 for cell in np.ndindex(out.shape) if cell not in cells)
+
+
+def assert_the_documented_sum(A, X, rng, exact_rows=None):
+    J = jacobi_batch(A, X)
+    assert same_bits(J, dense_jacobi(A, X))
+    assert_rows_stand_alone(A, X, J, rng)
+    assert_within_the_error_bound(A, X[:exact_rows], J[:exact_rows])
 
 
 def label_spec(case, m):
@@ -625,8 +698,18 @@ def odd_directions(rng, n, m):
     return X
 
 
+def basis_directions(m):
+    """Multiples of basis vectors: one with -0.0 beside it, one whose
+    square underflows, one whose square is subnormal and one of inf; and
+    a row with two nonzero entries."""
+    X = np.zeros((7, m))
+    X[0, 0], X[1, m - 1], X[2, m // 2], X[3, 1] = -2.0, 1.0 / 3.0, 1e-200, 0.5
+    X[4, m - 1], X[5, m // 2], X[1, 0], X[6, :2] = 1e-160, np.inf, -0.0, (1.0, -1.0)
+    return X
+
+
 _LABEL_DIMS = {"1": (5, 9), "2": (6, 10), "3": (8, 12)}
-# inf and NaN in a direction overflow or cancel in X (x) X and the matmul
+# inf and NaN in a direction overflow or cancel in X (x) X and the sums
 _NON_FINITE = pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
 
 
@@ -636,20 +719,22 @@ def test_jacobi_batch_is_the_dense_matmul_bit_for_bit_on_every_label(case):
     rng = np.random.default_rng(len(case))
     for m in _LABEL_DIMS[case[0]]:
         A = realize(label_spec(case, m), m)
-        for X in (odd_directions(rng, 17, m), rng.standard_normal((1, m))):
-            assert np.array_equal(jacobi_batch(A, X), dense_jacobi(A, X), equal_nan=True)
+        for X in (odd_directions(rng, 17, m), rng.standard_normal((1, m)), basis_directions(m)):
+            assert_the_documented_sum(A, X, rng, exact_rows=1)
 
 
 @_NON_FINITE
 def test_jacobi_batch_is_the_dense_matmul_with_empty_slabs():
-    """Slabs 0, 2 and 4 of the first index hold nothing."""
+    """Slabs 0, 2 and 4 of the first index hold nothing.  The entry -1e-17
+    times the subnormal square 1e-320 rounds to -0.0, which the sum begun
+    at +0.0 turns into +0.0."""
     rng = np.random.default_rng(5)
     e = np.zeros((6,) * 4)
     e[1] = rng.standard_normal((6, 6, 6)) * (rng.random((6, 6, 6)) < 0.2)
-    e[3, 0, 5, 2], e[5, 5, 5, 5] = -2.0 / 3.0, 1e-17
+    e[3, 0, 5, 2], e[5, 5, 5, 5], e[3, 5, 5, 1] = -2.0 / 3.0, 1e-17, -1e-17
     A = from_dense(e)
-    for X in (odd_directions(rng, 9, 6), np.zeros((0, 6)), np.eye(6)):
-        assert np.array_equal(jacobi_batch(A, X), dense_jacobi(A, X), equal_nan=True)
+    for X in (odd_directions(rng, 9, 6), np.zeros((0, 6)), np.eye(6), basis_directions(6)):
+        assert_the_documented_sum(A, X, rng)
     assert jacobi_batch(from_dense(np.zeros((0,) * 4)), np.zeros((2, 0))).shape == (2, 0, 0)
 
 
@@ -666,7 +751,64 @@ def test_jacobi_batch_is_the_dense_matmul_bit_for_bit_on_sparse_models(e, data):
     n = data.draw(st.integers(0, 4))
     rows = st.lists(_DIRECTION_VALUES, min_size=m, max_size=m)
     X = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), dtype=float).reshape(n, m)
-    assert np.array_equal(jacobi_batch(A, X), dense_jacobi(A, X), equal_nan=True)
+    assert_the_documented_sum(A, X, np.random.default_rng(n))
+
+
+# The Jacobi operators of the three classify-golden models at 39 to 45
+# directions, their bytes on stdout.
+_JACOBI_BYTES = """
+import sys
+from affinecurv.classifier import sample_sphere
+from affinecurv.constructors import StructureSpec, realize
+from affinecurv.tensor_core import jacobi_batch
+for spec, m in [(StructureSpec("1", (1 / 3,)), 7),
+                (StructureSpec("2-c", (-1.5,), (0.25 + 0.75j,)), 10),
+                (StructureSpec("3-g", (1.0, 2.0, -3.0), (0.5 + 0.1j,)), 12)]:
+    sys.stdout.buffer.write(jacobi_batch(realize(spec, m), sample_sphere(m, 32, 7)).tobytes())
+"""
+
+# an environment that changes the BLAS or SIMD kernels, and the
+# /proc/cpuinfo flags without which it cannot run or changes nothing
+_KERNELS = {
+    "Haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, {"avx2", "fma"}),
+    "SandyBridge": ({"OPENBLAS_CORETYPE": "SandyBridge"}, {"avx"}),
+    "Prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, {"pni"}),
+    "no-AVX512": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, {"avx512f"}),
+}
+
+
+def _cpu_flags():
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in text.splitlines()
+                 if line.startswith("flags")), set())
+
+
+def _jacobi_bytes(**env):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **env)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * bool(env.get("PYTHONPATH")))
+    proc = subprocess.run([sys.executable, "-c", _JACOBI_BYTES], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def default_jacobi_bytes():
+    return _jacobi_bytes()
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_jacobi_batch_bytes_do_not_depend_on_the_blas_or_simd_kernel(kernel,
+                                                                    default_jacobi_bytes):
+    env, flags = _KERNELS[kernel]
+    if not flags <= _cpu_flags():
+        pytest.skip("the CPU lacks %s" % " ".join(sorted(flags - _cpu_flags())))
+    assert len(default_jacobi_bytes) == 8 * (40 * 7 ** 2 + 43 * 10 ** 2 + 45 * 12 ** 2)
+    assert _jacobi_bytes(**env) == default_jacobi_bytes
 
 
 def test_classify_of_a_large_model_peaks_below_a_quarter_of_the_dense_tensor():
