@@ -18,6 +18,7 @@ admissible / passed), 1 affine Osserman, 2 negative verdict, 3 bad input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -137,25 +138,19 @@ def _strict(report):
 
 def _emit(report, args, model=None):
     """Write json.dumps(report, indent=2, sort_keys=True) and a newline to
-    stdout, and again to --json-out, with each non-finite float as null:
-    JSON (RFC 8259) has no token for Infinity or NaN.  A `model` given here
+    stdout, and to --json-out, with each non-finite float as null: JSON
+    (RFC 8259) has no token for Infinity or NaN.  A `model` given here
     sits under report["model"] = _MODEL: the text before that placeholder,
     the model file writer's chunks and the text after it are written in
     turn, which gives the text json.dumps would without holding it whole."""
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError:  # a non-finite float: only then is the report walked
-        text = json.dumps(_strict(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_strict(report), indent=2, sort_keys=True) + "\n"
     head, _, tail = text.partition(json.dumps(_MODEL))
-
-    def write(fh):
-        chunks = _model_chunks(model, depth=1) if model is not None else ()
-        fh.writelines(itertools.chain([head], chunks, [tail]))
-
-    write(sys.stdout)
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            write(fh)
+    chunks = _model_chunks(model, depth=1) if model is not None else ()
+    with open(args.json_out, "w") if args.json_out else contextlib.nullcontext() as fh:
+        for chunk in itertools.chain([head], chunks, [tail]):
+            sys.stdout.write(chunk)
+            if fh:
+                fh.write(chunk)
 
 
 def _pretty(args, lines):

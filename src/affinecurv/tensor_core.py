@@ -157,6 +157,12 @@ def _check_directions(A, X):
     return X
 
 
+# jacobi_batch sums a block of rows at a time, its temporaries _BLOCK floats
+# (512 KB) each, or 16 rows at large m: fewer rows a block would leave the
+# numpy call overhead of each step to dominate
+_BLOCK = 1 << 16
+
+
 def jacobi_batch(A, X):
     """Jacobi operators of the n directions in the rows of X, shape (n, m, m):
 
@@ -171,69 +177,51 @@ def jacobi_batch(A, X):
     on the batch, the row's place in it, or the BLAS kernel (a NaN's sign
     and payload aside, which IEEE 754 leaves open).
 
-    A row with one nonzero entry X_a, its square finite and nonzero, has
-    at most one term per (i, l), X_a^2 A[i, a, a, l], gathered from its
-    runs of keys.  The other rows are summed together by jagged diagonals:
-    the (i, l) ranked by their number of terms, step p adds the p-th term
-    of each (i, l) having more than p, a prefix of the ranks, as one
-    (terms x rows) block.
+    The sums go by jagged diagonals: the (i, l) ranked by their number of
+    terms, step p adds the p-th term of each (i, l) having more than p, a
+    prefix of the ranks, as one (terms x rows) array, for a block of
+    about _BLOCK / m^2 rows, and at least 16, at a time.
     """
     X = _check_directions(A, X)
     n, m = X.shape
-    keys = A._keys
-    jk, v, offset, width, place = _jagged_diagonals(A)
-    out = np.zeros((n, m * m))  # J[l, i] is cell l m + i of a row
-    square = (X * X).max(axis=1, initial=0.0)
-    one = ((X != 0.0).sum(axis=1) == 1) & np.isfinite(square) & (square != 0.0)
-    many, one = np.flatnonzero(~one), np.flatnonzero(one)
-    a = np.nonzero(X[one])[1]
-    # their terms X_a^2 A[i, a, a, l] are the keys (i, a, a, 0) to (i, a, a, m - 1)
-    first = (np.arange(m)[:, None] * m ** 3 + a * (m + 1) * m).ravel()
-    start, stop = np.searchsorted(keys, [first, first + m])
-    run = stop - start
-    at = np.repeat(start - np.cumsum(run) + run, run) + np.arange(run.sum())
-    rows = np.repeat(np.tile(one, m), run)
-    out[rows, keys[at] % m * m + keys[at] // m ** 3] = square[rows] * A._values[at] + 0.0
-
-    XXt = np.ascontiguousarray(X[many].T)
-    XXt = (XXt[:, None, :] * XXt[None, :, :]).reshape(m * m, len(many))
+    jk, v, offset, width, rank = _jagged_diagonals(A)
     finite = np.isfinite(v).all()
-    acc = np.zeros((len(place), len(many)))
-    for p, q in zip(offset.tolist(), (offset + width).tolist()):
-        term = XXt[jk[p:q]]
-        term *= v[p:q]
-        if not finite:  # 0 times a non-finite entry is a skipped term
-            term[XXt[jk[p:q]] == 0.0] = 0.0
-        acc[:q - p] += term
-    out[many] = acc[place].T
+    out = np.empty((n, m * m))  # J[l, i] is cell l m + i of a row
+    block = max(16, _BLOCK // max(1, m * m))
+    for s in range(0, n, block):
+        Xt = np.ascontiguousarray(X[s:s + block].T)
+        XX = (Xt[:, None, :] * Xt[None, :, :]).reshape(m * m, Xt.shape[1])
+        acc = np.zeros_like(XX)
+        for p, q in zip(offset.tolist(), (offset + width).tolist()):
+            term = XX[jk[p:q]]
+            term *= v[p:q]
+            if not finite:  # 0 times a non-finite entry is a skipped term
+                term[XX[jk[p:q]] == 0.0] = 0.0
+            acc[:q - p] += term
+        out[s:s + block, rank] = acc.T
     return out.reshape(n, m, m)
 
 
 def _jagged_diagonals(A):
     """The nonzero list in the order of the sums of jacobi_batch: (jk, v,
-    offset, width, place), with the entries' j m + k and values in steps,
-    step p the entries offset[p] to offset[p] + width[p], the p-th of each
-    cell l m + i with more than p entries, cells ranked by their number of
-    entries; place[cell] is the cell's rank."""
-    m, keys = A.dim, A._keys
-    jk = keys // m  # (i m + j) m + k for now
-    l = keys - jk * m
-    # a stable sort by l keeps the key order (i, j, k) within each l, so it
-    # sorts by the cell l m + i and then (j, k); l < m fits 16 bits, which
-    # numpy sorts by radix
-    order = np.argsort(l.astype(np.min_scalar_type(m)), kind="stable")
+    offset, width, rank), the entries' j m + k and values, step p the
+    entries offset[p] to offset[p] + width[p]; rank[r] is the cell l m + i
+    of rank r, the cells ranked by their number of entries."""
+    m = A.dim
+    jk, l = np.divmod(A._keys, m)  # jk = (i m + j) m + k
     size = np.bincount(l * m + jk // (m * m), minlength=m * m)
-    jk %= m * m
-    rank = np.argsort(-size, kind="stable")
-    width = np.cumsum(np.bincount(size)[::-1])[::-1][1:]  # the cells with more than p
-    offset = np.cumsum(width) - width
+    # keys ascend in (i, j, k, l), so a stable sort by l sorts by the cell
+    # and then (j, k); l < m fits 16 bits, which numpy sorts by radix
+    order = np.argsort(l.astype(np.min_scalar_type(m)), kind="stable")
+    rank = np.argsort(-size, kind="stable")  # the largest first
     place = np.empty_like(rank)
-    place[rank] = np.arange(len(rank))
-    # entry e, the p-th of its cell, goes to step p at the cell's rank
-    at = np.empty_like(order)
-    at[offset[np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)]
-       + np.repeat(place, size)] = order
-    return jk[at], A._values[at, None], offset, width, place
+    place[rank] = np.arange(m * m)
+    pos = np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)
+    width = np.bincount(pos)  # step p holds the cells with more than p terms
+    offset = np.cumsum(width) - width
+    at = np.empty_like(order)  # the p-th term of a cell goes to step p at its rank
+    at[offset[pos] + np.repeat(place, size)] = order
+    return jk[at] % (m * m), A._values[at, None], offset, width, rank
 
 
 def jacobi(A, X):

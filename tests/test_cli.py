@@ -485,6 +485,13 @@ def test_json_out_duplicates_stdout(capsys, tmp_path):
     assert target.read_text() == out
 
 
+def test_json_out_that_cannot_be_opened_fails_before_stdout(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "adams", "--m", "3", "--partition", "2",
+                             "--json-out", str(target))
+    assert (code, out) == (3, "") and "error:" in err
+
+
 def test_pretty_writes_to_stderr(capsys):
     _, out, err = run_cli(capsys, "adams", "--m", "3", "--partition", "2", "--pretty")
     assert "admissible" in err
