@@ -13,12 +13,10 @@ import numpy as np
 
 from affinecurv import (
     curvature,
-    curvature_at,
     curvature_homogeneous_connection,
     geodesic_integrate,
     is_projective_affine_osserman,
     jordan_profile,
-    nabla_R,
     reduced_jacobi,
     ricci_split,
     spectrum,
@@ -30,14 +28,15 @@ C = curvature_homogeneous_connection(m, eps=eps)
 
 # exact rational curvature: every entry is a constant polynomial; the map
 # holds the nonzero ones
-R = curvature(C).riemann
+curv = curvature(C)
+R = curv.riemann
 print("nonzero curvature entries (all constant):")
 for key, p in sorted(R.items()):
     print("  R%s = %s" % (key, polynomial_to_string(p, m)))
 
 # the same tensor at two different points, hence "curvature homogeneous"
-A0 = curvature_at(C, [0.0, 0.0, 0.0])
-A1 = curvature_at(C, [2.0, -1.0, 5.0])
+A0 = curv.evaluate_at([0.0, 0.0, 0.0])
+A1 = curv.evaluate_at([2.0, -1.0, 5.0])
 same = all(np.array_equal(a, b) for a, b in zip(A0.nonzero(), A1.nonzero()))
 print("\nentries agree across points:", same)
 print("sampled verdict:", is_projective_affine_osserman(A0, tol=1e-6).status)
@@ -60,7 +59,7 @@ print("\nJacobi spectrum at (e1+e3)/sqrt(2):", S.items)
 print("Jordan blocks at %.3f: sizes %s" % (value.real, prof.block_sizes))
 
 # nabla R keeps the position dependence the curvature dropped
-nb = nabla_R(C)
+nb = curv.nabla
 print("\nnabla R slot (1, 0, 0, 0) components:",
       [polynomial_to_string(nb[1, 0, 0, 0, l], m) for l in range(m)])
 print("its d2-component vanishes exactly on the plane x1 + x2 = 0")

@@ -12,7 +12,7 @@ from affinecurv import (
     StructureSpec,
     adams_admissible,
     bundle_partition,
-    classify_structure,
+    classify,
     is_projective_affine_osserman,
     realize,
     reduced_jacobi,
@@ -38,7 +38,7 @@ for case, m, lams, nus in PICKS:
           % verdict.worst_residual)
 
     # the classifier inverts the constructor: same case label comes back
-    fitted = classify_structure(A)
+    fitted = classify(A).structure
     assert fitted.case == case
     print("  recovered StructureSpec: %s" % (fitted.to_json_dict(),))
 

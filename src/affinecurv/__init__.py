@@ -19,7 +19,6 @@ from .classifier import (
     adams_admissible,
     bundle_partition,
     classify,
-    classify_structure,
     is_projective_affine_osserman,
     match_taxonomy,
     sample_sphere,
@@ -46,12 +45,10 @@ from .polynomial_geometry import (
     SurfaceVerdict,
     connection_from_symbols,
     curvature,
-    curvature_at,
     curvature_homogeneous_connection,
     flat_connection,
     geodesic_integrate,
     load_connection,
-    nabla_R,
     plane_wave_connection,
     ricci_split,
     save_connection,
@@ -89,13 +86,11 @@ from .tensor_core import (
     SymmetryReport,
     check_affine_symmetries,
     evaluate,
-    jacobi,
     jacobi_batch,
     load_model,
     model_from_json_dict,
+    model_to_json_chunks,
     model_to_json_dict,
-    model_to_json_text,
-    perp_basis,
     perp_basis_batch,
     reduced_jacobi,
     reduced_jacobi_batch,

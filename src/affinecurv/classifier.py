@@ -46,7 +46,6 @@ __all__ = [
     "sample_sphere",
     "is_projective_affine_osserman",
     "classify",
-    "classify_structure",
     "match_taxonomy",
     "bundle_partition",
     "adams_admissible",
@@ -111,12 +110,13 @@ class OssermanVerdict:
 
 
 def _model_scale(A):
-    """Power of two nearest the largest |entry| (1 for the zero model).
-    Dividing by it is exact in binary."""
+    """Power of two nearest the largest |entry| (1 for the zero model),
+    at most 2^1023, the largest finite one.  Dividing by it is exact in
+    binary."""
     top = float(np.max(np.abs(A._values), initial=0.0))
     if not math.isfinite(top):
         raise ValueError("model entries must be finite")
-    return 1.0 if top == 0.0 else math.ldexp(1.0, round(math.log2(top)))
+    return 1.0 if top == 0.0 else math.ldexp(1.0, min(round(math.log2(top)), 1023))
 
 
 def _sampled_verdict(A, n_samples, seed, tol, extra_directions=()):
@@ -266,19 +266,6 @@ def match_taxonomy(S, m):
             return StructureSpec(case=case, lambdas=_in_slot_order(want_real, reals),
                                  nus=_in_slot_order(want_pair, pairs), m=m)
     return "unlisted"
-
-
-def classify_structure(A, n_samples=64, seed=0, tol=1e-8):
-    """Eigenvalue structure fitted at the first sample (e1).
-
-    Requires a projective verdict; anything else raises ValueError.
-    """
-    result = classify(A, n_samples=n_samples, seed=seed, tol=tol)
-    if result.verdict.status != PROJECTIVE:
-        raise ValueError(
-            "model is %s; only projective models carry a structure" % result.verdict.status
-        )
-    return result.structure
 
 
 # -- eigenbundle partitions and the sphere bound --------------------------

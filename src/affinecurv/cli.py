@@ -50,9 +50,9 @@ from .polynomials import polynomial_to_string
 from .riemannian_extension import check_extension_theorems, default_point
 from .spectral import jordan_profile, spectrum
 from .tensor_core import (
-    _model_chunks,
     check_affine_symmetries,
     load_model,
+    model_to_json_chunks,
     reduced_jacobi,
     save_model,
 )
@@ -103,6 +103,16 @@ def coordinates(text):
     return values
 
 
+def _seed(text):
+    """A sampling seed: numpy's generators take only non-negative integers."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+
+
 def _partition(text):
     dims, kinds = [], []
     for part in text.split(","):
@@ -145,7 +155,7 @@ def _emit(report, args, model=None):
     turn, which gives the text json.dumps would without holding it whole."""
     text = json.dumps(_strict(report), indent=2, sort_keys=True) + "\n"
     head, _, tail = text.partition(json.dumps(_MODEL))
-    chunks = _model_chunks(model, depth=1) if model is not None else ()
+    chunks = model_to_json_chunks(model, depth=1) if model is not None else ()
     with open(args.json_out, "w") if args.json_out else contextlib.nullcontext() as fh:
         for chunk in itertools.chain([head], chunks, [tail]):
             sys.stdout.write(chunk)
@@ -378,7 +388,7 @@ def _build_parser():
     common.add_argument("--json-out", metavar="FILE", help="also write the JSON report here")
     common.add_argument("--pretty", action="store_true", help="human summary on stderr")
     seed = _Parser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="sampling seed")
+    seed.add_argument("--seed", type=_seed, default=0, help="sampling seed")
     tol = _Parser(add_help=False)
     tol.add_argument("--tol", type=float, default=None,
                      help="numerical tolerance (per-command default)")

@@ -40,9 +40,8 @@ __all__ = [
     "PolyCurvature",
     "SurfaceVerdict",
     "GeodesicResult",
+    "connection_from_symbols",
     "curvature",
-    "curvature_at",
-    "nabla_R",
     "ricci_split",
     "surface_projective_osserman",
     "curvature_homogeneous_connection",
@@ -148,7 +147,8 @@ class PolyCurvature:
 
     @cached_property
     def nabla(self):
-        """The covariant derivative nabla[i, j, k, n, l] (see nabla_R)."""
+        """Rank-5 map nabla[i, j, k, n, l] of the covariant derivative of
+        the curvature: the l-component of (grad_{d_n} R)(d_i, d_j) d_k."""
         return _covariant_derivative(self.connection, self.riemann)
 
 
@@ -248,17 +248,6 @@ def _covariant_derivative(C, R):
                             NR[i, j, k, n, l] = nr = Polynomial.from_numerators(m, q, D * E)
                             NR[j, i, k, n, l] = -nr
     return MappingProxyType(NR)
-
-
-def nabla_R(C):
-    """Rank-5 map nabla[i, j, k, n, l] of the covariant derivative of the
-    curvature: the l-component of (grad_{d_n} R)(d_i, d_j) d_k."""
-    return curvature(C).nabla
-
-
-def curvature_at(C, point):
-    """Curvature tensor evaluated numerically at a point."""
-    return curvature(C).evaluate_at(point)
 
 
 def _as_curvature(source):

@@ -54,7 +54,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import classifier, spectral
-from .polynomial_geometry import PolyConnection, curvature, curvature_at
+from .polynomial_geometry import PolyConnection, curvature
 from .polynomials import (CompiledTable, Polynomial, add_product, add_to, derivative,
                           exact_values, integer_values, nonzero_map, table_numerators)
 
@@ -356,7 +356,7 @@ def check_extension_theorems(
     float_point = [float(v) for v in point]
     base_point = float_point[:m]
     base_verdict = classifier.is_projective_affine_osserman(
-        curvature_at(C, base_point), tol=tol
+        curvature(C).evaluate_at(base_point), tol=tol
     )
 
     gram = metric.gram_at(float_point)

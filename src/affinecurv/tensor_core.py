@@ -34,14 +34,12 @@ __all__ = [
     "SymmetryReport",
     "evaluate",
     "check_affine_symmetries",
-    "jacobi",
     "jacobi_batch",
     "reduced_jacobi",
     "reduced_jacobi_batch",
-    "perp_basis",
     "perp_basis_batch",
     "model_to_json_dict",
-    "model_to_json_text",
+    "model_to_json_chunks",
     "model_from_json_dict",
     "save_model",
     "load_model",
@@ -224,16 +222,6 @@ def _jagged_diagonals(A):
     return jk[at] % (m * m), A._values[at, None], offset, width, rank
 
 
-def jacobi(A, X):
-    """Matrix of Y -> A(Y, X)X; column i is the image of e_i.
-
-    Homogeneous of degree two in X, and always kills X itself.  X may be
-    zero, in which case the result is the zero matrix.
-    """
-    X = _check_vector(A, X)
-    return jacobi_batch(A, X[None])[0]
-
-
 def perp_basis_batch(X):
     """Orthonormal bases of the hyperplanes orthogonal to the rows of X,
     shape (n, m, m - 1), one basis per row as columns.
@@ -262,19 +250,6 @@ def perp_basis_batch(X):
     return H[keep].reshape(n, m - 1, m).transpose(0, 2, 1)
 
 
-def perp_basis(X):
-    """Orthonormal basis of the hyperplane orthogonal to X, as columns.
-
-    The single-direction case of perp_basis_batch: the standard basis
-    vectors other than e_p, for p the axis of the largest |X^i|, reflected
-    into the complement.  Deterministic bit for bit.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 1:
-        raise ValueError("X must be a vector")
-    return perp_basis_batch(X[None])[0]
-
-
 def reduced_jacobi_batch(A, X):
     """Reduced Jacobi operators Q^T J_X Q of the rows of X, shape
     (n, m - 1, m - 1), with Q from perp_basis_batch."""
@@ -286,7 +261,7 @@ def reduced_jacobi_batch(A, X):
 def reduced_jacobi(A, X):
     """Jacobi operator on the quotient by the line through X.
 
-    Concretely Q^T J_X Q for Q = perp_basis(X); because J_X X = 0 the full
+    Concretely Q^T J_X Q, Q from perp_basis_batch; because J_X X = 0 the full
     spectrum is the reduced spectrum plus one extra zero.
     """
     X = _check_vector(A, X)
@@ -390,9 +365,11 @@ def model_from_json_dict(data):
 _CHUNK_ROWS = 4096
 
 
-def _model_chunks(A, depth=0):
-    """The text of model_to_json_text(A, depth) as an iterator of chunks:
-    the head, the rows _CHUNK_ROWS at a time, and the closing lines.
+def model_to_json_chunks(A, depth=0):
+    """The text json.dumps(model_to_json_dict(A), sort_keys=True, indent=2)
+    gives, nested `depth` levels deep in an indent=2 document (every line
+    after the first indented by 2 * depth more spaces), as an iterator of
+    chunks: the head, the rows _CHUNK_ROWS at a time, and the closing lines.
     Every row is three pieces from one small table: the index line pairs
     "i,\n j,\n", used for (i, j) and for (k, l), then one row ending per
     distinct value, written with float.__repr__ as the json module does.
@@ -434,21 +411,12 @@ def _model_chunks(A, depth=0):
         ["\n%s  ]\n%s}" % (pad, pad)])
 
 
-def model_to_json_text(A, depth=0):
-    """The text json.dumps(model_to_json_dict(A), sort_keys=True, indent=2)
-    gives, nested `depth` levels deep in an indent=2 document (every line
-    after the first indented by 2 * depth more spaces): the chunks of the
-    one model writer, joined.  Non-finite values, which JSON cannot hold,
-    raise ValueError."""
-    return "".join(_model_chunks(A, depth))
-
-
 def save_model(A, path):
     """Write the text of json.dump(model_to_json_dict(A), fh, sort_keys=True,
     indent=2) plus a newline, chunk by chunk from the one model writer, so
     the whole text is never held.  A model the writer refuses (a
     non-finite value) raises ValueError before the file is opened."""
-    chunks = _model_chunks(A)
+    chunks = model_to_json_chunks(A)
     with open(path, "w") as fh:
         fh.writelines(chunks)
         fh.write("\n")
@@ -520,7 +488,7 @@ def _load_written(data):
     del newlines, ends  # the line index (8 bytes a line) is not needed past here
     try:
         A = CurvatureTensor(m, keys, _floats(data, start, stop))
-        chunks = _model_chunks(A)
+        chunks = model_to_json_chunks(A)
     except ValueError:  # no float token, keys not ascending in range, or not finite
         return None
     at = 0

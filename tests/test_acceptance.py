@@ -23,11 +23,9 @@ from affinecurv.constructors import StructureSpec, realize
 from affinecurv.polynomial_geometry import (
     connection_from_symbols,
     curvature,
-    curvature_at,
     curvature_homogeneous_connection,
     flat_connection,
     geodesic_integrate,
-    nabla_R,
     plane_wave_connection,
     surface_projective_osserman,
 )
@@ -38,7 +36,7 @@ from affinecurv.riemannian_extension import (
     levi_civita_block,
 )
 from affinecurv.spectral import jordan_profile, spectrum
-from affinecurv.tensor_core import jacobi, reduced_jacobi
+from affinecurv.tensor_core import jacobi_batch, reduced_jacobi
 
 
 @contextmanager
@@ -198,14 +196,14 @@ def test_criterion_03_example_curvature_entries():
                         assert P.entry(i, j, k, l) == want, (i, j, k, l)
         points = np.random.default_rng(7).uniform(-2.0, 2.0, (5, m))
         for pt in points:
-            verdict = is_projective_affine_osserman(curvature_at(Cn, pt), tol=1e-6)
+            verdict = is_projective_affine_osserman(curvature(Cn).evaluate_at(pt), tol=1e-6)
             assert verdict.status == PROJECTIVE
 
 
 def test_criterion_04_jordan_block():
     with criterion(4, "Jacobi operator at (e1+e3)/sqrt(2) has a size-2 "
                       "Jordan block at eigenvalue 1"):
-        A = curvature_at(curvature_homogeneous_connection(3, eps=1), [0.0, 0.0, 0.0])
+        A = curvature(curvature_homogeneous_connection(3, eps=1)).evaluate_at([0.0, 0.0, 0.0])
         X = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
         J = reduced_jacobi(A, X)
         S = spectrum(J, cluster_tol=1e-6)
@@ -223,7 +221,7 @@ def test_criterion_05_nabla_entries():
         m = 3
         L = Polynomial.variable(0, m) + Polynomial.variable(1, m)
         for eps in (1, Fraction(1, 2)):
-            nb = nabla_R(curvature_homogeneous_connection(m, eps=eps))
+            nb = curvature(curvature_homogeneous_connection(m, eps=eps)).nabla
             # d2-component of nabla R(d2, d1, d1; d1): the position-dependent
             # entry highlighted by the family, exactly -2 eps (x1 + x2)
             assert nb[1, 0, 0, 0, 1] == Fraction(-2) * Fraction(eps) * L
@@ -236,7 +234,7 @@ def test_criterion_05_nabla_entries():
                 assert p([Fraction(0), Fraction(1), Fraction(0)]) != 0
         # unperturbed family: the full slot is exactly -2 d_m
         for m in (3, 4):
-            nb = nabla_R(curvature_homogeneous_connection(m))
+            nb = curvature(curvature_homogeneous_connection(m)).nabla
             d = m - 1
             for l in range(m):
                 want = Polynomial.constant(-2 if l == d else 0, m)
@@ -275,7 +273,7 @@ def test_criterion_07_deformed_nilpotency():
                 # certified by exact rational arithmetic: the spectrum is {0}
                 assert rec.method == "exact" and rec.nilpotent
                 assert rec.max_abs_eigenvalue < 1e-8
-                J = jacobi(A, np.asarray(rec.vector))
+                J = jacobi_batch(A, np.asarray(rec.vector)[None])[0]
                 assert np.linalg.norm(np.linalg.matrix_power(J, 6)) < 1e-8
                 pairs += 1
         assert pairs == 20

@@ -15,7 +15,6 @@ from affinecurv.classifier import (
     adams_admissible,
     bundle_partition,
     classify,
-    classify_structure,
     is_projective_affine_osserman,
     match_taxonomy,
     sample_sphere,
@@ -193,7 +192,7 @@ def test_verdict_json_shape():
 )
 def test_classify_structure_round_trip(case, m, lams, nus):
     spec = StructureSpec(case, lams, nus)
-    got = classify_structure(realize(spec, m), n_samples=16)
+    got = classify(realize(spec, m), n_samples=16).structure
     assert got.case == case and got.m == m
     assert np.allclose(got.lambdas, lams, atol=1e-8)
     assert np.allclose(got.nus, nus, atol=1e-8)
@@ -212,7 +211,7 @@ def _slots(spec):
 )
 def test_duplicate_shapes_at_m4_report_the_first_listed_label(case, lams, nus, reported):
     spec = StructureSpec(case, lams, nus, m=4)
-    got = classify_structure(realize(spec, 4), n_samples=16)
+    got = classify(realize(spec, 4), n_samples=16).structure
     assert CASE_LABELS.index(reported) < CASE_LABELS.index(case)
     assert got.case == reported and got.m == 4
     (want_reals, want_pairs), (got_reals, got_pairs) = _slots(spec), _slots(got)
@@ -223,8 +222,8 @@ def test_duplicate_shapes_at_m4_report_the_first_listed_label(case, lams, nus, r
 
 
 def test_classify_structure_requires_projective():
-    with pytest.raises(ValueError):
-        classify_structure(from_dense(np.zeros((3,) * 4)))
+    result = classify(from_dense(np.zeros((3,) * 4)))
+    assert result.verdict.status == AFFINE and result.structure is None
 
 
 def test_match_taxonomy_rejects_pairs_at_odd_m():

@@ -12,10 +12,11 @@ import pytest
 
 from affinecurv import __version__, cli, polynomial_geometry
 from affinecurv.cli import main
+from affinecurv.constructors import constant_curvature
 from affinecurv.polynomial_geometry import curvature
 from affinecurv.tensor_core import load_model, save_model
 
-from dense import from_dense
+from dense import from_dense, to_dense
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -130,6 +131,33 @@ def test_classify_neither_exit(capsys, neither_model):
     code, out, _ = run_cli(capsys, "classify", str(neither_model), "--samples", "4")
     assert code == 2
     assert read_json(out)["verdict"]["status"] == "neither"
+
+
+def test_classify_takes_entries_near_the_largest_float(capsys, tmp_path):
+    """The scale of a model whose largest |entry| is past 2^1023.5 is
+    2^1023, not the 2^1024 that overflows."""
+    dense = to_dense(constant_curvature(3))
+    outs = []
+    for c in (1.0, 1.7e308):
+        path = tmp_path / "model.json"
+        save_model(from_dense(c * dense), path)
+        code, out, err = run_cli(capsys, "classify", str(path), "--samples", "8")
+        assert code == 0 and err == ""
+        outs.append(read_json(out)["verdict"])
+    assert outs[1]["status"] == "projective_affine_osserman"
+    assert outs[1]["mu"] == outs[0]["mu"]
+    assert outs[1]["spectrum"]["eigenvalues"][1]["re"] == 1.7e308
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "MODEL"],
+    ["extend", "--builtin", "flat", "--m", "2"],
+])
+def test_a_negative_seed_names_the_flag(capsys, projective_model, argv):
+    argv = [str(projective_model) if a == "MODEL" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 3 and out == ""
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
 
 
 def test_classify_missing_file(capsys, tmp_path):

@@ -26,8 +26,8 @@ from affinecurv.spectral import spectrum, spectrum_batch
 from affinecurv.tensor_core import (
     check_affine_symmetries,
     evaluate,
-    jacobi,
-    model_to_json_text,
+    jacobi_batch,
+    model_to_json_chunks,
     reduced_jacobi,
     save_model,
 )
@@ -116,7 +116,7 @@ def test_complex_model_jacobi_rows():
     assert check_affine_symmetries(A, tol=1e-12).passed
     X = random_unit(6, 11)
     JX = J.matrix @ X
-    Op = jacobi(A, X)
+    Op = jacobi_batch(A, X[None])[0]
     assert np.allclose(Op @ X, 0.0, atol=1e-12)
     assert np.allclose(Op @ JX, axis * JX, atol=1e-12)
     # complete {X, JX} to a basis and project out the plane
@@ -144,7 +144,7 @@ def test_quaternion_model_jacobi_rows():
     X = random_unit(8, 23)
     J1, J2, J3 = Q.j1.matrix, Q.j2.matrix, Q.j3.matrix
     v1, v2, v3 = J1 @ X, J2 @ X, J3 @ X
-    Op = jacobi(A, X)
+    Op = jacobi_batch(A, X[None])[0]
     assert np.allclose(Op @ X, 0.0, atol=1e-12)
     assert np.allclose(Op @ v1, j1v * v1, atol=1e-12)
     # J1 rotates the (J2 X, J3 X) plane: J1 J2 X = J3 X, J1 J3 X = -J2 X
@@ -544,5 +544,5 @@ def test_realize_at_m44_stays_far_below_the_dense_tensor():
     finally:
         tracemalloc.stop()
     assert len(A.nonzero()[1]) == 39248
-    model_to_json_text(A)
+    "".join(model_to_json_chunks(A))
     assert peak < 0.1 * m ** 4 * 8

@@ -25,12 +25,10 @@ from affinecurv.polynomial_geometry import (
     connection_from_symbols,
     connection_to_json_dict,
     curvature,
-    curvature_at,
     curvature_homogeneous_connection,
     flat_connection,
     geodesic_integrate,
     load_connection,
-    nabla_R,
     plane_wave_connection,
     ricci_split,
     save_connection,
@@ -42,7 +40,7 @@ from affinecurv.riemannian_extension import (
     levi_civita_block,
     modified_extension,
 )
-from affinecurv.tensor_core import jacobi, reduced_jacobi, save_model
+from affinecurv.tensor_core import jacobi_batch, reduced_jacobi, save_model
 
 from dense import from_dense, to_dense
 
@@ -159,7 +157,7 @@ def test_homogeneous_curvature_entries(m, eps):
 
 
 def test_homogeneous_eps_zero_is_constant_curvature():
-    A = curvature_at(curvature_homogeneous_connection(4), [0.0] * 4)
+    A = curvature(curvature_homogeneous_connection(4)).evaluate_at([0.0] * 4)
     B = constant_curvature(4)
     assert np.array_equal(to_dense(A), to_dense(B))
 
@@ -204,7 +202,7 @@ def test_nabla_entry_polynomials():
     # part is second order in the perturbation
     m = 3
     eps = Fraction(1, 2)
-    nabla = nabla_R(curvature_homogeneous_connection(m, eps=eps))
+    nabla = curvature(curvature_homogeneous_connection(m, eps=eps)).nabla
     L = var(0, m) + var(1, m)
     slot = [nabla[1, 0, 0, 0, l] for l in range(m)]
     assert slot[0] == -(eps**2) * L
@@ -223,13 +221,13 @@ def test_nabla_entry_polynomials():
 
 def test_nabla_nonzero_at_eps_zero():
     m = 4
-    nabla = nabla_R(curvature_homogeneous_connection(m))
+    nabla = curvature(curvature_homogeneous_connection(m)).nabla
     d = m - 1
     assert nabla[d, 0, 0, d, d] == Polynomial.constant(-2, m)
 
 
 def test_flat_nabla_vanishes():
-    nabla = nabla_R(flat_connection(2))
+    nabla = curvature(flat_connection(2)).nabla
     assert dict(nabla) == {}
 
 
@@ -267,11 +265,11 @@ def test_jacobi_trace_is_ricci_quadratic_form():
     sym, alt = ricci_split(C)
     zero = Polynomial.zero(3)
     pt = [0.4, -0.3, 1.1]
-    A = curvature_at(C, pt)
+    A = curvature(C).evaluate_at(pt)
     rng = np.random.default_rng(0)
     for _ in range(5):
         X = rng.standard_normal(3)
-        lhs = np.trace(jacobi(A, X))
+        lhs = np.trace(jacobi_batch(A, X[None])[0])
         rhs = sum(
             (float(sym.get((j, k), zero)(pt)) + float(alt.get((j, k), zero)(pt))) * X[j] * X[k]
             for j in range(3)
@@ -419,7 +417,7 @@ def test_connection_json_errors():
 
 
 def test_classifier_on_plane_wave_point():
-    A = curvature_at(plane_wave_connection(), [0.2, 1.5, -0.3])
+    A = curvature(plane_wave_connection()).evaluate_at([0.2, 1.5, -0.3])
     verdict = is_projective_affine_osserman(A, n_samples=8)
     assert verdict.status == "affine_osserman"
 
@@ -780,8 +778,6 @@ def test_evaluate_at_checks_the_point(m):
     for n in (m - 1, m + 1):
         with pytest.raises(ValueError, match="point has %d components" % n):
             curvature(C).evaluate_at([0.5] * n)
-        with pytest.raises(ValueError, match="point has %d components" % n):
-            curvature_at(C, [0.5] * n)
 
 
 def test_evaluate_at_lists_the_nonzero_entries_in_key_order(tmp_path):

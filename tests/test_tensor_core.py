@@ -23,13 +23,12 @@ from affinecurv.tensor_core import (
     CurvatureTensor,
     check_affine_symmetries,
     evaluate,
-    jacobi,
     jacobi_batch,
     load_model,
     model_from_json_dict,
+    model_to_json_chunks,
     model_to_json_dict,
-    model_to_json_text,
-    perp_basis,
+    perp_basis_batch,
     reduced_jacobi,
     save_model,
 )
@@ -121,7 +120,7 @@ def test_jacobi_matches_definition():
     A = sectional_tensor(4)
     for _ in range(5):
         X = rng.standard_normal(4)
-        J = jacobi(A, X)
+        J = jacobi_batch(A, X[None])[0]
         # column i should be A(e_i, X)X
         for i in range(4):
             np.testing.assert_allclose(
@@ -133,19 +132,20 @@ def test_jacobi_matches_definition():
 def test_jacobi_quadratic_homogeneity():
     A = sectional_tensor(3)
     X = np.array([0.3, -1.2, 0.4])
-    np.testing.assert_allclose(jacobi(A, 2.5 * X), 6.25 * jacobi(A, X), atol=1e-12)
+    np.testing.assert_allclose(jacobi_batch(A, 2.5 * X[None])[0],
+                               6.25 * jacobi_batch(A, X[None])[0], atol=1e-12)
 
 
 def test_jacobi_zero_direction():
     A = sectional_tensor(3)
-    np.testing.assert_array_equal(jacobi(A, np.zeros(3)), np.zeros((3, 3)))
+    np.testing.assert_array_equal(jacobi_batch(A, np.zeros((1, 3)))[0], np.zeros((3, 3)))
 
 
 def test_perp_basis_properties():
     rng = np.random.default_rng(2)
     for _ in range(10):
         X = rng.standard_normal(5)
-        Q = perp_basis(X)
+        Q = perp_basis_batch(X[None])[0]
         assert Q.shape == (5, 4)
         np.testing.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(Q.T @ X, np.zeros(4), atol=1e-12)
@@ -153,11 +153,11 @@ def test_perp_basis_properties():
 
 def test_perp_basis_deterministic_and_tie_break():
     X = np.ones(4)  # all coordinates tie; the lowest index is dropped
-    Q1 = perp_basis(X)
-    Q2 = perp_basis(X)
+    Q1 = perp_basis_batch(X[None])[0]
+    Q2 = perp_basis_batch(X[None])[0]
     np.testing.assert_array_equal(Q1, Q2)
     Y = np.array([0.0, 3.0, 0.0, 0.0])
-    Q = perp_basis(Y)
+    Q = perp_basis_batch(Y[None])[0]
     # dropping axis 1 leaves e1, e3, e4 untouched
     np.testing.assert_allclose(Q, np.eye(4)[:, [0, 2, 3]], atol=1e-12)
 
@@ -169,7 +169,7 @@ def test_reduced_jacobi_spectrum_relation():
     for _ in range(5):
         X = rng.standard_normal(5)
         X /= np.linalg.norm(X)
-        full = np.sort_complex(np.linalg.eigvals(jacobi(A, X)))
+        full = np.sort_complex(np.linalg.eigvals(jacobi_batch(A, X[None])[0]))
         red = np.sort_complex(
             np.append(np.linalg.eigvals(reduced_jacobi(A, X)), 0.0)
         )
@@ -315,7 +315,7 @@ def test_model_text_nests_as_json_dumps_does(depth):
             placeheld = {"b": placeheld, "c": level}
         want = json.dumps(nested, indent=2, sort_keys=True)
         got = json.dumps(placeheld, indent=2, sort_keys=True).replace(
-            json.dumps(holder), model_to_json_text(A, depth))
+            json.dumps(holder), "".join(model_to_json_chunks(A, depth)))
         assert got == want
 
 
@@ -376,7 +376,7 @@ def test_chunks_of_any_size_join_to_the_json_dump_layout(tmp_path, monkeypatch, 
         A = CurvatureTensor(3, keys, rng.standard_normal(n))
         path = tmp_path / "model.json"
         save_model(A, path)
-        assert path.read_text() == _json_dump_text(A) == model_to_json_text(A) + "\n"
+        assert path.read_text() == _json_dump_text(A) == "".join(model_to_json_chunks(A)) + "\n"
         assert np.array_equal(load_model(path).nonzero()[1], A.nonzero()[1])
 
 
@@ -444,10 +444,10 @@ def _outcome(load, path):
     return A.dim, keys.tolist(), values.view(np.uint64).tolist()
 
 
-_CANONICAL = model_to_json_text(CurvatureTensor(
+_CANONICAL = "".join(model_to_json_chunks(CurvatureTensor(
     12, np.ravel_multi_index(([0, 1, 2, 11], [1, 0, 11, 11], [0, 0, 10, 11], [1, 1, 3, 11]),
                              (12,) * 4),
-    [1.25, -1.25, 0.1, -2.2250738585072014e-308])) + "\n"
+    [1.25, -1.25, 0.1, -2.2250738585072014e-308]))) + "\n"
 _LINES = _CANONICAL.split("\n")  # three head lines, seven a row, two closing ones
 
 
