@@ -10,7 +10,8 @@ The model files that `classify` and `symm` read sit next to the reports:
 `classify_affine_planewave.model.json` is the `geometry --builtin planewave
 --at 0.2,1.5,-0.3 --model-out` model, `classify_neither_m5.model.json` the
 curvature tensor of the rank-3 projection of R^5 (nilpotent Jacobi
-operators along its kernel only) and `symm_fail_m3.model.json` a hand-made
+operators along its kernel only), `classify_zero_m4.model.json` the zero
+model {"dim": 4, "entries": []} and `symm_fail_m3.model.json` a hand-made
 tensor that is antisymmetric but fails the cyclic identity.  A
 `classify_<label>_m<m>.json` report classifies the model that `realize`
 writes from the arguments in CLASSIFY.
@@ -22,9 +23,14 @@ holds the model file, so that the report's "out" is "model.json":
     PYTHONPATH=src python -m affinecurv.cli realize --case 2-c --m 6 \
         --lambda=1.25 --nu=-0.7+0.3i --out model.json > realize_2-c_m6.json
     mv model.json realize_2-c_m6.model.json
+
+`extend_points.json` maps each name of EXTEND_GRID to the exit code and the
+report of its `extend` call, which the test prints back with the CLI's own
+json.dumps settings and compares byte for byte.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -95,6 +101,10 @@ REPORTS = {
     "classify_neither_m5.json": [
         "classify", str(GOLDEN / "classify_neither_m5.model.json"), "--samples", "16",
     ],
+    # no nonzero entry: every Jacobi operator is zero (exit 1)
+    "classify_zero_m4.json": [
+        "classify", str(GOLDEN / "classify_zero_m4.model.json"), "--samples", "16",
+    ],
     "symm_realize_2-c_m6.json": ["symm", str(GOLDEN / "realize_2-c_m6.model.json")],
     "symm_fail_m3.json": ["symm", str(GOLDEN / "symm_fail_m3.model.json")],
     "geometry_jordan_homogeneous_m3.json": [
@@ -111,6 +121,7 @@ EXIT_CODES = {
     "adams_m12_2_2_3_4c.json": 2,
     "classify_affine_planewave.json": 1,
     "classify_neither_m5.json": 2,
+    "classify_zero_m4.json": 1,
     "symm_fail_m3.json": 2,
 }
 
@@ -142,6 +153,60 @@ REALIZE = {
     "realize_3-h_m8": ["--case", "3-h", "--m", "8", "--lambda=-1.75", "--nu=0.2+1i",
                        "--nu=-3+0.3333333333333333i"],
 }
+
+
+
+def _point(values):
+    return "--point=" + ",".join(repr(float(v)) for v in values)
+
+
+def _sixteenths(n):
+    """Odd sixteenths 15/16, -13/16, 11/16, ...: exact in binary."""
+    return [Fraction((-1) ** k * (15 - 2 * k), 16) for k in range(n)]
+
+
+def _thirds(n):
+    """1/3, -2/3, 1, -4/3, ... as the nearest floats, whose denominators
+    are large powers of two."""
+    return [Fraction((-1) ** k * (k + 1), 3) for k in range(n)]
+
+
+def _extend_grid():
+    """Every built-in base and kind the benchmark's extend jobs use, at two
+    seeds and two points each."""
+    calls = {"modified_flat_m%d" % m: ["--builtin", "flat", "--m", str(m), "--kind", "modified"]
+             for m in (2, 3, 4)}
+    for m in (3, 4, 5):
+        for eps in ("0", "0.5", "1"):
+            calls["deformed_homogeneous_eps%s_m%d" % (eps, m)] = [
+                "--builtin", "homogeneous", "--m", str(m), "--eps", eps,
+                "--kind", "deformed", "--tol", "1e-3"]
+    calls["deformed_planewave"] = ["--builtin", "planewave"]
+    grid = {}
+    for name, args in calls.items():
+        dim = 6 if "planewave" in name else 2 * int(name[-1])
+        for label, point in (("sixteenths", _sixteenths), ("thirds", _thirds)):
+            for seed in ("0", "7"):
+                grid["%s_%s_seed%s" % (name, label, seed)] = (
+                    ["extend"] + args + ["--vectors", "2", "--seed", seed, _point(point(dim))])
+    return grid
+
+
+EXTEND_GRID = _extend_grid()
+
+
+@pytest.fixture(scope="module")
+def extend_points():
+    return json.loads((GOLDEN / "extend_points.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(EXTEND_GRID))
+def test_extend_report_at_a_recorded_point_matches_golden_file(name, capsys, extend_points):
+    code = main(EXTEND_GRID[name])
+    out = capsys.readouterr().out
+    want = extend_points[name]
+    assert code == want["exit"]
+    assert out == json.dumps(want["output"], indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))

@@ -789,7 +789,8 @@ def _cpu_flags():
 def _jacobi_bytes(**env):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **env)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * bool(env.get("PYTHONPATH")))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", _JACOBI_BYTES], env=env, capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
