@@ -19,6 +19,11 @@ against the reference.  The model is first divided by the
 power of two nearest its largest entry, so that the verdict does not
 depend on the model's scale; reported eigenvalues, tolerances and
 residuals are multiplied back.
+
+A model with no nonzero entry has J_X = 0 at every X, so it is affine
+Osserman with spectrum {0} of multiplicity m at the tolerance.  Once
+its input checks and the symmetry check have passed, that verdict is
+returned as the pipeline would give it, with no sample drawn.
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ def _sampled_verdict(A, n_samples, seed, tol, extra_directions=()):
             "input fails the curvature symmetries (antisymmetry defect %g, "
             "cyclic defect %g)" % (report.antisymmetry_defect, report.bianchi_defect)
         )
-    X = sample_sphere(A.dim, n_samples, seed)
+    extra = np.empty((0, A.dim))
     if len(extra_directions):
         extra = np.asarray(extra_directions, dtype=float)
         if extra.ndim != 2 or extra.shape[1] != A.dim:
@@ -144,7 +149,13 @@ def _sampled_verdict(A, n_samples, seed, tol, extra_directions=()):
         nrm = np.linalg.norm(extra, axis=1)
         if np.any(nrm == 0.0):
             raise ValueError("extra direction must be nonzero")
-        X = np.vstack([X, extra / nrm[:, None]])
+        extra = extra / nrm[:, None]
+    if not A._values.size:
+        # Zero operators: the spectra the pipeline gives them, at tol
+        full = Spectrum(((0j, A.dim),), float(tol))
+        return (OssermanVerdict(AFFINE, full, mu_vector(full), 0.0, (), (), n_samples, seed, tol),
+                Spectrum(((0j, A.dim - 1),), float(tol)))
+    X = np.vstack([sample_sphere(A.dim, n_samples, seed), extra])
 
     # Dividing the operators by c equals building them from A / c, bit
     # for bit, without an O(m^4) copy of the model.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -30,9 +31,9 @@ from types import MappingProxyType
 import numpy as np
 
 from . import classifier
-from .polynomials import (CompiledTable, Polynomial, add_product, add_to, derivative,
-                          exact_values, nonzero_map, parse_polynomial, polynomial_to_string,
-                          table_numerators)
+from .polynomials import (CompiledTable, Polynomial, add_derivatives, add_product, add_products,
+                          add_to, check_exponents, exact_values, nonzero_map, numerator_values,
+                          parse_polynomial, polynomial_to_string, table_numerators)
 from .tensor_core import CurvatureTensor
 
 __all__ = [
@@ -92,10 +93,14 @@ class PolyConnection:
         """Numeric symbol array gamma[i, j, k] at a point."""
         return self._evaluator(point)
 
+    @cached_property
     def symbol_rows(self):
         """(rows, den): rows[i][j] holds the pairs (k, numerators of G_ij^k)
         with a nonzero symbol, k ascending, every symbol over the one
-        denominator den (see polynomials.table_numerators)."""
+        denominator den (see polynomials.table_numerators).  Built on first
+        read and kept, since the Levi-Civita check, the curvature and its
+        covariant derivative of one connection all read it: read the rows
+        and do not change them."""
         numerators, den = table_numerators(self.gamma)
         rows = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
         for (i, j, k), p in numerators.items():
@@ -112,13 +117,43 @@ def connection_from_symbols(dim, symbols):
     return PolyConnection(dim, table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyCurvature:
-    """Rank-4 polynomial curvature map riemann[i, j, k, l] of `connection`."""
+    """Rank-4 polynomial curvature of `connection`, as `curvature` formed it.
+
+    `numerators` maps (i, j, k) with i < j to {l: numerators of R_ijk^l},
+    l ascending, every entry over the one denominator `den` and not
+    reduced (integer kernel dicts; read them and do not change them).
+    `riemann`, the read-only {(i, j, k, l): Polynomial} map of the nonzero
+    entries, is built from them on first read: R[i, j, k, l] and then
+    R[j, i, k, l] = -R[i, j, k, l] for each numerator in that order, the
+    polynomials and the order an eager build would give.  The checks of
+    `curvature` have all run before a PolyCurvature exists.  Exact
+    evaluation at a point (`integer_values`, `evaluate_exact`) reads the
+    numerators and builds no Polynomial.  Two curvatures are equal when
+    their `riemann` maps are."""
 
     dim: int
-    riemann: MappingProxyType
-    connection: PolyConnection = field(repr=False, compare=False)
+    numerators: MappingProxyType = field(repr=False)
+    den: int
+    connection: PolyConnection = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, PolyCurvature):
+            return NotImplemented
+        return self.dim == other.dim and self.riemann == other.riemann
+
+    @cached_property
+    def riemann(self):
+        """The {(i, j, k, l): Polynomial} map, built on first read (see the
+        class docstring)."""
+        m, den = self.dim, self.den
+        R = {}
+        for (i, j, k), row in self.numerators.items():
+            for l, p in row.items():
+                R[i, j, k, l] = r = Polynomial.from_numerators(m, p, den)
+                R[j, i, k, l] = -r
+        return MappingProxyType(R)
 
     def entry(self, i, j, k, l):
         return self.riemann.get((i, j, k, l), Polynomial.zero(self.dim))
@@ -140,10 +175,25 @@ class PolyCurvature:
         return CurvatureTensor(self.dim, np.fromiter(values, np.intp, len(values)),
                                list(values.values()))
 
+    def integer_values(self, point):
+        """({(i, j, k, l): int}, den) of the entries that are nonzero at an
+        exact rational point, as polynomials.integer_values(riemann, point,
+        dim) gives them, keys in `riemann` order: each i < j numerator is
+        evaluated once and its (j, i) entry is the negation."""
+        flat = {(i, j, k, l): p for (i, j, k), row in self.numerators.items()
+                for l, p in row.items()}
+        half, den = numerator_values(flat, self.den, point, self.dim)
+        values = {}
+        for (i, j, k, l), v in half.items():
+            values[i, j, k, l] = v
+            values[j, i, k, l] = -v
+        return values, den
+
     def evaluate_exact(self, point):
         """{(i, j, k, l): Fraction} of the entries that are nonzero at an
         exact rational point."""
-        return MappingProxyType(exact_values(self.riemann, point, self.dim))
+        values, den = self.integer_values(point)
+        return MappingProxyType({key: Fraction(v, den) for key, v in values.items()})
 
     @cached_property
     def nabla(self):
@@ -155,39 +205,37 @@ class PolyCurvature:
 def curvature(C):
     """Exact polynomial curvature of a torsion-free connection.
 
-    Antisymmetry in the first two slots and the cyclic identity are
-    verified as exact zero polynomials before returning.  With the symbols
-    over one denominator D, every entry is accumulated in place as integer
-    numerators over D^2 (see polynomials.add_product).
+    With the symbols over one denominator D, every entry R_ijk^l with
+    i < j is accumulated in place as integer numerators over D^2 (see
+    polynomials.add_product), which the PolyCurvature keeps as they are;
+    antisymmetry in the first two slots holds by construction.  On every
+    call, before returning, each entry's exponents are checked against the
+    guard bits of their fields and the cyclic identity is verified as an
+    exact zero polynomial.  No Polynomial is made here: `riemann` is built
+    from the numerators on first read.
     """
     m = C.dim
-    rows, D = C.symbol_rows()
-    R = {}
+    rows, D = C.symbol_rows
     numerators = {}  # (i, j, k) -> {l: numerators of R_ijk^l over D^2}, i < j
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(m):
                 if not (rows[j][k] or rows[i][k]):
                     continue  # every sum below runs over one of them
-                # d_i G_jk^l - d_j G_ik^l over the nonzero symbols only
-                acc = [{} for _ in range(m)]
-                for l, p in rows[j][k]:
-                    add_to(acc[l], derivative(p, i), D)
-                for l, p in rows[i][k]:
-                    add_to(acc[l], derivative(p, j), -D)
+                # d_i G_jk^l - d_j G_ik^l over the nonzero symbols only; an
+                # accumulator is made when a first term lands in it
+                acc = defaultdict(dict)
+                add_derivatives(acc, rows[j][k], i, D)
+                add_derivatives(acc, rows[i][k], j, -D)
                 # sum_n G_in^l G_jk^n - G_jn^l G_ik^n over nonzero pairs only
                 for n, b in rows[j][k]:
-                    for l, a in rows[i][n]:
-                        add_product(acc[l], a, b, 1)
+                    if row := rows[i][n]:
+                        add_products(acc, row, b, 1)
                 for n, b in rows[i][k]:
-                    for l, a in rows[j][n]:
-                        add_product(acc[l], a, b, -1)
-                row = numerators[i, j, k] = {}
-                for l, p in enumerate(acc):
-                    if p:
-                        row[l] = p
-                        R[i, j, k, l] = r = Polynomial.from_numerators(m, p, D * D)
-                        R[j, i, k, l] = -r
+                    if row := rows[j][n]:
+                        add_products(acc, row, b, -1)
+                numerators[i, j, k] = {l: acc[l] for l in sorted(acc) if acc[l]}
+    check_exponents([p for row in numerators.values() for p in row.values()], m)
     # R[j, i] = -R[i, j] and R[i, i] = 0 exactly, so the cyclic sum is
     # invariant under rotation, changes sign under a swap and vanishes when
     # two indices coincide: i < j < k covers every (i, j, k), and
@@ -195,17 +243,16 @@ def curvature(C):
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
-                terms = ((numerators.get((i, j, k), {}), 1), (numerators.get((j, k, i), {}), 1),
-                         (numerators.get((i, k, j), {}), -1))
-                for l in sorted(set().union(*(row for row, _ in terms))):  # else all zero
-                    cyc = {}
-                    for row, sign in terms:
-                        add_to(cyc, row.get(l, {}), sign)
-                    if cyc:
-                        raise RuntimeError(
-                            "cyclic identity violated at (%d,%d,%d,%d)" % (i, j, k, l)
-                        )
-    return PolyCurvature(m, MappingProxyType(R), C)
+                cyc = defaultdict(dict)  # l -> the exact cyclic sum, made on a first term
+                for key, sign in (((i, j, k), 1), ((j, k, i), 1), ((i, k, j), -1)):
+                    for l, p in numerators.get(key, {}).items():
+                        add_to(cyc[l], p, sign)
+                bad = [l for l, p in cyc.items() if p]
+                if bad:
+                    raise RuntimeError(
+                        "cyclic identity violated at (%d,%d,%d,%d)" % (i, j, k, min(bad))
+                    )
+    return PolyCurvature(m, MappingProxyType(numerators), D * D, C)
 
 
 def _covariant_derivative(C, R):
@@ -215,7 +262,7 @@ def _covariant_derivative(C, R):
     the symbols over D and R over E, the entries are accumulated as integer
     numerators over D E."""
     m = C.dim
-    rows, D = C.symbol_rows()
+    rows, D = C.symbol_rows
     numerators, E = table_numerators(R)
     Rrows = {}  # (i, j, k) -> [(l, R_ijk^l), ...], l ascending as curvature stores it
     for (i, j, k, l), r in numerators.items():
@@ -228,12 +275,10 @@ def _covariant_derivative(C, R):
                 for n in range(m):
                     if not (own or rows[n][i] or rows[n][j] or rows[n][k]):
                         continue  # every sum below runs over one of them
-                    acc = [{} for _ in range(m)]
-                    for l, r in own:
-                        add_to(acc[l], derivative(r, n), D)
+                    acc = defaultdict(dict)  # l -> numerators, made when a term lands
+                    add_derivatives(acc, own, n, D)
                     for p, r in own:
-                        for l, a in rows[n][p]:
-                            add_product(acc[l], a, r, 1)
+                        add_products(acc, rows[n][p], r, 1)
                     for p, a in rows[n][i]:
                         for l, r in Rrows.get((p, j, k), ()):
                             add_product(acc[l], a, r, -1)
@@ -243,8 +288,8 @@ def _covariant_derivative(C, R):
                     for p, a in rows[n][k]:
                         for l, r in Rrows.get((i, j, p), ()):
                             add_product(acc[l], a, r, -1)
-                    for l, q in enumerate(acc):
-                        if q:
+                    for l in sorted(acc):
+                        if q := acc[l]:
                             NR[i, j, k, n, l] = nr = Polynomial.from_numerators(m, q, D * E)
                             NR[j, i, k, n, l] = -nr
     return MappingProxyType(NR)

@@ -14,15 +14,18 @@ as a guard bit and raises ValueError instead of wrapping.
 
 All arithmetic runs on one integer kernel over {packed monomial: int}
 dicts: `add_to` (acc += scale * x^shift * terms), `add_product`
-(acc += scale * a * b) and `derivative`.  The `Polynomial` operators are
-thin wrappers over it.  The symbolic loops of the geometry modules bring
+(acc += scale * a * b) and `derivative`, with `add_derivatives` and
+`add_products` doing a row of those calls at once.  The `Polynomial`
+operators are thin wrappers over it.  The symbolic loops of the geometry modules bring
 each table to one common denominator (`table_numerators`), accumulate
 their sums of products in place and make one `Polynomial` per finished
-entry (`Polynomial.from_numerators`).  Every result keeps its terms in
-the order in which the arithmetic first formed them, and `terms()`
-unpacks them in that order, since the float evaluator sums terms in that
-order.  Exact evaluation (`integer_values`) is integer arithmetic over
-the common denominator of the point.
+entry (`Polynomial.from_numerators`), or keep the numerators, as the
+curvature does.  Every result keeps its terms in the order in which the
+arithmetic first formed them, and `terms()` unpacks them in that order,
+since the float evaluator sums terms in that order.  Exact evaluation
+(`integer_values`, and `numerator_values` for numerators over one
+denominator) is integer arithmetic over the common denominator of the
+point.
 
 Identities asserted elsewhere in the package (curvature symmetries,
 metric compatibility, vanishing loci) are checked as literal zero
@@ -39,6 +42,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 import numpy as np
@@ -50,6 +54,7 @@ __all__ = [
     "exact_values",
     "integer_values",
     "nonzero_map",
+    "numerator_values",
     "parse_polynomial",
     "polynomial_to_string",
     "variable_names",
@@ -138,6 +143,63 @@ def derivative(terms, index):
     return {key - unit: c * e for key, c in terms.items() if (e := (key >> shift) & _MASK)}
 
 
+# The row forms do in one call what a loop over a row of (l, terms) pairs
+# would do with one add_to or add_product call per pair, adding the same
+# terms to the same accumulators in the same order; the curvature loop
+# makes thousands of such calls.  `accs` maps l to an accumulator, and
+# accs[l] is read only when a term lands in it, so a defaultdict(dict)
+# makes just the accumulators a loop fills.
+
+
+def add_derivatives(accs, row, index, scale):
+    """add_to(accs[l], derivative(p, index), scale) for each (l, p) of row,
+    for the p with a nonzero derivative."""
+    shift = index * _BITS
+    unit = 1 << shift
+    for l, terms in row:
+        acc = None
+        for key, c in terms.items():
+            if e := (key >> shift) & _MASK:
+                if acc is None:
+                    acc = accs[l]
+                    get = acc.get
+                key -= unit
+                c = get(key, 0) + scale * (c * e)
+                if c:
+                    acc[key] = c
+                elif key in acc:
+                    del acc[key]
+
+
+def add_products(accs, row, b, scale):
+    """add_product(accs[l], a, b, scale) for each (l, a) of row."""
+    if len(b) != 1:
+        for l, a in row:
+            add_product(accs[l], a, b, scale)
+        return
+    ((shift, c_b),) = b.items()
+    c_b *= scale
+    for l, a in row:
+        acc = accs[l]
+        get = acc.get
+        for key, c in a.items():
+            key += shift
+            c = get(key, 0) + c_b * c
+            if c:
+                acc[key] = c
+            elif key in acc:
+                del acc[key]
+
+
+def check_exponents(dicts, nvars):
+    """Raise the ValueError of `Polynomial.from_numerators` for the first of
+    the kernel dicts in the sequence `dicts` with an exponent at the guard
+    bit of its field.  When there is none, this is one pass over the keys."""
+    if reduce(or_, chain.from_iterable(dicts), 0) & _guards(nvars):
+        for numerators in dicts:
+            Polynomial.from_numerators(nvars, numerators, 1)
+
+
 def table_numerators(table):
     """({key: terms}, den): the entries of a {key: Polynomial} table as
     numerators over their one least common denominator.  An entry already
@@ -211,7 +273,12 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, nvars):
-        return cls(nvars, {(0,) * nvars: _as_fraction(value)})
+        """The constant polynomial `value`, an exact rational; a Fraction is
+        already in lowest terms, so its one term is the stored form."""
+        if nvars < 0:
+            raise ValueError("nvars must be nonnegative")
+        value = _as_fraction(value)
+        return cls._wrap(nvars, {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, index, nvars):
@@ -372,27 +439,36 @@ def integer_values(table, point, nvars):
     """({key: int}, den) for the entries of a {key: Polynomial} table that are
     nonzero at a rational point of nvars coordinates: entry key has the value
     values[key] / den, with one positive den for the whole table.  A point
-    of another length raises ValueError.
+    of another length raises ValueError.  It is `numerator_values` of the
+    table over its common denominator (`table_numerators`)."""
+    return numerator_values(*table_numerators(table), point, nvars)
+
+
+def numerator_values(numerators, den, point, nvars):
+    """`integer_values` of a {key: terms} table of kernel dicts over the one
+    positive int den, reduced or not: dividing by the gcd of den and the
+    values makes the result depend only on the rational values, so a
+    table and its entries' reduced forms give the same ints and den.
 
     With the point as integers x over their common denominator q, a term
-    c / d * x^e of total degree t contributes c * (D / d) * x^e * q^(top - t)
-    to the numerator over D * q^top, where D is the table's common
-    denominator and top its largest total degree.  Each distinct monomial
-    is evaluated once per call."""
+    c x^e of total degree t contributes c * x^e * q^(top - t) to the
+    numerator over den * q^top, where top is the table's largest total
+    degree.  Each distinct monomial is evaluated once per call."""
     point = [Fraction(v) for v in point]
     if len(point) != nvars:
         raise ValueError("point has %d components, expected %d" % (len(point), nvars))
     q = math.lcm(*(v.denominator for v in point))
     xs = [v.numerator * (q // v.denominator) for v in point]
     exponents = {k: _unpack(k, nvars)
-                 for k in dict.fromkeys(k for p in table.values() for k in p.numerators)}
+                 for k in dict.fromkeys(k for terms in numerators.values() for k in terms)}
     top = max(map(sum, exponents.values()), default=0)
     monomials = {k: math.prod(x ** e for x, e in zip(xs, exps) if e) * q ** (top - sum(exps))
                  for k, exps in exponents.items()}
-    den = math.lcm(*(p.den for p in table.values()))
     values = {}
-    for key, p in table.items():
-        value = sum(c * monomials[k] for k, c in p.numerators.items()) * (den // p.den)
+    for key, terms in numerators.items():
+        value = 0
+        for k, c in terms.items():
+            value += c * monomials[k]
         if value:
             values[key] = value
     den *= q ** top

@@ -21,17 +21,27 @@ timelike) Jacobi spectra are projectively constant.  The modified metric
 over such a nilpotent base has unit spacelike spectrum {0, 1, 1/4} with
 multiplicities (1, 1, 2m-2) and the negatives for timelike vectors.
 
-Nilpotency is decided exactly, on Python ints.  The integer evaluator
-gives the curvature at the point as R_int / D and the Gram matrix as
-G_int / G_den (`polynomials.integer_values`), and a probe vector xi (a
-float, hence a dyadic rational) is x / den with x integral.  Then
-J_xi = J_int / (D den^2), where J_int is the contraction of R_int with
-x (x) x, and since positive rescaling does not change nilpotency, J_xi is
-nilpotent exactly when J_int^(2^k) = 0 for the first 2^k >= 2m; a nonzero
-trace of J_int rules that out at once, and else repeated squaring decides
-it with no gcd.  If it is not, the unit operator J_xi / |<xi, xi>| equals
-J_int G_den / (D |q_int|) with q_int = x G_int x, and its float entries
-are the correctly rounded quotients of those integers.
+Nilpotency is decided exactly, on Python ints.  The curvature at the
+point is R_int / D, read from the integer numerators that `curvature`
+kept (`PolyCurvature.integer_values`: each i < j entry is evaluated once
+and its (j, i) entry is the negation, with no Polynomial made).  The Gram
+matrix is G_int / G_den (`polynomials.integer_values`), and the causal
+vectors are sampled against its correctly rounded float quotients, the
+one Gram evaluation of a call.  A probe vector xi (a float, hence a
+dyadic rational) is x / den with x integral.  Then J_xi = J_int /
+(D den^2), where J_int[l, i] = sum_jk R_int[i, j, k, l] x_j x_k.  The
+J_int of all probe vectors come from one grouped contraction
+(`_jacobi_ints`): the entries are sorted by cell (l, i) once, then one
+object-array product and one sum per cell give every cell of every
+vector, exactly in any order.  Since positive rescaling does not change
+nilpotency, J_xi is nilpotent exactly when J_int^(2^k) = 0 for the first
+2^k >= 2m; a nonzero trace of J_int rules that out at once, and else
+repeated squaring decides it with no gcd.  If it is not, the unit
+operator J_xi / |<xi, xi>| equals J_int G_den / (D |q_int|) with
+q_int = x G_int x, and its float entries are the correctly rounded
+quotients of those integers.  The unit operators of both causal
+characters share one `spectral.spectrum_batch` call, split by character
+afterwards: a row's spectrum does not depend on the rest of its batch.
 
 Each clause is one batched projective match per causal character.  The
 deformed clauses match every spectrum against the first one, since
@@ -46,17 +56,20 @@ clause.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 
 from . import classifier, spectral
 from .polynomial_geometry import PolyConnection, curvature
-from .polynomials import (CompiledTable, Polynomial, add_product, add_to, derivative,
-                          exact_values, integer_values, nonzero_map, table_numerators)
+from .polynomials import (CompiledTable, Polynomial, add_product, add_products, add_to,
+                          derivative, exact_values, integer_values, nonzero_map,
+                          table_numerators)
 
 __all__ = [
     "PolyMetric",
@@ -107,7 +120,8 @@ class PolyMetric:
         return MappingProxyType(dict(sorted(inv.items())))
 
     def gram_at(self, point):
-        """Numeric Gram matrix at a point of R^{2m}."""
+        """Numeric Gram matrix at a point of R^{2m}, from the float evaluator
+        (`check_extension_theorems` reads the exact Gram instead)."""
         return self._evaluator(point)
 
     def gram_exact(self, point):
@@ -162,46 +176,60 @@ def levi_civita_block(metric):
     n = metric.dim
     g, D = table_numerators(metric.components)
     inverse, E = table_numerators(metric.inverse())
-    ginv = [[] for _ in range(n)]  # ginv[c]: the pairs (d, ginv^cd), d ascending
+    ginv = [[] for _ in range(n)]  # ginv[d]: the pairs (c, ginv^cd), c ascending
     for (c, d), p in inverse.items():
-        ginv[c].append((d, p))
+        ginv[d].append((c, p))
     # dg[a, b, c] = d_c g_ab over D, nonzero ones only
     dg = {(a, b, c): d for (a, b), p in g.items() for c in range(n) if (d := derivative(p, c))}
+    # the d of the brackets of each (a, b), a <= b, that some dg term reaches
+    reach = defaultdict(set)
+    for x, y, z in dg:
+        for a, b, d in ((z, x, y), (x, z, y), (x, y, z)):
+            if a <= b:
+                reach[a, b].add(d)
     table = {}
     for a in range(n):
         for b in range(a, n):
-            brackets = {}
-            for d in range(n):
+            # sums[c] += ginv^cd bracket_d for d ascending, made when a
+            # first term lands in it
+            sums = defaultdict(dict)
+            for d in sorted(reach.get((a, b), ())):
                 bracket = {}
                 for key, sign in (((b, d, a), 1), ((a, d, b), 1), ((a, b, d), -1)):
-                    add_to(bracket, dg.get(key, {}), sign)
+                    if key in dg:
+                        add_to(bracket, dg[key], sign)
                 if bracket:
-                    brackets[d] = bracket
-            for c in range(n):
-                total = {}
-                for d, inv in ginv[c]:
-                    if d in brackets:
-                        add_product(total, inv, brackets[d], 1)
-                if total:
+                    add_products(sums, ginv[d], bracket, 1)
+            for c in sorted(sums):
+                if total := sums[c]:
                     table[a, b, c] = table[b, a, c] = Polynomial.from_numerators(
                         n, total, 2 * D * E)
     conn = PolyConnection(n, table)
     # d_a g_bc = G_ab^d g_dc + G_ac^d g_bd, over the nonzero products only;
-    # with the symbols over F the defect is over D F
-    rows, F = conn.symbol_rows()
+    # with the symbols over F the defect is over D F.  g is symmetric, so
+    # (a, c, b) has the defect of (a, b, c) and b <= c covers them all.
+    rows, F = conn.symbol_rows
+    grows = [[] for _ in range(n)]  # grows[d]: the pairs (c, g_dc), c ascending
+    for (d, c), p in g.items():
+        grows[d].append((c, p))
     for a in range(n):
+        defects = defaultdict(dict)  # (b, c) -> the exact defect, made on a first term
+        for (b, c), p in g.items():
+            if b <= c and (b, c, a) in dg:
+                add_to(defects[b, c], dg[b, c, a], F)
         for b in range(n):
-            for c in range(b, n):  # g is symmetric, so (a, c, b) has the same defect
-                defect = {}
-                add_to(defect, dg.get((b, c, a), {}), F)
-                for d, gam in rows[a][b]:
-                    if (d, c) in g:
-                        add_product(defect, gam, g[d, c], -1)
-                for d, gam in rows[a][c]:
-                    if (b, d) in g:
-                        add_product(defect, gam, g[b, d], -1)
-                if defect:
-                    raise RuntimeError("metric compatibility fails at (%d,%d,%d)" % (a, b, c))
+            for d, gam in rows[a][b]:
+                for c, p in grows[d]:
+                    if b <= c:
+                        add_product(defects[b, c], gam, p, -1)
+        for c in range(n):
+            for d, gam in rows[a][c]:
+                for b, p in grows[d]:
+                    if b <= c:
+                        add_product(defects[b, c], gam, p, -1)
+        bad = [key for key, defect in defects.items() if defect]
+        if bad:
+            raise RuntimeError("metric compatibility fails at (%d,%d,%d)" % ((a,) + min(bad)))
     return conn
 
 
@@ -217,6 +245,30 @@ def _clear_denominators(values):
     ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*(d for _, d in ratios))
     return np.array([a * (den // d) for a, d in ratios], dtype=object), den
+
+
+def _jacobi_ints(R, X):
+    """J[v, l, i] = sum_jk R[i, j, k, l] X[v, j] X[v, k], the (V, n, n)
+    integer (object) contractions of the nonzero entries R, a
+    {(i, j, k, l): int} map, with the rows of the (V, n) integer (object)
+    array X.
+
+    The entries are sorted by cell (l, i) once; all rows then take one
+    object-array product of the entries with the gathered X_j X_k and one
+    sum per cell (np.add.reduceat).  The integers are exact, so the order
+    of summation cannot change a result."""
+    V, n = X.shape
+    J = np.zeros((V, n * n), dtype=object)
+    if R:
+        keys = np.fromiter(chain.from_iterable(R), np.intp, 4 * len(R)).reshape(-1, 4)
+        cell = keys[:, 3] * n + keys[:, 0]
+        order = np.argsort(cell, kind="stable")
+        cell, pair = cell[order], (keys[:, 1] * n + keys[:, 2])[order]
+        entries = np.array(list(R.values()), dtype=object)[order]
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        XX = (X[:, :, None] * X[:, None, :]).reshape(V, n * n)
+        J[:, cell[starts]] = np.add.reduceat(entries * XX[:, pair], starts, axis=1)
+    return J.reshape(V, n, n)
 
 
 def _is_nilpotent(J):
@@ -347,48 +399,47 @@ def check_extension_theorems(
     n = 2 * m
     # The nonzero entries at the point, as integers over one denominator
     # each: R = R_int / D and G = G_int / G_den.
-    R, D = integer_values(curvature(lc).riemann, point, n)
-    R_int = list(R.items())  # ((i, j, k, l), integer) pairs
+    R, D = curvature(lc).integer_values(point)
     G, G_den = integer_values(metric.components, point, n)
     G_int = np.zeros((n, n), dtype=object)
     G_int[tuple(zip(*G))] = list(G.values())
 
-    float_point = [float(v) for v in point]
-    base_point = float_point[:m]
+    base_point = [float(v) for v in point[:m]]
     base_verdict = classifier.is_projective_affine_osserman(
         curvature(C).evaluate_at(base_point), tol=tol
     )
 
-    gram = metric.gram_at(float_point)
-    spacelike, timelike = _sample_causal(gram, n_vectors, seed)
+    # int / int rounds as Fraction.__float__ does
+    spacelike, timelike = _sample_causal((G_int / G_den).astype(float), n_vectors, seed)
 
+    # J_xi / |<xi, xi>| = J_int G_den / (D |q_int|) (module docstring)
+    vectors = spacelike + timelike
+    X = np.array([_clear_denominators(xi)[0] for xi in vectors])
+    units = []
+    for x, J_int in zip(X, _jacobi_ints(R, X)):
+        if _is_nilpotent(J_int):
+            units.append(None)
+        else:
+            scale = D * abs(x @ G_int @ x)
+            units.append((J_int * G_den / scale).astype(float))
+    # one eigensolve for both characters (module docstring)
+    numeric = [v for v, J in enumerate(units) if J is not None]
+    row_of = {v: r for r, v in enumerate(numeric)}
+    batch = (spectral.spectrum_batch([units[v] for v in numeric], cluster_tol=tol)
+             if numeric else None)
     records = []
-    batches = {}  # one SpectrumBatch per character, None if a vector is nilpotent
-    for character, bucket in (("spacelike", spacelike), ("timelike", timelike)):
-        # J_xi / |<xi, xi>| = J_int G_den / (D |q_int|) (module docstring);
-        # int / int rounds as Fraction.__float__ does.
-        units = []
-        for xi in bucket:
-            x, _ = _clear_denominators(xi)
-            # J_int[l, i] = sum_jk R_int[i, j, k, l] x_j x_k
-            J_int = np.zeros((n, n), dtype=object)
-            for (i, j, k, l), r in R_int:
-                J_int[l, i] += r * x[j] * x[k]
-            if _is_nilpotent(J_int):
-                units.append(None)
-            else:
-                scale = D * abs(x @ G_int @ x)
-                units.append((J_int * G_den / scale).astype(float))
-        stack = [J for J in units if J is not None]
-        batch = spectral.spectrum_batch(stack, cluster_tol=tol) if stack else ()
-        rows = iter(batch)
-        for xi, J in zip(bucket, units):
-            S = None if J is None else next(rows)
-            records.append(VectorRecord(
-                tuple(map(float, xi)), character, "exact" if S is None else "numeric",
-                0.0 if S is None else float(S.radius()), S is None, S,
-            ))
-        batches[character] = batch if len(stack) == len(units) else None
+    for v, xi in enumerate(vectors):
+        S = batch[row_of[v]] if v in row_of else None
+        records.append(VectorRecord(
+            tuple(map(float, xi)), "spacelike" if v < n_vectors else "timelike",
+            "exact" if S is None else "numeric",
+            0.0 if S is None else float(S.radius()), S is None, S,
+        ))
+    batches = {}  # the rows of one character, None if a vector is nilpotent
+    for character, first in (("spacelike", 0), ("timelike", n_vectors)):
+        rows = [row_of.get(v) for v in range(first, first + n_vectors)]
+        batches[character] = None if None in rows else spectral.SpectrumBatch(
+            batch.values[rows], batch.mults[rows], batch.tol[rows])
 
     clauses = {}
     if which == "deformed":

@@ -168,9 +168,12 @@ def _cluster(vals, base):
     centroid = np.where(np.abs(centroid.imag) <= eff[:, None], centroid.real + 0j, centroid)
 
     # Conjugation closure: pair each cluster above the axis with the
-    # nearest conjugate below it, of equal multiplicity.
+    # nearest conjugate below it, of equal multiplicity.  With no cluster
+    # off the axis there is nothing to pair.
     upper = (mults > 0) & (centroid.imag > 0.0)
     lower = (mults > 0) & (centroid.imag < 0.0)
+    if not (upper.any() or lower.any()):
+        return SpectrumBatch._sorted(centroid, mults, eff)
     dist = np.abs(np.conj(centroid)[:, :, None] - centroid[:, None, :])
     allowed = upper[:, :, None] & lower[:, None, :] & (mults[:, :, None] == mults[:, None, :])
     dist = np.where(allowed, dist, np.inf)

@@ -79,6 +79,10 @@ CASE_TABLE = [
     ("3-f-ii", 12, (6.0, 4.0), (1 + 1j,), (1, 8, 1, 1, 1), (Z, R, R, C, C)),
     ("3-g", 12, (6.0, 4.0, 2.0), (1 + 1j,), (1, 1, 1, 1, 4, 4), (Z, R, R, R, C, C)),
     ("3-h", 12, (6.0,), (1 + 1j, 3 + 2j), (1, 1, 4, 4, 1, 1), (Z, R, C, C, C, C)),
+    # purely imaginary pairs, Re nu = 0
+    ("2-c", 10, (4.0,), (2j,), (1, 1, 4, 4), (Z, R, C, C)),
+    ("3-f-i", 12, (6.0, 4.0), (1.25j,), (1, 2, 1, 4, 4), (Z, R, R, C, C)),
+    ("3-h", 12, (6.0,), (1 + 1j, 2.5j), (1, 1, 4, 4, 1, 1), (Z, R, C, C, C, C)),
 ]
 
 _models = None

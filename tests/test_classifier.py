@@ -26,8 +26,10 @@ from affinecurv.constructors import (
     constant_curvature,
     realize,
 )
-from affinecurv.spectral import spectrum
-from affinecurv.tensor_core import reduced_jacobi
+from affinecurv import classifier as classifier_module
+from affinecurv.classifier import OssermanVerdict
+from affinecurv.spectral import MuVector, Spectrum, mu_vector, spectrum, spectrum_batch
+from affinecurv.tensor_core import CurvatureTensor, reduced_jacobi
 
 from dense import from_dense, to_dense
 
@@ -99,6 +101,44 @@ def test_zero_tensor_is_affine_osserman():
     assert verdict.mu.nilpotent
     assert verdict.mu.entries == (3,)
     assert verdict.scales == () and verdict.worst_residual == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_the_zero_model_gets_the_pipelines_verdict_without_sampling(m, monkeypatch):
+    """An empty nonzero list is answered before any sample is drawn, with
+    the objects the pipeline makes from zero Jacobi operators."""
+    n_samples, seed, tol = 7, 3, 1e-6
+    reduced = spectrum_batch(np.zeros((1, m - 1, m - 1)), cluster_tol=tol)
+    full = reduced.with_zero()[0]
+    want = OssermanVerdict(AFFINE, full, mu_vector(full), 0.0, (), (), n_samples, seed, tol)
+    assert full == Spectrum(((0j, m),), tol) and reduced[0] == Spectrum(((0j, m - 1),), tol)
+    assert mu_vector(full) == MuVector((m,), ("zero",), nilpotent=True)
+
+    def undrawn(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(classifier_module, "sample_sphere", undrawn)
+    A = CurvatureTensor(m, np.array([], dtype=np.intp), [])
+    verdict, S = classifier_module._sampled_verdict(A, n_samples, seed, tol, [[1.0] * m])
+    assert verdict == want and S == reduced[0]
+    assert verdict.to_json_dict() == want.to_json_dict()
+    assert verdict.spectrum.to_json_dict() == full.to_json_dict()
+    assert S.to_json_dict() == reduced[0].to_json_dict()
+    result = classify(A, n_samples=n_samples, seed=seed, tol=tol)
+    assert result.verdict == want and result.structure is None
+
+
+def test_the_zero_model_still_checks_its_input():
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="classification needs m >= 2"):
+            is_projective_affine_osserman(CurvatureTensor(m, np.array([], dtype=np.intp), []))
+    zero = CurvatureTensor(3, np.array([], dtype=np.intp), [])
+    with pytest.raises(ValueError, match="at least one random sample"):
+        is_projective_affine_osserman(zero, n_samples=0)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        is_projective_affine_osserman(zero, extra_directions=[(0.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="wrong dimension"):
+        is_projective_affine_osserman(zero, extra_directions=[(1.0, 0.0)])
 
 
 def test_projection_tensor_is_neither():
@@ -188,6 +228,10 @@ def test_verdict_json_shape():
         # value order, so give them that way for an identity round trip
         ("3-d", 12, (3.0, 5.0, 7.0, 1.0), ()),
         ("3-h", 12, (6.0,), (1 + 1j, 3 + 2j)),
+        # purely imaginary pairs
+        ("2-c", 10, (4.0,), (2j,)),
+        ("3-f-i", 12, (6.0, 4.0), (1.25j,)),
+        ("3-h", 12, (6.0,), (1 + 1j, 2.5j)),
     ],
 )
 def test_classify_structure_round_trip(case, m, lams, nus):

@@ -837,6 +837,25 @@ def test_ricci_and_surface_accept_a_built_curvature():
             == surface_projective_osserman(C, pt, n_samples=16))
 
 
+def test_a_connection_forms_its_symbol_rows_once():
+    C = curvature_homogeneous_connection(3, eps=1)
+    rows, den = C.symbol_rows
+    assert C.symbol_rows is C.symbol_rows
+    assert den == 1 and [k for k, _ in rows[0][0]] == [0, 2]
+
+
+def test_the_riemann_map_is_built_on_first_read_and_compared_by_value():
+    C = curvature_homogeneous_connection(4, eps=Fraction(1, 2))
+    P, Q = curvature(C), curvature(connection_from_symbols(4, dict(C.gamma)))
+    assert "riemann" not in vars(P)
+    values, den = P.integer_values([Fraction(1, 3)] * 4)
+    assert "riemann" not in vars(P) and den > 0 and values
+    assert P == Q and P.riemann is P.riemann and "riemann" in vars(P)
+    assert P != curvature(curvature_homogeneous_connection(4, eps=1))
+    assert isinstance(P.riemann, MappingProxyType)
+    assert all(i != j for i, j, _, _ in P.riemann)
+
+
 # -- geodesic blow-up ------------------------------------------------------
 
 

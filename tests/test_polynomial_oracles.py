@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecurv.polynomial_geometry import connection_from_symbols, curvature
-from affinecurv.polynomials import Polynomial, exact_values
+from affinecurv.polynomials import Polynomial, exact_values, integer_values
 from affinecurv.riemannian_extension import (
     deformed_extension,
     levi_civita_block,
@@ -220,3 +220,33 @@ def test_levi_civita_symbols_agree_with_plain_dicts(problem, modified):
     metric = modified_extension(C) if modified else deformed_extension(C)
     want = nonzero_reference(reference_levi_civita(gamma, m, modified))
     assert nonzero_terms(levi_civita_block(metric).gamma) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_connections(), st.data())
+def test_curvature_numerators_give_the_riemann_map_and_its_values(problem, data):
+    """`riemann` is built from the numerators `curvature` keeps, on first
+    read; it equals the map of public-constructor polynomials of the plain
+    dict reference, each R[i, j, k, l] followed by R[j, i, k, l] = -R[i, j,
+    k, l], in keys, order, terms, equality and hash.  The values the
+    numerators give at a point are those of `integer_values` on it, ints
+    and den alike."""
+    m, gamma = problem
+    C = connection_from_symbols(m, {key: Polynomial(m, terms) for key, terms in gamma.items()})
+    point = data.draw(st.lists(rationals, min_size=m, max_size=m))
+    P = curvature(C)
+    values = P.integer_values(point)
+    assert "riemann" not in vars(P)
+    assert values == integer_values(P.riemann, point, m)
+    assert list(values[0]) == [key for key in P.riemann if key in values[0]]
+    R, _ = reference_curvature(gamma, m)
+    eager = {}
+    for (i, j, k, l), terms in sorted(R.items()):
+        if i < j and terms:
+            eager[i, j, k, l] = Polynomial(m, terms)
+            eager[j, i, k, l] = -eager[i, j, k, l]
+    assert list(P.riemann) == list(eager)
+    for key, p in eager.items():
+        assert P.riemann[key] == p and hash(P.riemann[key]) == hash(p)
+        assert P.riemann[key].terms() == p.terms()
+    assert dict(P.evaluate_exact(point)) == exact_values(eager, point, m)

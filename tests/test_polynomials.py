@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import defaultdict
+
 from affinecurv.polynomials import (
     Polynomial,
     PolynomialParseError,
+    add_derivatives,
+    add_product,
+    add_products,
+    add_to,
+    derivative,
     parse_polynomial,
     polynomial_to_string,
     variable_names,
@@ -211,6 +218,59 @@ def test_public_constructor_still_validates():
         Polynomial(2, {(1, -1): 1})
     with pytest.raises(TypeError):
         Polynomial(2, {(1, 0): 0.5})
+
+
+@pytest.mark.parametrize("value", [0, 1, -7, 2 ** 70, Fraction(-3, 4), Fraction(6, 8), "5/10",
+                                   "-2", True])
+@pytest.mark.parametrize("nvars", [0, 1, 4])
+def test_a_constant_is_the_one_term_polynomial(value, nvars):
+    c = Polynomial.constant(value, nvars)
+    want = Polynomial(nvars, {(0,) * nvars: value})
+    assert c == want and hash(c) == hash(want)
+    assert (c.nvars, c.numerators, c.den) == (want.nvars, want.numerators, want.den)
+
+
+def test_a_constant_checks_its_value_and_ring():
+    with pytest.raises(TypeError):
+        Polynomial.constant(0.5, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Polynomial.constant(1, -1)
+
+
+# -- the row forms of the kernel --------------------------------------------
+
+# packed monomials x1^a x2^b in two variables, nonzero numerators
+kernel_dicts = st.dictionaries(st.builds(lambda a, b: a + (b << 16), st.integers(0, 3),
+                                         st.integers(0, 3)),
+                               st.integers(-5, 5).filter(bool), max_size=4)
+kernel_rows = st.lists(st.tuples(st.integers(0, 3), kernel_dicts), max_size=5)
+
+
+def _items(accs):
+    """The accumulators with their terms in stored order."""
+    return {l: list(acc.items()) for l, acc in accs.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_rows, kernel_dicts.filter(bool), st.integers(-3, 3).filter(bool),
+       st.dictionaries(st.integers(0, 3), kernel_dicts))
+def test_row_forms_are_the_loops_of_single_calls(row, b, scale, start):
+    """Same terms in the same order as one add_product, or one add_to of a
+    derivative, per entry; an accumulator is made only when a term lands."""
+    got, want = defaultdict(dict, {l: dict(t) for l, t in start.items()}), {
+        l: dict(t) for l, t in start.items()}
+    add_products(got, row, b, scale)
+    for l, a in row:
+        add_product(want.setdefault(l, {}), a, b, scale)
+    assert _items(got) == _items(want)
+    for index in (0, 1):
+        got = defaultdict(dict, {l: dict(t) for l, t in start.items()})
+        want = {l: dict(t) for l, t in start.items()}
+        add_derivatives(got, row, index, scale)
+        for l, p in row:
+            if dp := derivative(p, index):
+                add_to(want.setdefault(l, {}), dp, scale)
+        assert _items(got) == _items(want)
 
 
 # -- exponent fields ------------------------------------------------------

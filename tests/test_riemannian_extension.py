@@ -1,6 +1,7 @@
 """Cotangent extension metrics and their spectral checks."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from affinecurv.polynomial_geometry import (
     PolyConnection,
+    PolyCurvature,
     connection_from_symbols,
+    curvature,
     curvature_homogeneous_connection,
     flat_connection,
     plane_wave_connection,
@@ -21,6 +24,8 @@ from affinecurv.riemannian_extension import (
     PolyMetric,
     _clear_denominators,
     _is_nilpotent,
+    _jacobi_ints,
+    _sample_causal,
     check_extension_theorems,
     default_point,
     deformed_extension,
@@ -319,6 +324,30 @@ def test_metric_compatibility_check_still_raises(monkeypatch):
         levi_civita_block(g)
 
 
+@pytest.mark.parametrize("symbol, base, modified, where", [
+    ((0, 1, 2), flat_connection(2), True, "(0,0,1)"),
+    ((1, 1, 0), flat_connection(2), False, "(1,1,2)"),
+    ((3, 2, 1), curvature_homogeneous_connection(3, 1), True, "(2,0,3)"),
+    ((3, 2, 1), curvature_homogeneous_connection(3, 1), False, "(2,1,3)"),
+])
+def test_metric_compatibility_names_the_first_failing_index(monkeypatch, symbol, base,
+                                                            modified, where):
+    # `where` is the first (a, b, c), b <= c, in lexicographic order whose
+    # defect is nonzero, as a loop over every (a, b, c) reports it
+    from affinecurv import riemannian_extension
+
+    def corrupted(n, table):
+        i, j, k = symbol
+        table = dict(table)
+        table[i, j, k] = table[j, i, k] = table.get(symbol, Polynomial.zero(n)) + Fraction(1, 3)
+        return PolyConnection(n, table)
+
+    g = modified_extension(base) if modified else deformed_extension(base)
+    monkeypatch.setattr(riemannian_extension, "PolyConnection", corrupted)
+    with pytest.raises(RuntimeError, match=re.escape("fails at " + where) + "$"):
+        levi_civita_block(g)
+
+
 # -- integer nilpotency kernel ---------------------------------------------
 
 
@@ -443,6 +472,117 @@ def test_clear_denominators_takes_floats_fractions_and_ints():
     assert den == 12 and list(x) == [9, -8, 60, 0]
     x, den = _clear_denominators([2.0 ** -60, 1.5])
     assert den == 2 ** 60 and list(x) == [1, 3 * 2 ** 59]
+
+
+# -- the grouped Jacobi contraction ---------------------------------------
+
+
+def _jacobi_reference(R, X):
+    """J[v, l, i] += R[i, j, k, l] X[v, j] X[v, k], one entry at a time."""
+    V, n = X.shape
+    J = np.zeros((V, n, n), dtype=object)
+    for v in range(V):
+        for (i, j, k, l), r in R.items():
+            J[v, l, i] += r * X[v, j] * X[v, k]
+    return J
+
+
+# integers up to 2^80 of both signs, and small ones
+huge = st.one_of(st.integers(-9, 9), st.integers(2 ** 64, 2 ** 80),
+                 st.integers(-2 ** 80, -2 ** 64))
+
+
+@st.composite
+def contraction_problems(draw):
+    """Nonzero entries R on random keys, or all in one cell (l, i), and a
+    stack of integer rows X."""
+    n = draw(st.integers(1, 6))
+    index = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        i, l = draw(index), draw(index)
+        keys = st.tuples(st.just(i), index, index, st.just(l))
+    else:
+        keys = st.tuples(index, index, index, index)
+    R = draw(st.dictionaries(keys, huge.filter(bool), max_size=30))
+    X = draw(st.lists(st.lists(huge, min_size=n, max_size=n), min_size=1, max_size=4))
+    return R, np.array(X, dtype=object).reshape(len(X), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(contraction_problems())
+@example(({}, np.array([[3, -5], [2 ** 70, 1]], dtype=object)))
+@example(({(0, 1, 1, 1): 2 ** 65, (0, 0, 1, 1): 1 - 2 ** 66, (0, 1, 0, 1): -3},
+          np.array([[2 ** 64 + 1, -2 ** 64 - 3]], dtype=object)))
+def test_grouped_contraction_is_the_per_entry_loop(problem):
+    R, X = problem
+    got = _jacobi_ints(R, X)
+    assert got.dtype == object and got.shape == (len(X),) + (X.shape[1],) * 2
+    assert all(type(v) is int for v in got.flat)
+    assert np.array_equal(got, _jacobi_reference(R, X))
+
+
+def test_deformed_over_flat_contracts_an_empty_entry_list():
+    R, D = curvature(levi_civita_block(deformed_extension(flat_connection(3)))).integer_values(
+        default_point(3))
+    assert R == {} and D == 1
+    X = np.array([[2 ** 70, -1, 0, 5, -(2 ** 66), 3]], dtype=object)
+    J = _jacobi_ints(R, X)
+    assert J.shape == (1, 6, 6) and not J.any()
+    report = check_extension_theorems(flat_connection(3), n_vectors=2)
+    assert report.clauses == {"nilpotent": True}
+
+
+# -- the one Gram evaluation -------------------------------------------------
+
+
+def test_causal_vectors_are_sampled_against_the_exact_gram(monkeypatch):
+    """The correctly rounded exact Gram is the float evaluator's Gram, bit
+    for bit, at a point of short dyadic fractions, so the vectors are
+    those the float Gram samples; and no float Gram is evaluated."""
+    C = curvature_homogeneous_connection(3, 1)
+    metric = deformed_extension(C)
+    point = default_point(3)
+    exact = metric.gram_exact(point)
+    rounded = np.array([[float(exact.get((a, b), 0)) for b in range(6)] for a in range(6)])
+    assert np.array_equal(rounded, metric.gram_at([float(v) for v in point]))
+    want = _sample_causal(rounded, 3, 5)
+
+    def unused(self, point):
+        raise AssertionError("the float Gram was evaluated")
+
+    monkeypatch.setattr(PolyMetric, "gram_at", unused)
+    report = check_extension_theorems(C, point=point, n_vectors=3, seed=5, tol=1e-3)
+    assert [r.vector for r in report.records] == [tuple(v) for v in want[0] + want[1]]
+
+
+# -- checks that run on every call ------------------------------------------
+
+TOP = 2 ** 15 - 1
+
+
+def test_a_curvature_numerator_past_its_field_raises_before_riemann_is_read(monkeypatch):
+    def unread(self):
+        raise AssertionError("riemann was read")
+
+    monkeypatch.setattr(PolyCurvature, "riemann", property(unread))
+    # G_12^1 G_22^2 - G_21^1 G_12^1 = x1^40000 in R_122^1
+    A = Polynomial(2, {(20000, 0): 1})
+    C = connection_from_symbols(2, {(0, 1, 0): A, (1, 1, 1): 2 * A})
+    with pytest.raises(ValueError, match="exponent 40000 exceeds 32767"):
+        curvature(C)
+
+
+def test_extension_curvature_past_its_field_raises():
+    # The symbols of the extension stop at x1^32767 and one of their
+    # products in the curvature reaches x1^32768.
+    base = connection_from_symbols(2, {(0, 1, 0): var(0, 2)})
+    Phi = {(0, 0): Polynomial(2, {(TOP - 1, 0): 1})}
+    lc = levi_civita_block(deformed_extension(base, Phi))
+    assert max(max(e) for p in lc.gamma.values() for e, _ in p.terms()) == TOP
+    for call in (lambda: curvature(lc),
+                 lambda: check_extension_theorems(base, Phi, n_vectors=1)):
+        with pytest.raises(ValueError, match="exponent 32768 exceeds 32767"):
+            call()
 
 
 def test_points_with_thirds_give_the_recorded_reports():

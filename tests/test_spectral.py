@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecurv.spectral import (
+    EigensolverError,
     Spectrum,
     SpectrumBatch,
     jordan_profile,
     mu_vector,
     projective_match_batch,
+    _cluster,
     spectrum,
     spectrum_batch,
 )
@@ -42,6 +44,26 @@ def test_conjugate_pair_exact_closure():
     (v1, m1), (v2, m2) = S.items
     assert v1 == np.conj(v2) and m1 == m2 == 1
     assert v1.imag != 0.0
+
+
+def test_a_real_row_clusters_alike_alone_and_beside_a_complex_row():
+    """A batch with no cluster off the axis skips the conjugation closure;
+    its rows keep the bits they get in a batch that runs it."""
+    theta = 0.7
+    rotation = np.array([[np.cos(theta), -np.sin(theta), 0.0],
+                         [np.sin(theta), np.cos(theta), 0.0], [0.0, 0.0, 2.0]])
+    real = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [0.0, 1.0, 1.0 / 3.0]])
+    alone = spectrum_batch(real[None])
+    mixed = spectrum_batch(np.stack([rotation, real]))
+    assert all(v.imag == 0.0 for v, _ in alone[0].items)
+    assert repr(alone[0]) == repr(mixed[1])  # repr shows the sign of a zero part
+
+
+@pytest.mark.parametrize("vals", [[1.0 - 1.0j, 2.0], [1.0 + 1.0j, 2.0], [1.0 + 1.0j, 1.0 - 3.0j]])
+def test_clustering_rejects_a_multiset_not_closed_under_conjugation(vals):
+    # a cluster below the axis with none above raises as well as the reverse
+    with pytest.raises(EigensolverError, match="conjugation-closed"):
+        _cluster(np.array([vals], dtype=complex), 1e-8)
 
 
 def test_near_real_snap():
