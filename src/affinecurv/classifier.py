@@ -4,11 +4,14 @@ A model is affine Osserman when every Jacobi operator is nilpotent, and
 projective affine Osserman when it is not affine Osserman but any two
 Jacobi spectra agree up to a positive scale.  The verdict here is
 numerical.  Reduced Jacobi spectra are computed at a deterministic sample
-of directions: the standard basis, the normalized all-ones vector, then
-seeded Gaussian points on the sphere.  Equality up to a positive scale is
-transitive, so each spectrum is compared with one reference, the spectrum
-at e1.  The multiplicity vector is then matched against the known
-taxonomy of eigenvalue structures for the residue class of m.
+of directions: e1, then seeded Gaussian points on the sphere, so the
+probe count does not grow with m and no probe but the reference is tied
+to the basis.  Equality up to a positive scale is transitive, so each
+spectrum is compared with one reference, the spectrum at e1.  A sampled
+projective verdict must then pass one exact, basis-free condition: the
+symmetrized Ricci form, whose value at X is tr J_X, is definite or zero
+(_ricci_gate).  The multiplicity vector is then matched against the
+known taxonomy of eigenvalue structures for the residue class of m.
 
 The whole sample goes through one batched pipeline: one fixed-order sum
 over the model's nonzero list builds every Jacobi operator, with the
@@ -37,7 +40,7 @@ import numpy as np
 from . import spectral
 from .constructors import StructureSpec, _listed_cases
 from .spectral import Spectrum, mu_vector
-from .tensor_core import check_affine_symmetries, reduced_jacobi_batch
+from .tensor_core import _ricci_form, check_affine_symmetries, reduced_jacobi_batch
 
 __all__ = [
     "PROJECTIVE",
@@ -66,9 +69,8 @@ class InconsistencyError(RuntimeError):
 
 
 def sample_sphere(m, n, seed):
-    """(m + 1 + n, m) array of unit vectors: the standard basis, the
-    normalized all-ones vector, then n seeded Gaussian directions.
-    Deterministic per seed."""
+    """(1 + n, m) array of unit vectors: e1, the reference, then n seeded
+    Gaussian directions.  Deterministic per seed."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     rng = np.random.default_rng(seed)
@@ -78,15 +80,18 @@ def sample_sphere(m, n, seed):
         nrm = np.linalg.norm(block, axis=1)
         keep = nrm >= 1e-12
         drawn = np.vstack([drawn, block[keep] / nrm[keep, None]])
-    return np.vstack([np.eye(m), np.full((1, m), 1.0 / np.sqrt(m)), drawn])
+    return np.vstack([np.eye(1, m), drawn])
 
 
 @dataclass(frozen=True)
 class OssermanVerdict:
     """Sampled verdict.  `spectrum` is the full Jacobi spectrum at e1, the
     reference every other sample is matched against; `scales[s]` and
-    `residuals[s]` are sample s's positive scale and matching error
-    against it, and `worst_residual` is the largest of those errors."""
+    `residuals[s]` are probe s's positive scale and matching error
+    against it, and `worst_residual` is the largest of those errors.  The
+    probes are e1, the n_samples Gaussian directions and the extra
+    directions, so a projective verdict lists n_samples + 1 + extras of
+    each; any other verdict lists none."""
 
     status: str
     spectrum: Spectrum | None
@@ -122,6 +127,25 @@ def _model_scale(A):
     if not math.isfinite(top):
         raise ValueError("model entries must be finite")
     return 1.0 if top == 0.0 else math.ldexp(1.0, min(round(math.log2(top)), 1023))
+
+
+def _ricci_gate(A, c, tol):
+    """Whether the Ricci form of A / c is what a projective model has.
+
+    tr J_X = Ric(X, X) with Ric_jk = sum_i A[i, j, k, i].  Spec J_X =
+    s(X) Spec J_e1 with s > 0 at every unit X makes sign(Ric(e1, e1)) Ric
+    positive definite, or Ric = 0 when Ric(e1, e1) = 0.  Relative to the
+    scale c, the symmetrized form counts as zero when no eigenvalue
+    exceeds tol * m in size (each entry is a sum of m terms of size at
+    most 1); otherwise every eigenvalue times that sign must exceed tol
+    times the largest |eigenvalue|.  Sampled spectra almost surely miss a
+    degenerate locus of J_X; this condition sees it whenever tr J_X
+    vanishes or changes sign there.
+    """
+    ric = _ricci_form(A, c)
+    eig = np.linalg.eigvalsh((ric + ric.T) / 2)
+    top = np.abs(eig).max()
+    return top <= A.dim * tol or (np.sign(ric[0, 0]) * eig).min() > tol * top
 
 
 def _sampled_verdict(A, n_samples, seed, tol, extra_directions=()):
@@ -178,6 +202,8 @@ def _sampled_verdict(A, n_samples, seed, tol, extra_directions=()):
         scales, residuals, negative = spectral.projective_match_batch(full, ref, tol)
         if np.isinf(residuals).any():
             result = verdict(NEITHER, negative=bool(negative.any()))
+        elif not _ricci_gate(A, c, tol):
+            result = verdict(NEITHER)
         else:
             residuals = residuals * c
             result = verdict(
@@ -194,10 +220,14 @@ def is_projective_affine_osserman(A, n_samples=64, seed=0, tol=1e-8,
     Input must pass the curvature symmetry check, relative to the model's
     scale, and have m >= 2.
 
-    extra_directions are normalized and appended to the probe set.
-    Callers who know where the spectrum can degenerate (a measure-zero
-    locus that random probes almost surely miss) force those directions
-    in this way.
+    The probes are e1 and n_samples seeded Gaussian directions; a
+    projective verdict must also pass the exact Ricci-form condition of
+    _ricci_gate, which sees a degenerate locus wherever tr J_X vanishes
+    or changes sign on it.  extra_directions are normalized and appended
+    to the probe set.  Callers who know where the spectrum can degenerate
+    in a way the Ricci form cannot see (a measure-zero locus on which
+    tr J_X keeps its sign, which random probes almost surely miss) force
+    those directions in this way.
     """
     return _sampled_verdict(A, n_samples, seed, tol, extra_directions)[0]
 

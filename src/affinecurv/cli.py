@@ -103,14 +103,21 @@ def coordinates(text):
     return values
 
 
-def _seed(text):
-    """A sampling seed: numpy's generators take only non-negative integers."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+def _int_at_least(low, kind):
+    """Parser of an integer >= low whose error names `kind`."""
+    def parse(text):
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("expected a %s integer, got %r" % (kind, text))
+    return parse
+
+
+# numpy's generators take only non-negative seeds
+_seed = _int_at_least(0, "non-negative")
+_samples = _int_at_least(1, "positive")
 
 
 def _partition(text):
@@ -416,7 +423,8 @@ def _build_parser():
     p = sub.add_parser("classify", parents=[common, seed, tol],
                        help="Osserman verdict for a model")
     p.add_argument("model", help="model JSON file")
-    p.add_argument("--samples", type=int, default=64, help="random sample count")
+    p.add_argument("--samples", type=_samples, default=64,
+                   help="Gaussian probe directions besides e1")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("adams", parents=[common], help="eigenbundle partition gate")

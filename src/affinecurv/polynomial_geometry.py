@@ -351,9 +351,10 @@ def surface_projective_osserman(source, point, n_samples=64, seed=0, tol=1e-8):
 
     Definiteness is decided exactly (rational determinant), then
     cross-checked against the sampled-spectrum verdict at the same point.
-    When the form is degenerate but nonzero, its exact null direction is
-    added to the probe set: the spectrum collapses only on that line,
-    which random directions almost surely miss.
+    When the form is degenerate but nonzero, the spectrum collapses only
+    on its null line, which random directions almost surely miss; the
+    sampled verdict's Ricci-form gate sees it, since the reduced Jacobi
+    operator of a surface is the number tr J_X = Ric(X, X).
     """
     if source.dim != 2:
         raise ValueError("the Ricci criterion is for surfaces (dim 2)")
@@ -363,17 +364,9 @@ def surface_projective_osserman(source, point, n_samples=64, seed=0, tol=1e-8):
     vals = [[exact.get((j, k), Fraction(0)) for k in range(2)] for j in range(2)]
     det = vals[0][0] * vals[1][1] - vals[0][1] * vals[1][0]
     definite = det > 0
-    extra = ()
-    if det == 0:
-        a, b, c = vals[0][0], vals[0][1], vals[1][1]
-        if a != 0:
-            extra = ((float(-b), float(a)),)
-        elif c != 0:
-            # det == 0 with a == 0 forces b == 0, so e1 is null
-            extra = ((1.0, 0.0),)
     verdict = classifier.is_projective_affine_osserman(
         curv.evaluate_at([float(Fraction(v)) for v in point]), n_samples=n_samples, seed=seed,
-        tol=tol, extra_directions=extra,
+        tol=tol,
     )
     agrees = definite == (verdict.status == classifier.PROJECTIVE)
     ricci = tuple(tuple(float(v) for v in row) for row in vals)

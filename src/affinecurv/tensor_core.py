@@ -119,6 +119,16 @@ def evaluate(A, X, Y, Z):
     return out.astype(float, copy=False)  # an empty list gives ints
 
 
+def _ricci_form(A, c):
+    """The m x m matrix Ric_jk = sum_i A[i, j, k, i] / c, so that Ric(X, X)
+    is tr J_X of A / c, summed from the nonzero entries with i == l.  Each
+    entry is divided by c before the sum, which keeps it finite."""
+    m, keys = A.dim, A._keys
+    on = keys // m ** 3 == keys % m
+    ric = np.bincount(keys[on] // m % (m * m), weights=A._values[on] / c, minlength=m * m)
+    return ric.reshape(m, m)
+
+
 def check_affine_symmetries(A, tol=1e-10):
     """Max-abs defect of antisymmetry and of the first curvature identity.
 

@@ -1,11 +1,13 @@
-"""The batched classification pipeline against a per-direction oracle, and
-the invariance of its verdict under rescaling of the model."""
+"""The batched classification pipeline against a per-direction oracle, the
+invariance of its verdict under rescaling of the model and under a change
+of basis, and the exact Ricci-form gate of a projective verdict."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from affinecurv import classifier as classifier_module
 from affinecurv.classifier import (
     AFFINE,
     NEITHER,
@@ -30,7 +32,8 @@ from affinecurv.tensor_core import (
     reduced_jacobi_batch,
 )
 
-from dense import from_dense
+from dense import from_dense, to_dense
+from test_classifier import indefinite_surface_tensor, projection_tensor, rank_one_ricci_tensor
 
 TOL = 1e-8
 N_SAMPLES = 24
@@ -228,3 +231,83 @@ def test_projective_verdict_is_scale_invariant(scale):
 def test_model_below_two_dimensions_is_rejected():
     with pytest.raises(ValueError, match="no reduced Jacobi operator"):
         is_projective_affine_osserman(from_dense(np.zeros((1,) * 4)))
+
+
+# -- change of basis, verdict power and the Ricci-form gate ---------------
+
+
+def rotated(A, seed):
+    """The model g . A(g^T ., g^T .) g^T . for a seeded random orthogonal g:
+    its Jacobi spectrum at g X is the spectrum of A at X."""
+    g, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((A.dim, A.dim)))
+    return from_dense(np.einsum("ai,bj,ck,dl,ijkl->abcd", g, g, g, g, to_dense(A),
+                                optimize=True))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make", [lambda: projection_tensor(5, 3), rank_one_ricci_tensor],
+                         ids=["projection", "rank-one-ricci"])
+def test_degenerate_models_are_neither_in_every_basis(make, seed):
+    """Both are nilpotent or singular only on a null set that the probes
+    miss; their Ricci forms are semidefinite with a kernel."""
+    verdict = is_projective_affine_osserman(rotated(make(), seed), n_samples=16)
+    assert verdict.status == NEITHER and verdict.mu is None
+    assert verdict.scales == () and verdict.worst_residual == float("inf")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case,m,lams,nus", [
+    ("1", 7, (2.0,), ()),
+    ("2-c", 10, (4.0,), (1 + 2j,)),
+    ("3-g", 12, (6.0, 4.0, 2.0), (1 + 1j,)),
+    ("3-h", 12, (6.0,), (1 + 1j, 3 + 2j)),
+])
+def test_realized_models_keep_their_case_in_every_basis(case, m, lams, nus, seed):
+    result = classify(rotated(realize(StructureSpec(case, lams, nus), m), seed), n_samples=16)
+    assert result.verdict.status == PROJECTIVE
+    assert result.structure.case == case
+
+
+# each label at the dimension the classify-sweep benchmark gives it
+SWEEP = [(case, {"1": 7, "2-a": 10, "2-b": 10, "2-c": 10}.get(case, 12), lams, nus)
+         for case, _, lams, nus in CASES]
+
+
+@pytest.mark.parametrize("make,status,case", [
+    pytest.param(lambda c=c: realize(StructureSpec(c[0], c[2], c[3]), c[1]), PROJECTIVE, c[0],
+                 id=c[0]) for c in SWEEP
+] + [
+    pytest.param(non_osserman_model, NEITHER, None, id="non-osserman"),
+    pytest.param(nilpotent_model, AFFINE, None, id="nilpotent"),
+])
+def test_the_verdict_does_not_depend_on_the_seed(make, status, case):
+    A = make()
+    for seed in range(10):
+        result = classify(A, seed=seed)
+        assert result.verdict.status == status, seed
+        assert (result.structure.case if case else result.structure) == case, seed
+
+
+def test_an_indefinite_ricci_form_fails_the_gate():
+    A = indefinite_surface_tensor()  # tr J_X = x1^2 - 2 x2^2
+    assert not classifier_module._ricci_gate(A, 1.0, TOL)
+    assert is_projective_affine_osserman(A, n_samples=8).status == NEITHER
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_a_trace_free_model_passes_the_gate(scale):
+    """2-b at m = 6 with lambda = (4, -1): tr J_X = 4 - 4 = 0 at every X."""
+    A = realize(StructureSpec("2-b", (4.0 * scale, -1.0 * scale), ()), 6)
+    X = sample_sphere(6, 8, 0)
+    assert np.abs(np.trace(jacobi_batch(A, X), axis1=1, axis2=2)).max() <= 1e-14 * scale
+    assert classifier_module._ricci_gate(A, classifier_module._model_scale(A), TOL)
+    result = classify(A, n_samples=16)
+    assert result.verdict.status == PROJECTIVE and result.structure.case == "2-b"
+
+
+def test_without_the_gate_the_projection_tensor_passes_for_projective(monkeypatch):
+    """The probes alone miss the kernel, on which J_X is nilpotent: the
+    gate is what makes the verdict neither."""
+    monkeypatch.setattr(classifier_module, "_ricci_gate", lambda A, c, tol: True)
+    for A in (projection_tensor(5, 3), rotated(projection_tensor(5, 3), 0)):
+        assert is_projective_affine_osserman(A, n_samples=16).status == PROJECTIVE

@@ -57,11 +57,13 @@ def indefinite_surface_tensor():
 
 
 def test_sample_sphere_layout():
+    """e1, then the Gaussian directions: no other axis, no all-ones probe."""
     pts = sample_sphere(4, 6, seed=3)
-    assert len(pts) == 4 + 1 + 6
-    for i in range(4):
-        assert np.array_equal(pts[i], np.eye(4)[i])
-    assert np.allclose(pts[4], np.full(4, 0.5))
+    assert len(pts) == 1 + 6
+    assert np.array_equal(pts[0], np.eye(4)[0])
+    rng = np.random.default_rng(3)
+    drawn = rng.standard_normal((6, 4))
+    assert np.array_equal(pts[1:], drawn / np.linalg.norm(drawn, axis=1)[:, None])
     for v in pts:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
@@ -182,13 +184,19 @@ def rank_one_ricci_tensor():
 
 def test_extra_directions_expose_hidden_collapse():
     A = rank_one_ricci_tensor()
-    # default probes almost surely miss the null line and see a
-    # projectively constant spectrum
-    assert is_projective_affine_osserman(A, n_samples=8).status == PROJECTIVE
-    probed = is_projective_affine_osserman(
-        A, n_samples=8, extra_directions=[(1.0, -1.0)]
-    )
+    # the probes almost surely miss the null line; the semidefinite Ricci
+    # form does not, and a probe forced onto the line sees the collapse
+    verdict = is_projective_affine_osserman(A, n_samples=8)
+    assert verdict.status == NEITHER and verdict.scales == ()
+    probed = is_projective_affine_osserman(A, n_samples=8, extra_directions=[(1.0, -1.0)])
     assert probed.status == NEITHER
+    # a forced direction is probed after the sampled ones
+    B = constant_curvature(3)
+    plain = is_projective_affine_osserman(B, n_samples=8)
+    forced = is_projective_affine_osserman(B, n_samples=8, extra_directions=[(1.0, -1.0, 2.0)])
+    assert plain.status == forced.status == PROJECTIVE
+    assert len(forced.scales) == len(forced.residuals) == len(plain.scales) + 1 == 8 + 2
+    assert forced.scales[:-1] == plain.scales
 
 
 def test_extra_directions_validation():
@@ -212,7 +220,7 @@ def test_verdict_json_shape():
     d = is_projective_affine_osserman(constant_curvature(3), n_samples=4).to_json_dict()
     assert d["status"] == PROJECTIVE
     assert d["mu"] is not None and d["spectrum"] is not None
-    assert len(d["scales"]) == len(d["residuals"]) == 3 + 1 + 4
+    assert len(d["scales"]) == len(d["residuals"]) == 4 + 1
 
 
 # -- taxonomy matching ----------------------------------------------------

@@ -160,6 +160,13 @@ def test_a_negative_seed_names_the_flag(capsys, projective_model, argv):
     assert "argument --seed: expected a non-negative integer, got '-1'" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_a_sample_count_below_one_names_the_flag(capsys, projective_model, count):
+    code, out, err = run_cli(capsys, "classify", str(projective_model), "--samples", count)
+    assert code == 3 and out == ""
+    assert err == "error: argument --samples: expected a positive integer, got '%s'\n" % count
+
+
 def test_classify_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", str(tmp_path / "nope.json"))
     assert code == 3

@@ -300,8 +300,8 @@ def test_surface_criterion_degenerate():
 
 def test_surface_criterion_degenerate_off_axis_null_line():
     # rho_s at the origin is [[-1, -1], [-1, -1]]: rank one, null line
-    # spanned by (1, -1), which no default probe direction hits.  The
-    # criterion must hand that direction to the sampled arm itself.
+    # spanned by (1, -1), which no probe direction hits.  The sampled
+    # arm's Ricci-form gate must see the collapse anyway.
     C = connection_from_symbols(
         2,
         {

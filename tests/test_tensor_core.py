@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from affinecurv import tensor_core
-from affinecurv.classifier import classify
+from affinecurv.classifier import classify, sample_sphere
 from affinecurv.cli import main
 from affinecurv.constructors import CASE_LABELS, StructureSpec, case_constraints, realize
 from affinecurv.tensor_core import (
@@ -754,8 +754,8 @@ def test_jacobi_batch_is_the_dense_matmul_bit_for_bit_on_sparse_models(e, data):
     assert_the_documented_sum(A, X, np.random.default_rng(n))
 
 
-# The Jacobi operators of the three classify-golden models at 39 to 45
-# directions, their bytes on stdout.
+# The Jacobi operators of the three classify-golden models, m = 7, 10 and
+# 12, at the probes of sample_sphere(m, 32, 7), their bytes on stdout.
 _JACOBI_BYTES = """
 import sys
 from affinecurv.classifier import sample_sphere
@@ -808,7 +808,8 @@ def test_jacobi_batch_bytes_do_not_depend_on_the_blas_or_simd_kernel(kernel,
     env, flags = _KERNELS[kernel]
     if not flags <= _cpu_flags():
         pytest.skip("the CPU lacks %s" % " ".join(sorted(flags - _cpu_flags())))
-    assert len(default_jacobi_bytes) == 8 * (40 * 7 ** 2 + 43 * 10 ** 2 + 45 * 12 ** 2)
+    assert len(default_jacobi_bytes) == sum(8 * len(sample_sphere(m, 32, 7)) * m ** 2
+                                            for m in (7, 10, 12))
     assert _jacobi_bytes(**env) == default_jacobi_bytes
 
 
