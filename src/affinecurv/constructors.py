@@ -132,13 +132,16 @@ class _Term:
 
     @classmethod
     def collect(cls, m, keys, vals):
-        """Join the key and value arrays and sum the values of equal keys."""
+        """Join the key and value arrays and sum the values of equal keys:
+        one np.add.reduceat over the runs of the stably sorted keys, so a
+        lone key keeps its value and each run, in input order, is summed as
+        np.add.reduce sums it (not left to right past two terms)."""
         keys = np.concatenate(keys)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         vals = np.concatenate(vals)[order]
         del order  # freed before the outputs are made, which lowers the peak
-        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        first = np.flatnonzero(np.concatenate(([keys.size > 0], keys[1:] != keys[:-1])))
         return cls(m, keys[first], np.add.reduceat(vals, first))
 
     @classmethod
@@ -164,11 +167,12 @@ class _Term:
 
     def __matmul__(self, M):
         """entries @ M: each M[p, l] != 0 moves the entries at p in the last slot
-        to l, times M[p, l]; one product an entry if M is a signed permutation."""
+        to l, times M[p, l]; one product an entry if M is a signed permutation.
+        Row p's nonzeros are a run in np.nonzero's order, found by a cumsum."""
         p, l = np.nonzero(M)
         last = self.keys % self.m
-        start = np.searchsorted(p, last)
-        count = np.searchsorted(p, last, side="right") - start
+        size = np.bincount(p, minlength=self.m)
+        start, count = (np.cumsum(size) - size)[last], size[last]
         at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
         return _Term.collect(self.m, [np.repeat(self.keys - last, count) + l[at]],
                              [np.repeat(self.vals, count) * M[p[at], l[at]]])

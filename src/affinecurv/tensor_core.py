@@ -387,6 +387,11 @@ def model_to_json_chunks(A, depth=0):
     only those in use, so a file with a large dim and few rows is cheap
     to write and to check.  Non-finite values, which JSON cannot hold,
     raise ValueError here, before any chunk is made."""
+    return _json_chunks(A, depth, *np.unique(A._values, return_inverse=True))
+
+
+def _json_chunks(A, depth, distinct, which):
+    """model_to_json_chunks from any table with distinct[which] == A._values."""
     pad = "  " * depth
     m, keys, vals = A.dim, A._keys, A._values
     if not np.all(np.isfinite(vals)):
@@ -399,7 +404,6 @@ def model_to_json_chunks(A, depth=0):
     else:
         pairs, where = np.unique(np.divmod(keys, m * m), return_inverse=True)
         where = where.reshape(2, -1)
-    distinct, which = np.unique(vals, return_inverse=True)
     head = pad + "    [\n"
     ends = [pad + "      " + text + "\n" + pad + "    ]"
             for text in map(float.__repr__, distinct.tolist())]
@@ -436,9 +440,6 @@ def save_model(A, path):
 # save_model text; a dim of six digits would be past _KEY_MAX anyway
 _HEAD = re.compile(rb'{\n  "dim": ([1-9][0-9]{0,4}),\n  "entries": \[\n')
 _TAIL = b"\n  ]\n}\n"
-# the value of each byte as a decimal digit; any other byte reads as 0
-_DIGIT = np.zeros(256, dtype=np.intp)
-_DIGIT[48:58] = np.arange(10)
 # the longest float.__repr__, as in -2.2250738585072014e-308
 _TOKEN_MAX = 24
 # the masks of the low 0 to 8 bytes of a word, and an odd multiplier
@@ -447,11 +448,12 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _floats(data, start, stop):
-    """float(data[a:b]) for the tokens [start, stop) of 1 to _TOKEN_MAX
-    bytes, called once per distinct token.  Each token is read as three
-    little-endian 8-byte words, its bytes past the end masked out, and the
-    words are hashed into one key per token.  A collision would give two
-    tokens one value, which the caller's byte comparison rejects."""
+    """(distinct, which), distinct[which] the floats of the tokens [start,
+    stop) of 1 to _TOKEN_MAX bytes, float() called on one row of each
+    distinct token.  Each token is read as three little-endian 8-byte words,
+    its bytes past the end masked out, and hashed into one key, whose
+    np.unique gives `which`.  A collision would give two tokens one value,
+    which the caller's byte comparison rejects."""
     length = stop - start
     if length.min() < 1 or length.max() > _TOKEN_MAX:
         raise ValueError("a value token is empty or longer than any float repr")
@@ -461,17 +463,20 @@ def _floats(data, start, stop):
         # a word past the token is masked to 0, so its offset may be clipped
         word = words[np.minimum(start + w, len(words) - 1)]
         key = key * _MIX + (word & _LOW_BYTES[np.clip(length - w, 0, 8)])
-    _, row, inverse = np.unique(key, return_index=True, return_inverse=True)
+    hashes, which = np.unique(key, return_inverse=True)
+    row = np.empty(len(hashes), dtype=np.intp)
+    row[which] = np.arange(len(which))
     distinct = [float(data[a:b]) for a, b in zip(start[row].tolist(), stop[row].tolist())]
-    return np.array(distinct, dtype=float)[inverse]
+    return np.array(distinct, dtype=float), which
 
 
 def _load_written(data):
     """The tensor whose save_model text is the bytes `data`, or None when
-    they are not such a text.  The layout is found in array passes: the
-    newlines (three for the head, seven per row for "[", the four indices,
-    the value and "]", two for the tail), the index digits read right to
-    left from the columns before each comma, and the value tokens.  The
+    they are not such a text.  Array passes read each row from the "[" that
+    opens it: the four index lines "      %d," digit by digit forward from
+    their columns, each 8 bytes past the comma before, and the value token
+    from 8 bytes past the last comma to 12 before the next row's "[" (13
+    before the end of the text), every offset clipped into the text.  The
     writer's chunks for the tensor so built are then compared with the
     bytes in place: only equal bytes accept it, so no layout rule needs a
     check of its own."""
@@ -482,23 +487,24 @@ def _load_written(data):
     if m ** 4 > _KEY_MAX:
         return None
     buf = np.frombuffer(data, np.uint8)
-    newlines = np.flatnonzero(buf == 10)
-    n, extra = divmod(len(newlines) - 5, 7)
-    if extra or n <= 0:
+    opens = np.flatnonzero(buf[head.end():] == ord("[")) + head.end()
+    if not len(opens):
         return None
-    ends = newlines[3:-2].reshape(n, 7)  # the newline that ends each line of a row
-    # index lines are "      %d,": digits right to left from the comma
-    places = range(len(str(m - 1)))
-    keys = np.zeros(n, dtype=np.intp)
-    for line in range(1, 5):
-        comma = ends[:, line] - 1
-        keys = keys * m + sum(_DIGIT[buf[comma - 1 - p]] * 10 ** p for p in places)
-    # the value line is "      %r"
-    start, stop = ends[:, 4] + 7, ends[:, 5].copy()
-    del newlines, ends  # the line index (8 bytes a line) is not needed past here
+    at, keys = opens, np.zeros(len(opens), dtype=np.intp)
+    for _ in range(4):  # 8 bytes past "[" or ",": the "\n" and six spaces
+        at, index, more = at + 8, np.zeros_like(keys), np.ones(len(keys), dtype=bool)
+        for _ in str(m - 1):
+            digit = np.take(buf, at, mode="clip") - ord("0")  # a non-digit wraps past 9
+            more &= digit < 10
+            index = np.where(more, index * 10 + digit, index)
+            at += more
+        keys = keys * m + index
     try:
-        A = CurvatureTensor(m, keys, _floats(data, start, stop))
-        chunks = model_to_json_chunks(A)
+        distinct, which = _floats(data, at + 8, np.append(opens[1:], len(data) - 1) - 12)
+        A = CurvatureTensor(m, keys, distinct[which])
+        if len(A._values) < len(keys):  # a zero value, whose row the writer drops
+            return None
+        chunks = _json_chunks(A, 0, distinct, which)
     except ValueError:  # no float token, keys not ascending in range, or not finite
         return None
     at = 0

@@ -1,6 +1,10 @@
 """Model constructors: structures, building blocks, case realization."""
 
+import hashlib
+import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from affinecurv.constructors import (
 )
 from affinecurv.spectral import spectrum, spectrum_batch
 from affinecurv.tensor_core import (
+    CurvatureTensor,
     check_affine_symmetries,
     evaluate,
     jacobi_batch,
@@ -546,3 +551,136 @@ def test_realize_at_m44_stays_far_below_the_dense_tensor():
     assert len(A.nonzero()[1]) == 39248
     "".join(model_to_json_chunks(A))
     assert peak < 0.1 * m ** 4 * 8
+
+
+# -- pinned realize bits -----------------------------------------------------
+
+REALIZE_BITS = Path(__file__).parent / "golden" / "realize_bits.json"
+
+
+def smallest_dim(case):
+    """The least m at which realize builds the case."""
+    modulus, residue = constructors._CASES[case][:2]
+    return next(m for m in itertools.count(2)
+                if m % modulus == residue and min(sum(case_constraints(case, m), ())) >= 1)
+
+
+def realize_digest(case, m, lams, nus):
+    """realize's nonzero list at (case, m): its length and the SHA-256 of
+    its raveled keys (<i8) and of its values (<f8)."""
+    idx, vals = realize(StructureSpec(case, lams, nus), m).nonzero()
+    keys = np.ravel_multi_index(idx.T, (m,) * 4).astype("<i8")
+    return {"nonzero": len(vals), "keys_sha256": hashlib.sha256(keys.tobytes()).hexdigest(),
+            "values_sha256": hashlib.sha256(vals.astype("<f8").tobytes()).hexdigest()}
+
+
+def realize_bits_records():
+    """Each label at its smallest m, then the four classify-large models,
+    with awkward_spec eigenvalues: the records of REALIZE_BITS, which was
+    written with
+
+        PYTHONPATH=src:tests python -c "import json, test_constructors as t; \\
+            print(json.dumps(t.realize_bits_records(), indent=1))" \\
+            > tests/golden/realize_bits.json
+    """
+    points = [(case, smallest_dim(case)) for case in CASE_LABELS]
+    points += [("2-c", 38), ("1", 41), ("3-h", 36), ("3-g", 44)]
+    records = []
+    for case, m in points:
+        spec = awkward_spec(case, m, seed=m)
+        lams, nus = list(spec.lambdas), [[nu.real, nu.imag] for nu in spec.nus]
+        records.append({"case": case, "m": m, "lambda": lams, "nu": nus,
+                        **realize_digest(case, m, spec.lambdas, spec.nus)})
+    return records
+
+
+@pytest.mark.parametrize("record", json.loads(REALIZE_BITS.read_text()),
+                         ids=lambda record: "%s-m%d" % (record["case"], record["m"]))
+def test_realize_keeps_the_pinned_bits(record):
+    nus = tuple(complex(re, im) for re, im in record["nu"])
+    got = realize_digest(record["case"], record["m"], tuple(record["lambda"]), nus)
+    assert got == {key: record[key] for key in got}
+
+
+# -- _Term sums against the searchsorted and full-reduceat forms -------------
+
+
+def reference_collect(keys, vals):
+    """_Term.collect's sums as np.add.reduceat over every key."""
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], np.concatenate(vals)[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(vals, first)
+
+
+def reference_matmul(m, keys, vals, M):
+    """_Term.__matmul__ with each entry's rows of M found by searchsorted."""
+    p, l = np.nonzero(M)
+    last = keys % m
+    start = np.searchsorted(p, last)
+    count = np.searchsorted(p, last, side="right") - start
+    at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return reference_collect([np.repeat(keys - last, count) + l[at]],
+                             [np.repeat(vals, count) * M[p[at], l[at]]])
+
+
+def bits(keys, vals):
+    return keys.tolist(), np.asarray(vals, dtype=float).view(np.uint64).tolist()
+
+
+_AWKWARD = np.array([-0.0, 0.0, 1.0 / 3.0, -0.1, 1e16, -1e16, 2.5, 7e-17, -1.0, 1.0 / 7.0])
+
+
+def random_arrays(rng, m):
+    """1 to 12 key arrays drawn with repeats from a pool of 1 to 15 keys, so
+    a key's run is often longer than 8, with values that make the order of
+    a sum visible, -0.0 among them."""
+    pool = rng.choice(m ** 4, size=int(rng.integers(1, 16)), replace=False)
+    keys, vals = [], []
+    for _ in range(int(rng.integers(1, 13))):
+        keys.append(rng.choice(pool, size=int(rng.integers(1, 2 * len(pool) + 1))))
+        vals.append(np.where(rng.random(len(keys[-1])) < 0.6,
+                             rng.choice(_AWKWARD, len(keys[-1])), rng.standard_normal(len(keys[-1]))))
+    return keys, vals
+
+
+def random_matrix(rng, m):
+    """A dense matrix, one with zeros and -0.0 in it, or a signed permutation."""
+    M = rng.standard_normal((m, m)) / 3.0
+    kind = rng.integers(3)
+    if kind == 1:
+        M[rng.random((m, m)) < 0.5] = rng.choice([0.0, -0.0])
+    elif kind == 2:
+        M = np.eye(m)[rng.permutation(m)] * rng.choice([-1.0, 1.0], m)
+    return M
+
+
+def raveled(A):
+    idx, vals = A.nonzero()
+    return np.ravel_multi_index(idx.T, (A.dim,) * 4), vals
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_term_sums_keep_the_bits_of_the_searchsorted_and_full_reduceat_forms(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 13))
+    keys, vals = random_arrays(rng, m)
+    if seed == 0:  # one key in 12 arrays: a run of 12
+        keys, vals = [np.array([5])] * 12, [np.array([v]) for v in _AWKWARD] + [[0.1], [-3.0]]
+    t = constructors._Term.collect(m, keys, vals)
+    assert bits(t.keys, t.vals) == bits(*reference_collect(keys, vals))
+    u = constructors._Term.collect(m, *random_arrays(rng, m))
+    s = t + u
+    assert bits(s.keys, s.vals) == bits(*reference_collect([t.keys, u.keys], [t.vals, u.vals]))
+    M = random_matrix(rng, m)
+    product = t @ M
+    assert bits(product.keys, product.vals) == bits(*reference_matmul(m, t.keys, t.vals, M))
+    # compose_endomorphism is @ Xi.T on a tensor's nonzero list
+    A, Xi = s.tensor(), rng.standard_normal((m, m))
+    want = CurvatureTensor(m, *reference_matmul(m, *raveled(A), Xi.T))
+    assert bits(*raveled(compose_endomorphism(Xi, A))) == bits(*raveled(want))
+
+
+def test_composing_with_the_zero_endomorphism_gives_the_zero_model():
+    assert not compose_endomorphism(np.zeros((4, 4)), constant_curvature(4)).nonzero()[1].size

@@ -504,6 +504,63 @@ def test_load_model_agrees_with_the_json_module_on_one_edit_variants(tmp_path, n
     assert _outcome(load_model, path) == _outcome(_through_json, path)
 
 
+def _row_scan_text(m):
+    """A save_model text at dim m with one-digit indices and indices as
+    wide as m - 1, and its lines."""
+    rng = np.random.default_rng(m)
+    index = np.concatenate([[0, 7, m - 1], rng.integers(0, m, 37)])
+    keys = np.unique(np.ravel_multi_index(index.reshape(4, -1), (m,) * 4))
+    values = rng.choice([1.25, -0.1, 1.0 / 3.0, -2.2250738585072014e-308, 4e16], len(keys))
+    text = "".join(model_to_json_chunks(CurvatureTensor(m, keys, values))) + "\n"
+    return text, text.split("\n")
+
+
+def _row_scan_variant(m, name):
+    """The text at dim m with one edit; lines[3 + 7 r + s] is line s of row r."""
+    text, lines = _row_scan_text(m)
+    last = len(lines) - 10  # the "[" line of the last row
+    start, stop, new = {
+        "canonical": (0, 0, []),
+        "index one digit too long": (5, 6, ["      1%s," % ("0" * len(str(m - 1)))]),
+        "plus sign on an index": (11, 12, ["      +1,"]),
+        "[ on a value line": (8, 9, ["      [1.25]"]),
+        "[ on the last value line": (last + 5, last + 6, ["      1.25["]),
+        "row without its [ line": (10, 11, []),
+        "doubled [ line": (10, 10, ["    ["]),
+        "index line dropped": (4, 5, []),
+    }[name]
+    lines[start:stop] = new
+    return "\n".join(lines)
+
+
+_ROW_SCAN_EDITS = ["canonical", "index one digit too long", "plus sign on an index",
+                   "[ on a value line", "[ on the last value line", "row without its [ line",
+                   "doubled [ line", "index line dropped"]
+
+
+@pytest.mark.parametrize("name", _ROW_SCAN_EDITS + ["cut inside the last row"])
+@pytest.mark.parametrize("m", [44, 50000])
+def test_row_scan_agrees_with_the_json_module_on_one_edit_variants(tmp_path, m, name):
+    """Each row is read from its "[": an edit that moves a row's lines, or
+    adds or drops a "[", falls back to the json module's outcome, the
+    tensor bits or the ValueError's type and message, never an IndexError."""
+    text, lines = _row_scan_text(m)
+    assert "      %d," % (m - 1) in lines and "      0," in lines
+    if name == "cut inside the last row":
+        variants = [text[:len(text) - cut] for cut in range(14, 14 + len(text.split("[")[-1]))]
+    else:
+        variants = [_row_scan_variant(m, name)]
+        assert (variants[0] == text) == (name == "canonical")
+    path = tmp_path / "model.json"
+    for variant in variants:
+        path.write_text(variant)
+        with pytest.MonkeyPatch.context() as patch:
+            if name == "canonical":
+                patch.setattr(json, "loads", _no_json)
+            got = _outcome(load_model, path)
+        assert got == _outcome(_through_json, path)
+
+
 def test_symmetry_defects_equal_the_dense_formulas():
     """The key-based defects are the max-abs of the same sums as the
     dense m^4 expressions, so they agree bit for bit."""
