@@ -9,10 +9,13 @@ Subcommands:
     extend    cotangent-metric spectral checks over an affine base
     symm      curvature symmetry defects of a model file
 
-Reports are JSON on stdout (sorted keys, stable formatting); --pretty adds
-a short human summary on stderr.  Exit codes: 0 success (projective /
-admissible / passed), 1 affine Osserman, 2 negative verdict, 3 bad input,
-4 numerical failure.
+Reports are JSON on stdout and in the --json-out file, laid out as
+json.dumps(report, indent=2, sort_keys=True) lays them out, with a final
+newline; a non-finite float prints as null, since JSON (RFC 8259) has no
+token for it.  A model that `realize` inlines is streamed, and a command
+that fails writes no report.  --pretty adds a short human summary on
+stderr.  Exit codes: 0 success (projective / admissible / passed),
+1 affine Osserman, 2 negative verdict, 3 bad input, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from .polynomials import polynomial_to_string
 from .riemannian_extension import check_extension_theorems, default_point
 from .spectral import jordan_profile, spectrum
 from .tensor_core import (
+    CurvatureTensor,
     check_affine_symmetries,
     load_model,
     model_to_json_chunks,
@@ -103,21 +107,23 @@ def coordinates(text):
     return values
 
 
-def _int_at_least(low, kind):
-    """Parser of an integer >= low whose error names `kind`."""
+def _number(convert, test, kind):
+    """Parser of a convert(text) that passes `test`, whose error names `kind`."""
     def parse(text):
         try:
-            if int(text) >= low:
-                return int(text)
+            if test(convert(text)):
+                return convert(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError("expected a %s integer, got %r" % (kind, text))
+        raise argparse.ArgumentTypeError("expected a %s, got %r" % (kind, text))
     return parse
 
 
 # numpy's generators take only non-negative seeds
-_seed = _int_at_least(0, "non-negative")
-_samples = _int_at_least(1, "positive")
+_seed = _number(int, lambda n: n >= 0, "non-negative integer")
+_samples = _number(int, lambda n: n >= 1, "positive integer")
+# float() reads inf, nan and 1e400 (as inf), which no exact connection takes
+_finite = _number(float, math.isfinite, "finite number")
 
 
 def _partition(text):
@@ -138,36 +144,47 @@ def _partition(text):
     return dims, kinds
 
 
-# stands for an inlined model in the report until the text is written
-_MODEL = "\0model"
+def _json_pieces(node, out, depth=0):
+    """Append to `out` the text json.dumps(node, indent=2, sort_keys=True)
+    gives `node`, a tree with str keys, nested `depth` levels deep, in one
+    walk: a non-finite float as null, and a CurvatureTensor as the text of
+    its model_to_json_dict, which model_to_json_chunks makes lazily."""
+    if isinstance(node, str):
+        out.append(_quote(node))
+    elif isinstance(node, float):
+        out.append(float.__repr__(node) if math.isfinite(node) else "null")
+    elif node is None or isinstance(node, int):  # bool is an int, as in json
+        out.append("null" if node is None else "true" if node is True
+                   else "false" if node is False else int.__repr__(node))
+    elif isinstance(node, CurvatureTensor):
+        out.append(model_to_json_chunks(node, depth))
+    elif isinstance(node, (dict, list, tuple)):
+        keyed = isinstance(node, dict)
+        sep, close = "{}" if keyed else "[]"
+        pad = "\n" + "  " * (depth + 1)
+        for key, value in sorted(node.items()) if keyed else enumerate(node):
+            out.append(sep + pad + (_quote(key) + ": " if keyed else ""))
+            _json_pieces(value, out, depth + 1)
+            sep = ","
+        out.append((pad[:-2] if node else sep) + close)
+    else:
+        raise TypeError("%s is not JSON serializable" % type(node).__name__)
 
 
-def _strict(report):
-    """The report with every non-finite float replaced by None."""
-    if isinstance(report, float):
-        return report if math.isfinite(report) else None
-    if isinstance(report, dict):
-        return {key: _strict(value) for key, value in report.items()}
-    if isinstance(report, (list, tuple)):
-        return [_strict(value) for value in report]
-    return report
-
-
-def _emit(report, args, model=None):
-    """Write json.dumps(report, indent=2, sort_keys=True) and a newline to
-    stdout, and to --json-out, with each non-finite float as null: JSON
-    (RFC 8259) has no token for Infinity or NaN.  A `model` given here
-    sits under report["model"] = _MODEL: the text before that placeholder,
-    the model file writer's chunks and the text after it are written in
-    turn, which gives the text json.dumps would without holding it whole."""
-    text = json.dumps(_strict(report), indent=2, sort_keys=True) + "\n"
-    head, _, tail = text.partition(json.dumps(_MODEL))
-    chunks = model_to_json_chunks(model, depth=1) if model is not None else ()
+def _emit(report, args):
+    """Write the report's text (see _json_pieces) and a newline to stdout
+    and to --json-out.  Every piece is made before the first byte is
+    written, so a model the model writer refuses writes nothing; runs of
+    text are joined, and a model is written chunk by chunk, never whole."""
+    pieces = []
+    _json_pieces(report, pieces)
+    pieces.append("\n")
     with open(args.json_out, "w") if args.json_out else contextlib.nullcontext() as fh:
-        for chunk in itertools.chain([head], chunks, [tail]):
-            sys.stdout.write(chunk)
-            if fh:
-                fh.write(chunk)
+        for is_text, run in itertools.groupby(pieces, lambda piece: isinstance(piece, str)):
+            for chunk in ["".join(run)] if is_text else itertools.chain.from_iterable(run):
+                sys.stdout.write(chunk)
+                if fh:
+                    fh.write(chunk)
 
 
 def _pretty(args, lines):
@@ -188,26 +205,17 @@ def _tol(args, default):
 
 
 def _cmd_realize(args):
-    spec = StructureSpec(
-        case=args.case,
-        lambdas=tuple(args.lambdas or ()),
-        nus=tuple(args.nus or ()),
-        m=args.m,
-    )
+    spec = StructureSpec(case=args.case, lambdas=tuple(args.lambdas or ()),
+                         nus=tuple(args.nus or ()), m=args.m)
     A = realize(spec, args.m)
-    report = {
-        "command": "realize",
-        "spec": spec.to_json_dict(),
-        "dim": A.dim,
-        "nonzero_entries": len(A._values),
-        "notes": list(A.notes),
-    }
+    report = {"command": "realize", "spec": spec.to_json_dict(), "dim": A.dim,
+              "nonzero_entries": len(A._values), "notes": list(A.notes)}
     if args.out:
         save_model(A, args.out)
         report["out"] = args.out
     else:
-        report["model"] = _MODEL
-    _emit(report, args, model=None if args.out else A)
+        report["model"] = A
+    _emit(report, args)
     _pretty(args, [
         "case %s at m=%d: %d nonzero entries" % (args.case, args.m, report["nonzero_entries"]),
         "written to %s" % args.out if args.out else "model inlined in report",
@@ -222,10 +230,8 @@ def _cmd_classify(args):
     report = {"command": "classify", "verdict": verdict.to_json_dict()}
     if verdict.status == PROJECTIVE:
         structure = result.structure
-        if isinstance(structure, StructureSpec):
-            report["structure"] = structure.to_json_dict()
-        else:
-            report["structure"] = structure
+        report["structure"] = (structure.to_json_dict() if isinstance(structure, StructureSpec)
+                               else structure)
         partition = result.partition
         report["bundles"] = {"dims": list(partition.dims), "kinds": list(partition.kinds)}
         report["adams"] = result.adams.to_json_dict()
@@ -235,11 +241,7 @@ def _cmd_classify(args):
         lines.append("structure: %s" % report["structure"])
         lines.append("worst residual against the e1 spectrum: %.3g" % verdict.worst_residual)
     _pretty(args, lines)
-    if verdict.status == PROJECTIVE:
-        return EXIT_OK
-    if verdict.status == AFFINE:
-        return EXIT_AFFINE
-    return EXIT_FAIL
+    return {PROJECTIVE: EXIT_OK, AFFINE: EXIT_AFFINE}.get(verdict.status, EXIT_FAIL)
 
 
 def _cmd_adams(args):
@@ -260,17 +262,15 @@ def _cmd_adams(args):
 def _load_connection_source(args):
     if args.file:
         return load_connection(args.file)
+    if args.builtin in ("homogeneous", "flat") and args.m is None:
+        raise UsageError("--builtin %s needs --m" % args.builtin)
     if args.builtin == "homogeneous":
-        if args.m is None:
-            raise UsageError("--builtin homogeneous needs --m")
         return curvature_homogeneous_connection(args.m, args.eps)
     if args.builtin == "planewave":
         if args.m not in (None, 3):
             raise UsageError("the planewave connection is three-dimensional")
         return plane_wave_connection()
     if args.builtin == "flat":
-        if args.m is None:
-            raise UsageError("--builtin flat needs --m")
         return flat_connection(args.m)
     raise UsageError("pick a connection with --builtin or --file")
 
@@ -315,11 +315,9 @@ def _cmd_geometry(args):
             if value.imag < 0.0:
                 continue
             prof = jordan_profile(J, value, tol=max(tol, 1e-8))
-            profiles.append({
-                "eigenvalue": {"re": value.real, "im": value.imag},
-                "blocks": list(prof.block_sizes),
-                "multiplicity": prof.multiplicity,
-            })
+            profiles.append({"eigenvalue": {"re": value.real, "im": value.imag},
+                             "blocks": list(prof.block_sizes),
+                             "multiplicity": prof.multiplicity})
         report["jordan"] = {"spectrum": S.to_json_dict(), "profiles": profiles}
     if args.geodesic is not None:
         x0, v0 = (coordinates(part) for part in args.geodesic)
@@ -403,7 +401,7 @@ def _build_parser():
     source.add_argument("--builtin", choices=("homogeneous", "planewave", "flat"))
     source.add_argument("--file", help="connection JSON file")
     source.add_argument("--m", type=int, help="dimension for --builtin")
-    source.add_argument("--eps", type=float, default=0.0, help="perturbation for homogeneous")
+    source.add_argument("--eps", type=_finite, default=0.0, help="perturbation for homogeneous")
 
     parser = _Parser(prog="affinecurv", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)

@@ -128,10 +128,10 @@ class PolyCurvature:
     entries, is built from them on first read: R[i, j, k, l] and then
     R[j, i, k, l] = -R[i, j, k, l] for each numerator in that order, the
     polynomials and the order an eager build would give.  The checks of
-    `curvature` have all run before a PolyCurvature exists.  Exact
-    evaluation at a point (`integer_values`, `evaluate_exact`) reads the
-    numerators and builds no Polynomial.  Two curvatures are equal when
-    their `riemann` maps are."""
+    `curvature` have all run before a PolyCurvature exists.  Evaluation at
+    a point, float (`evaluate_at`) or exact (`integer_values`,
+    `evaluate_exact`), reads the numerators and builds no Polynomial.  Two
+    curvatures are equal when their `riemann` maps are."""
 
     dim: int
     numerators: MappingProxyType = field(repr=False)
@@ -160,20 +160,28 @@ class PolyCurvature:
 
     @cached_property
     def _evaluator(self):
-        """The entries keyed by their raveled C-order index, ascending:
-        `curvature` inserts R[i, j, k, l] next to R[j, i, k, l], out of
-        key order."""
+        """A CompiledTable of the i < j entries R[i, j, k, l] over `den`, in
+        numerator order, each keyed by the pair of its raveled C-order index
+        and that of its (j, i) negation; only `values` reads it."""
         m = self.dim
-        flat = {((i * m + j) * m + k) * m + l: p for (i, j, k, l), p in self.riemann.items()}
-        return CompiledTable(dict(sorted(flat.items())), (m ** 4,), m)
+        table = {(((i * m + j) * m + k) * m + l, ((j * m + i) * m + k) * m + l): p
+                 for (i, j, k), row in self.numerators.items() for l, p in row.items()}
+        return CompiledTable(table, (m,) * 4, m, den=self.den)
 
     def evaluate_at(self, point):
         """The numeric curvature tensor at a point, made from the nonzero
-        list with no m^4 array."""
+        list with no m^4 array.  Each i < j entry is evaluated once and its
+        (j, i) entry is the exact negation: int / int rounds the unreduced
+        quotient c / den as the reduced one, and IEEE negation is exact,
+        so every bit but a NaN's sign is the one `riemann` would give."""
         table = self._evaluator
-        values = dict(table.values(table.check_point(point)))
-        return CurvatureTensor(self.dim, np.fromiter(values, np.intp, len(values)),
-                               list(values.values()))
+        values = {}
+        for (upper, lower), value in table.values(table.check_point(point)):
+            values[upper] = value
+            values[lower] = -value
+        keys = sorted(values)
+        return CurvatureTensor(self.dim, np.array(keys, dtype=np.intp),
+                               [values[key] for key in keys])
 
     def integer_values(self, point):
         """({(i, j, k, l): int}, den) of the entries that are nonzero at an

@@ -487,7 +487,9 @@ def exact_values(table, point, nvars):
 
 class CompiledTable:
     """Float evaluator of a {index tuple: Polynomial} map in one ring, read
-    as an array of the given shape that is zero at every absent key.
+    as an array of the given shape that is zero at every absent key.  With
+    `den` the map's values are instead kernel dicts of numerators over den,
+    which need not be reduced: c / den is the same float either way.
 
     `entries` holds (key, start, terms) for each nonzero entry in key
     order.  The terms are (coeff, [(var, exp), ...]) in `Polynomial.terms()`
@@ -510,14 +512,15 @@ class CompiledTable:
 
     __slots__ = ("nvars", "shape", "entries", "degree")
 
-    def __init__(self, table, shape, nvars):
+    def __init__(self, table, shape, nvars, den=None):
         self.nvars = nvars
         self.shape = tuple(shape)
         self.entries = []
         for key, poly in table.items():
-            # c / den rounds the exact quotient once, as Fraction.__float__ does
-            terms = [(c / poly.den, [(var, e) for var, e in enumerate(_unpack(k, nvars)) if e])
-                     for k, c in poly.numerators.items()]
+            numerators, d = (poly, den) if den else (poly.numerators, poly.den)
+            # c / d rounds the exact quotient once, as Fraction.__float__ does
+            terms = [(c / d, [(var, e) for var, e in enumerate(_unpack(k, nvars)) if e])
+                     for k, c in numerators.items()]
             start = 0.0 + terms.pop(0)[0] if terms and not terms[0][1] else 0.0
             self.entries.append((key, start, terms))
         self.degree = max((e for _, _, terms in self.entries for _, factors in terms

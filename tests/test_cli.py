@@ -1,6 +1,8 @@
 """Command-line driver: exit codes, JSON reports, determinism."""
 
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affinecurv import __version__, cli, polynomial_geometry
 from affinecurv.cli import main
 from affinecurv.constructors import constant_curvature
 from affinecurv.polynomial_geometry import curvature
-from affinecurv.tensor_core import load_model, save_model
+from affinecurv.tensor_core import load_model, model_to_json_dict, save_model
 
 from dense import from_dense, to_dense
 
@@ -525,6 +529,84 @@ def test_json_out_that_cannot_be_opened_fails_before_stdout(capsys, tmp_path):
     code, out, err = run_cli(capsys, "adams", "--m", "3", "--partition", "2",
                              "--json-out", str(target))
     assert (code, out) == (3, "") and "error:" in err
+
+
+@pytest.mark.parametrize("json_out", [False, True])
+def test_a_report_that_cannot_be_written_writes_nothing(capsys, tmp_path, json_out):
+    """The model writer refuses the non-finite entries of this model before
+    the first byte of the report, on stdout or in --json-out."""
+    target = tmp_path / "report.json"
+    argv = ["realize", "--case", "2-b", "--m", "6", "--lambda", "1e308", "--lambda", "-1e308"]
+    with np.errstate(invalid="ignore", over="ignore"):
+        code, out, err = run_cli(capsys, *argv, *(["--json-out", str(target)] * json_out))
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == "error: model has non-finite entries, which JSON cannot hold"
+    assert not target.exists()
+
+
+def _strict(tree):
+    """The tree with every non-finite float replaced by None."""
+    if isinstance(tree, float):
+        return tree if math.isfinite(tree) else None
+    if isinstance(tree, dict):
+        return {key: _strict(value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_strict(value) for value in tree]
+    return tree
+
+
+def _written(tree):
+    """The text the report writer gives a tree, with its models' chunks."""
+    pieces = []
+    cli._json_pieces(tree, pieces)
+    return "".join(itertools.chain.from_iterable(
+        [piece] if isinstance(piece, str) else piece for piece in pieces))
+
+
+_KEYS = (st.text() | st.text(st.characters(categories=["Cc", "Cs", "Po"]))
+         | st.sampled_from(['"', "\\", "\x00\x1f\x7f", " ", "clé", "ключ", "\ud800", ""]))
+_FLOATS = st.floats() | st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, -2.2250738585072014e-308,
+    math.inf, -math.inf, math.nan])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-2 ** 300, max_value=2 ** 300) | _FLOATS | _KEYS)
+_TREES = st.recursive(_SCALARS, lambda children: (
+    st.lists(children, max_size=4) | st.tuples(children, children)
+    | st.dictionaries(_KEYS, children, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example({"": {}, "a": [[], {}, ()], "b": (True, False, None, 2 ** 100)})
+def test_report_writer_is_json_dumps_of_the_strict_tree(tree):
+    assert _written(tree) == json.dumps(_strict(tree), indent=2, sort_keys=True)
+
+
+def test_report_writer_expands_a_model_where_it_is_nested():
+    models = [from_dense(np.zeros((2,) * 4)), constant_curvature(3),
+              from_dense(np.where(np.arange(81).reshape((3,) * 4) % 7 == 1, -0.5, 0.0))]
+    for A in models:
+        D = model_to_json_dict(A)
+        for tree, want in [({"model": A, "z": [1.5]}, {"model": D, "z": [1.5]}),
+                           ({"a": {"model": A}, "b": [A, None]},
+                            {"a": {"model": D}, "b": [D, None]})]:
+            assert _written(tree) == json.dumps(want, indent=2, sort_keys=True)
+
+
+def test_report_writer_takes_only_str_keys_and_json_leaves():
+    """Unlike json.dumps, which would write the key 1 as "1"."""
+    for tree in ({1: 2}, [object()], {"model": np.int64(3)}):
+        with pytest.raises(TypeError):
+            _written(tree)
+
+
+@pytest.mark.parametrize("command", ["geometry", "extend"])
+@pytest.mark.parametrize("eps", ["inf", "-inf", "1e400", "nan"])
+def test_eps_must_be_finite(capsys, command, eps):
+    code, out, err = run_cli(capsys, command, "--builtin", "homogeneous", "--m", "3",
+                             "--eps=%s" % eps)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: argument --eps: expected a finite number, got %r\n" % eps
 
 
 def test_pretty_writes_to_stderr(capsys):

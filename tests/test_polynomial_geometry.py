@@ -40,7 +40,7 @@ from affinecurv.riemannian_extension import (
     levi_civita_block,
     modified_extension,
 )
-from affinecurv.tensor_core import jacobi_batch, reduced_jacobi, save_model
+from affinecurv.tensor_core import CurvatureTensor, jacobi_batch, reduced_jacobi, save_model
 
 from dense import from_dense, to_dense
 
@@ -803,6 +803,43 @@ def test_evaluate_at_lists_the_nonzero_entries_in_key_order(tmp_path):
             save_model(from_dense(reference), tmp_path / "dense.json")
             assert (tmp_path / "list.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
     assert len(curvature(uneven).evaluate_at([0.0, 0.5, -1.25]).nonzero()[1]) == 2
+
+
+def _riemann_tensor(P, point):
+    """The tensor at a point from a CompiledTable over `riemann`, its
+    entries sorted by raveled key: the evaluator that evaluate_at must
+    match bit for bit."""
+    m = P.dim
+    flat = {((i * m + j) * m + k) * m + l: p for (i, j, k, l), p in P.riemann.items()}
+    values = dict(CompiledTable(dict(sorted(flat.items())), (m ** 4,), m).values(point))
+    return CurvatureTensor(m, np.fromiter(values, np.intp, len(values)), list(values.values()))
+
+
+def test_evaluate_at_is_the_riemann_evaluation_bit_for_bit():
+    """evaluate_at reads the i < j numerators over their unreduced
+    denominator and negates for (j, i): the same bits as evaluating every
+    reduced `riemann` entry, and no `riemann` is built.  The coefficients
+    of `big` make numerators and denominators past 2^53, where a float
+    quotient of floats would round twice."""
+    rng = np.random.default_rng(34)
+    x = [var(i, 3) for i in range(3)]
+    big = connection_from_symbols(3, {
+        (0, 0, 1): Fraction(2 ** 61 + 1, 3 ** 39) * x[1] * x[2] + Fraction(5 ** 30, 2 ** 70 + 3),
+        (0, 1, 2): Fraction(7 ** 25, 11 ** 17) * x[0] - Fraction(13 ** 19, 2 ** 64 - 59),
+        (1, 2, 0): Fraction(3 ** 41, 17 ** 15) * x[2] * x[2]})
+    conns = ([curvature_homogeneous_connection(m, eps) for m in (3, 5)
+              for eps in (0, Fraction(1, 3), 1)] + [big]
+             + _builtin_connections() + [levi_civita_block(g) for g in _extension_metrics()])
+    for C in conns:
+        P = curvature(C)
+        points = [[0.0] * C.dim] + [list(rng.standard_normal(C.dim) * scale)
+                                    for scale in (0.1, 1.0, 30.0)]
+        got = [P.evaluate_at(point) for point in points]
+        assert "riemann" not in vars(P)
+        for A, point in zip(got, points):
+            want = _riemann_tensor(P, point)
+            assert A._keys.tobytes() == want._keys.tobytes()
+            assert A._values.tobytes() == want._values.tobytes()
 
 
 def test_model_out_and_jordan_at_allocate_no_dense_tensor(tmp_path):
